@@ -77,6 +77,12 @@ def _out_dir(args) -> str:
     return os.environ.get("AOISCHED_OUT", "results")
 
 
+_WORKERS_HELP = (
+    "split the Monte Carlo runs into K blocks, simulated in sequence without threads; "
+    "results are identical at any K"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aoisched", description=__doc__)
     parser.add_argument("--version", action="version", version=f"aoisched {__version__}")
@@ -86,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="YAML experiment config")
     p_run.add_argument("--out", help="output directory (default: AOISCHED_OUT or ./results)")
     p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1, metavar="K", help=_WORKERS_HELP)
     p_run.add_argument(
         "--allow-divergent",
         action="store_true",
@@ -128,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("tables", help="regenerate the benchmark tables from bundled configs")
     p_tab.add_argument("--out", help="also write per-setting CSV/JSON here")
     p_tab.add_argument("--only", help="comma-separated subset of bundled config names")
-    p_tab.add_argument("--workers", type=int, default=1)
+    p_tab.add_argument("--workers", type=int, default=1, metavar="K", help=_WORKERS_HELP)
 
     return parser
 

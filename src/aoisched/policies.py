@@ -208,50 +208,72 @@ def decide(
 ) -> int:
     """Source (0-based) scheduled by `policy` at age vector `ages`, slot `t`.
 
-    Deterministic variants ignore `rng`; the randomized variant requires it.
-    An `index_table` from :func:`whittle_index_table` avoids recomputing
+    Deterministic variants ignore `rng`; the randomized variant requires it
+    and draws one uniform from it per call (also as a tabular fallback). An
+    `index_table` from :func:`whittle_index_table` avoids recomputing
     whittle indices on every call.
     """
     arr = validate_ages(spec, ages)
+    u = None if rng is None or is_deterministic(policy) else rng.random(1)
+    return int(_decide_rows(policy, spec, arr[None, :], t, u, index_table)[0])
+
+
+def _decide_rows(policy, spec, ages, t, u=None, index_table=None) -> np.ndarray:
+    """Decisions for a (runs x N) block of ages at slot t, one per row.
+
+    `u` holds one policy uniform per row; only the randomized variant reads
+    it. Ties go to the lowest source index.
+    """
     n = spec.n_sources
+    r = len(ages)
     if isinstance(policy, Whittle):
-        return _whittle_decision(spec, arr, index_table)
+        return np.argmax(_whittle_values(spec, ages, index_table), axis=1)
     if isinstance(policy, RoundRobin):
-        return policy.resolved_order(n)[t % n]
+        return np.full(r, policy.resolved_order(n)[t % n])
     if isinstance(policy, FixedCycle):
         a = policy.actions[t % len(policy.actions)]
         if not 0 <= a < n:
             raise DomainError(f"cycle action {a} out of range for {n} sources")
-        return a
+        return np.full(r, a)
     if isinstance(policy, MaxAge):
-        return int(np.argmax(arr))
+        return np.argmax(ages, axis=1)
     if isinstance(policy, StationaryRandomized):
         if len(policy.probs) != n:
             raise DomainError("randomized probs length must match source count")
-        if rng is None:
+        if u is None:
             raise DomainError("the randomized policy needs an rng")
-        return int(rng.choice(n, p=policy.probs))
+        return np.minimum(np.searchsorted(np.cumsum(policy.probs), u, side="right"), n - 1)
     if isinstance(policy, Tabular):
-        key = tuple(int(a) for a in arr)
-        if key in policy.table:
-            a = int(policy.table[key])
-            if not 0 <= a < n:
-                raise DomainError(f"tabular action {a} out of range for {n} sources")
-            return a
-        if policy.fallback is None:
-            raise MissingStateError(f"state {key} not in table and fallback disabled")
-        return decide(policy.fallback, spec, arr, t, rng, index_table)
+        acts = np.empty(r, dtype=np.int64)
+        miss = np.zeros(r, dtype=bool)
+        for j, key in enumerate(map(tuple, ages.tolist())):
+            if key in policy.table:
+                a = int(policy.table[key])
+                if not 0 <= a < n:
+                    raise DomainError(f"tabular action {a} out of range for {n} sources")
+                acts[j] = a
+            elif policy.fallback is None:
+                raise MissingStateError(f"state {key} not in table and fallback disabled")
+            else:
+                miss[j] = True
+        if miss.any():
+            sub_u = None if u is None else u[miss]
+            acts[miss] = _decide_rows(policy.fallback, spec, ages[miss], t, sub_u, index_table)
+        return acts
     raise DomainError(f"unknown policy {policy!r}")
 
 
-def _whittle_decision(spec, ages, index_table):
-    if index_table is not None and ages.max() <= index_table.shape[1]:
-        vals = index_table[np.arange(spec.n_sources), ages - 1]
-    else:
-        vals = np.array(
-            [
-                decoupled.whittle_index(s.cost, s.p, int(a))
-                for s, a in zip(spec.sources, ages)
-            ]
-        )
-    return int(np.argmax(vals))  # argmax takes the first max: lowest index wins ties
+def _whittle_values(spec, ages, index_table):
+    """Index values at a block of ages: table lookups, except that a row
+    with any age past the table computes its whole row from the series."""
+    width = 0 if index_table is None else index_table.shape[1]
+    cols = np.arange(spec.n_sources)
+    if ages.max() <= width:
+        return index_table[cols, ages - 1]
+    vals = np.empty(ages.shape)
+    for j, row in enumerate(ages):
+        if row.max() <= width:
+            vals[j] = index_table[cols, row - 1]
+        else:
+            vals[j] = [decoupled.whittle_index(s.cost, s.p, int(a)) for s, a in zip(spec.sources, row)]
+    return vals

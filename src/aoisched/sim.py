@@ -9,14 +9,13 @@ trips if any age passes 10^6.
 Randomness is fully reproducible: run r of a simulation seeded with s draws
 its channel uniforms from a counter-based Philox stream keyed by (s, r, 0)
 and its policy uniforms, when the policy is randomized, from (s, r, 1).
-Runs therefore commute: any worker partition of the runs produces
-bit-identical results.
+Runs therefore commute: splitting the runs into K blocks, simulated one
+after another without threads, gives identical results at any K.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +24,11 @@ from . import cost as costmod
 from .cost import OVERFLOW_LIMIT
 from .errors import CostRangeError, DomainError, NonCyclicError
 from .policies import (
-    FixedCycle,
-    MaxAge,
-    RoundRobin,
     StationaryRandomized,
     SystemSpec,
     Tabular,
     Whittle,
+    _decide_rows,
     decide,
     is_deterministic,
     time_period,
@@ -41,9 +38,12 @@ from .policies import (
 AGE_GUARD = 10**6
 
 
-def _index_table_width(spec: SystemSpec, wanted: int) -> int:
-    """Widest whittle table the cost functions can represent, capped at
+def _index_table(spec: SystemSpec, policy, wanted: int):
+    """Whittle index table for the policies that look indices up (None for
+    the others), as wide as the cost functions can represent, capped at
     `wanted`. The index at age h needs f(h+1), hence the -1."""
+    if not isinstance(policy, (Whittle, Tabular)):
+        return None
     width = wanted
     for s in spec.sources:
         cap = costmod.max_representable_age(s.cost)
@@ -51,7 +51,7 @@ def _index_table_width(spec: SystemSpec, wanted: int) -> int:
             width = min(width, cap - 1)
     if width < 1:
         raise CostRangeError("cost functions overflow below age 2; no index table possible")
-    return width
+    return whittle_index_table(spec, width)
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,14 @@ class Cycle:
         return len(self.states)
 
 
-def _channel_stream(seed: int, run: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(run, 0)))
-    )
-
-
-def _policy_stream(seed: int, run: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(run, 1)))
-    )
+def _uniforms(seed: int, lo: int, hi: int, kind: int, slots: int) -> np.ndarray:
+    """`slots` uniforms for each of runs lo..hi-1 from the Philox stream keyed
+    by (seed, run, kind); kind 0 is the channel, kind 1 the policy."""
+    out = np.empty((hi - lo, slots))
+    for row, run in zip(out, range(lo, hi)):
+        key = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(run, kind))
+        np.random.Generator(np.random.Philox(key)).random(out=row)
+    return out
 
 
 def simulate(
@@ -111,34 +109,15 @@ def simulate(
     """Simulate `runs` independent episodes of `horizon` slots.
 
     Returns the mean and standard error (over runs) of the per-slot average
-    cost, plus the per-source breakdown of the mean. Identical (seed, config)
-    inputs give bit-identical results at any worker count.
+    cost, plus the per-source breakdown of the mean. The runs are split into
+    `workers` blocks simulated one after another (no threads), which bounds
+    the memory of the uniform arrays; identical (seed, config) inputs give
+    bit-identical results at any block count.
     """
     if horizon < 1 or runs < 1:
         raise DomainError("horizon and runs must be positive")
-    n = spec.n_sources
-    needs_table = isinstance(policy, (Whittle, Tabular))
-    table = (
-        whittle_index_table(spec, _index_table_width(spec, horizon + 1))
-        if needs_table
-        else None
-    )
-
-    totals = np.empty(runs)
-    per_src = np.empty((runs, n))
-    chunks = _run_chunks(runs, workers)
-    if len(chunks) == 1:
-        lo, hi = chunks[0]
-        totals[lo:hi], per_src[lo:hi] = _simulate_chunk(spec, policy, horizon, seed, lo, hi, table)
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futs = {
-                pool.submit(_simulate_chunk, spec, policy, horizon, seed, lo, hi, table): (lo, hi)
-                for lo, hi in chunks
-            }
-            for fut, (lo, hi) in futs.items():
-                totals[lo:hi], per_src[lo:hi] = fut.result()
-
+    (acc,) = _run_slots(spec, policy, runs, seed, [horizon], blocks=workers)
+    totals = acc.sum(axis=1) / horizon
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     return SimulationResult(
@@ -147,76 +126,100 @@ def simulate(
         runs=runs,
         horizon=horizon,
         seed=seed,
-        per_source_costs=tuple(per_src.mean(axis=0)),
+        per_source_costs=tuple((acc / horizon).mean(axis=0)),
     )
 
 
-def _run_chunks(runs, workers):
-    workers = max(1, min(int(workers), runs))
-    bounds = np.linspace(0, runs, workers + 1).astype(int)
+def _run_blocks(runs, blocks):
+    blocks = max(1, min(int(blocks), runs))
+    bounds = np.linspace(0, runs, blocks + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _simulate_chunk(spec, policy, horizon, seed, lo, hi, table):
-    """Simulate runs [lo, hi) in lockstep; returns per-run (total, per-source)."""
-    n = spec.n_sources
-    r = hi - lo
-    probs = spec.probabilities
-    u_chan = np.stack([_channel_stream(seed, run).random(horizon) for run in range(lo, hi)])
-    randomized = isinstance(policy, StationaryRandomized)
-    if randomized:
-        if len(policy.probs) != n:
-            raise DomainError("randomized probs length must match source count")
-        u_pol = np.stack([_policy_stream(seed, run).random(horizon) for run in range(lo, hi)])
-        cum = np.cumsum(policy.probs)
-
-    ages = np.ones((r, n), dtype=np.int64)
-    acc = np.zeros((r, n))
-    rows = np.arange(r)
-    for t in range(horizon):
-        for i, s in enumerate(spec.sources):
-            try:
-                acc[:, i] += s.cost(ages[:, i])
-            except CostRangeError as e:
-                raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
+def _cost_row(f, horizon):
+    """f(1..T), T the smaller of `horizon` and the largest age f represents."""
+    cap = costmod.max_representable_age(f)
+    top = horizon if cap is None else min(horizon, cap)
+    while True:
         try:
-            acts = _decide_vector(policy, spec, ages, t, table, u_pol[:, t] if randomized else None, cum if randomized else None)
-        except CostRangeError as e:
-            raise CostRangeError(f"slot {t + 1}: {e}") from None
-        success = u_chan[:, t] < probs[acts]
-        ages += 1
-        ages[rows[success], acts[success]] = 1
-        if ages.max() > AGE_GUARD:
-            raise CostRangeError(f"age exceeded {AGE_GUARD} at slot {t + 1}")
-    return acc.sum(axis=1) / horizon, acc / horizon
+            return costmod.evaluate(f, np.arange(1, top + 1))
+        except CostRangeError:  # the cap can round one age too high
+            top -= 1
 
 
-def _decide_vector(policy, spec, ages, t, table, u_pol, cum):
-    """Vectorized decisions for a block of runs at slot t."""
-    r, n = ages.shape
-    if isinstance(policy, Whittle):
-        if ages.max() > table.shape[1]:
-            # past the representable index range; scalar path raises properly
-            return np.array([decide(policy, spec, ages[j], t) for j in range(r)])
-        vals = table[np.arange(n)[None, :], ages - 1]
-        return np.argmax(vals, axis=1)
-    if isinstance(policy, MaxAge):
-        return np.argmax(ages, axis=1)
-    if isinstance(policy, RoundRobin):
-        return np.full(r, policy.resolved_order(n)[t % n])
-    if isinstance(policy, FixedCycle):
-        a = policy.actions[t % len(policy.actions)]
-        if not 0 <= a < n:
-            raise DomainError(f"cycle action {a} out of range for {n} sources")
-        return np.full(r, a)
-    if isinstance(policy, StationaryRandomized):
-        return np.minimum(np.searchsorted(cum, u_pol, side="right"), n - 1)
-    if isinstance(policy, Tabular):
-        return np.array([decide(policy, spec, ages[j], t, index_table=table) for j in range(r)])
-    raise DomainError(f"unknown policy {policy!r}")
+def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
+    """The slot loop: simulate runs 0..runs-1 in `blocks` consecutive blocks
+    of lockstep runs, and return the per-source cost each run accumulated up
+    to each checkpoint horizon, shape (len(checkpoints), runs, N).
+
+    Costs are looked up in one row per source, built once. An age past its
+    row raises CostRangeError naming the slot and source, or, with
+    `saturate`, costs OVERFLOW_LIMIT (callers cap the sums there).
+    """
+    n = spec.n_sources
+    tmax = checkpoints[-1]
+    probs = spec.probabilities
+    table = _index_table(spec, policy, tmax + 1)
+    # each row ends in an OVERFLOW_LIMIT entry that stands for every later age
+    rows = [np.append(_cost_row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
+    randomized = isinstance(policy, StationaryRandomized)
+    out = np.empty((len(checkpoints), runs, n))
+    for lo, hi in _run_blocks(runs, blocks):
+        u_chan = _uniforms(seed, lo, hi, 0, tmax)
+        u_pol = _uniforms(seed, lo, hi, 1, tmax) if randomized else None
+        ages = np.ones((hi - lo, n), dtype=np.int64)
+        acc = np.zeros((hi - lo, n))
+        run_idx = np.arange(hi - lo)
+        k = 0
+        for t in range(tmax):
+            for i, row in enumerate(rows):
+                col = ages[:, i]
+                if t + 1 < len(row) or col.max() < len(row):  # ages are at most t + 1
+                    acc[:, i] += row[col - 1]
+                elif saturate:
+                    acc[:, i] += row[np.minimum(col, len(row)) - 1]
+                else:  # past the row: evaluate raises, naming the age
+                    try:
+                        acc[:, i] += spec.sources[i].cost(col)
+                    except CostRangeError as e:
+                        raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
+            try:
+                acts = _decide_rows(policy, spec, ages, t, u_pol[:, t] if randomized else None, table)
+            except CostRangeError as e:
+                raise CostRangeError(f"slot {t + 1}: {e}") from None
+            success = u_chan[:, t] < probs[acts]
+            ages += 1
+            ages[run_idx[success], acts[success]] = 1
+            # ages after slot t are at most t + 2; saturated costs need no guard
+            if t + 2 > AGE_GUARD and not saturate and ages.max() > AGE_GUARD:
+                raise CostRangeError(f"age exceeded {AGE_GUARD} at slot {t + 1}")
+            if t + 1 == checkpoints[k]:
+                out[k, lo:hi] = acc
+                k += 1
+    return out
 
 
 # -- exact evaluation of deterministic policies -------------------------------
+
+
+def _reliable_path(spec, policy, table):
+    """Pre-action ages of the deterministic trajectory on reliable channels
+    from all-ones, slot by slot. After slot 0 exactly one age is 1: that of
+    the source scheduled in the slot before."""
+    ages = (1,) * spec.n_sources
+    t = 0
+    while True:
+        yield ages
+        a = decide(policy, spec, ages, t=t, index_table=table)
+        ages = tuple(1 if i == a else x + 1 for i, x in enumerate(ages))
+        t += 1
+
+
+def _check_exact(spec, policy, what):
+    if not spec.reliable:
+        raise DomainError(f"{what} requires all channels reliable")
+    if not is_deterministic(policy):
+        raise DomainError(f"{what} requires a deterministic policy")
 
 
 def detect_cycle(spec: SystemSpec, policy, max_steps: int = 100_000) -> Cycle:
@@ -227,72 +230,35 @@ def detect_cycle(spec: SystemSpec, policy, max_steps: int = 100_000) -> Cycle:
     Time-cyclic policies (round robin, fixed cycles) recur on (state, phase)
     pairs so their period is respected.
     """
-    if not spec.reliable:
-        raise DomainError("cycle detection requires all channels reliable")
-    if not is_deterministic(policy):
-        raise DomainError("cycle detection requires a deterministic policy")
-    n = spec.n_sources
-    period = time_period(policy, n)
-    table = (
-        whittle_index_table(spec, _index_table_width(spec, 4096))
-        if isinstance(policy, (Whittle, Tabular))
-        else None
-    )
-
+    _check_exact(spec, policy, "cycle detection")
+    period = time_period(policy, spec.n_sources)
+    path = _reliable_path(spec, policy, _index_table(spec, policy, 4096))
     seen = {}
-    states, acts = [], []
-    ages = (1,) * n
-    for step in range(max_steps):
+    states = []
+    for step, ages in zip(range(max_steps), path):
         key = (ages, step % period)
         if key in seen:
-            start = seen[key]
-            cyc_states = tuple(states[start:])
-            cyc_acts = tuple(acts[start:])
+            cyc_states = tuple(states[seen[key]:])
+            # each state's action is the source whose age is 1 in the next state
+            cyc_acts = tuple(s.index(1) for s in cyc_states[1:] + (ages,))
             avg = math.fsum(spec.state_cost(s) for s in cyc_states) / len(cyc_states)
             return Cycle(states=cyc_states, actions=cyc_acts, average_cost=avg)
         seen[key] = step
-        a = decide(policy, spec, ages, t=step, index_table=table)
         states.append(ages)
-        acts.append(a)
-        grown = [x + 1 for x in ages]
-        grown[a] = 1
-        ages = tuple(grown)
     raise NonCyclicError(f"no state recurrence within {max_steps} steps")
 
 
 def per_slot_costs(spec: SystemSpec, policy, horizon: int) -> np.ndarray:
     """Exact pre-action cost of each slot for a deterministic policy on
     reliable channels (a single noiseless trajectory)."""
-    if not spec.reliable:
-        raise DomainError("exact slot costs require reliable channels")
-    if not is_deterministic(policy):
-        raise DomainError("exact slot costs require a deterministic policy")
-    table = (
-        whittle_index_table(spec, _index_table_width(spec, horizon + 1))
-        if isinstance(policy, (Whittle, Tabular))
-        else None
-    )
-    ages = (1,) * spec.n_sources
-    out = np.empty(horizon)
-    for t in range(horizon):
-        out[t] = spec.state_cost(ages)
-        a = decide(policy, spec, ages, t=t, index_table=table)
-        grown = [x + 1 for x in ages]
-        grown[a] = 1
-        ages = tuple(grown)
-    return out
+    _check_exact(spec, policy, "exact slot cost")
+    if horizon < 1:
+        raise DomainError("horizon must be positive")
+    path = _reliable_path(spec, policy, _index_table(spec, policy, horizon + 1))
+    return np.array([spec.state_cost(ages) for _, ages in zip(range(horizon), path)])
 
 
 # -- divergence probe ----------------------------------------------------------
-
-
-def _saturating_cost(f, ages):
-    """f(ages) capped at OVERFLOW_LIMIT instead of raising (probe use only)."""
-    ages = np.asarray(ages)
-    if f.kind == "exponential":
-        cap = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / math.log(f.base)
-        return np.where(ages > cap, OVERFLOW_LIMIT, f.weight * f.base ** np.minimum(ages, cap))
-    return np.minimum(costmod.evaluate(f, ages), OVERFLOW_LIMIT)
 
 
 def divergence_probe(
@@ -317,32 +283,17 @@ def divergence_probe(
     horizons = [int(h) for h in horizons]
     if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
         raise DomainError("horizons must be a strictly increasing positive sequence")
+    if n_seeds < 1:
+        raise DomainError("n_seeds must be positive")
+    # the decision rule checks the policy against the system
+    _decide_rows(policy, spec, np.ones((1, spec.n_sources), dtype=np.int64), 0, np.zeros(1))
     if aggregate == "expectation":
         return _probe_expectation(spec, policy, horizons)
     if aggregate != "median":
         raise DomainError(f"unknown aggregate {aggregate!r}")
-
-    n = spec.n_sources
-    tmax = horizons[-1]
-    probs = spec.probabilities
-    cum = np.cumsum(policy.probs)
-    u_chan = np.stack([_channel_stream(seed, run).random(tmax) for run in range(n_seeds)])
-    u_pol = np.stack([_policy_stream(seed, run).random(tmax) for run in range(n_seeds)])
-    ages = np.ones((n_seeds, n), dtype=np.int64)
-    acc = np.zeros(n_seeds)
-    rows = np.arange(n_seeds)
-    marks = {}
-    for t in range(tmax):
-        for i, s in enumerate(spec.sources):
-            acc += _saturating_cost(s.cost, ages[:, i])
-        np.minimum(acc, OVERFLOW_LIMIT, out=acc)
-        acts = np.minimum(np.searchsorted(cum, u_pol[:, t], side="right"), n - 1)
-        success = u_chan[:, t] < probs[acts]
-        ages += 1
-        ages[rows[success], acts[success]] = 1
-        if (t + 1) in horizons:
-            marks[t + 1] = np.median(acc / (t + 1))
-    return np.array([marks[h] for h in horizons])
+    acc = _run_slots(spec, policy, n_seeds, seed, horizons, saturate=True)
+    totals = np.minimum(acc.sum(axis=2), OVERFLOW_LIMIT)
+    return np.array([np.median(tot / h) for tot, h in zip(totals, horizons)])
 
 
 def _probe_expectation(spec, policy, horizons):
@@ -360,7 +311,8 @@ def _probe_expectation(spec, policy, horizons):
         if q <= 0.0:
             raise DomainError(f"source {i + 1} is never scheduled; expectation diverges")
         ages = np.arange(1, tmax + 1)
-        f_vals = _saturating_cost(s.cost, ages)
+        f_vals = _cost_row(s.cost, tmax)
+        f_vals = np.append(f_vals, np.full(tmax - len(f_vals), OVERFLOW_LIMIT))
         geo = q * (1.0 - q) ** (ages - 1.0)
         interior = np.concatenate(([0.0], np.cumsum(f_vals * geo)[:-1]))
         boundary = f_vals * (1.0 - q) ** (t - 1.0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from aoisched import cost
+from aoisched import cost, decoupled
 from aoisched.errors import AdmissibilityError, DomainError, MissingStateError
 from aoisched.policies import (
     FixedCycle,
@@ -12,7 +14,9 @@ from aoisched.policies import (
     SystemSpec,
     Tabular,
     Whittle,
+    _decide_rows,
     decide,
+    validate_ages,
     whittle_index_table,
 )
 
@@ -180,3 +184,181 @@ def test_whittle_is_strong_switch_by_construction(rng):
         actions = np.argmax(tables[np.arange(n)[None, :], states - 1], axis=1)
         pairs = {tuple(int(x) for x in s): int(a) for s, a in zip(states, actions)}
         assert check_strong_switch(list(pairs.items())) == []
+
+
+# -- the block decision rule against the per-policy scalar rule ----------------
+
+
+def _scalar_decide(policy, spec, ages, t=0, rng=None, index_table=None):
+    """Oracle: the per-policy scalar decision rule the block rule replaced."""
+    arr = validate_ages(spec, ages)
+    n = spec.n_sources
+    if isinstance(policy, Whittle):
+        if index_table is not None and arr.max() <= index_table.shape[1]:
+            vals = index_table[np.arange(n), arr - 1]
+        else:
+            vals = np.array(
+                [decoupled.whittle_index(s.cost, s.p, int(a)) for s, a in zip(spec.sources, arr)]
+            )
+        return int(np.argmax(vals))
+    if isinstance(policy, RoundRobin):
+        return policy.resolved_order(n)[t % n]
+    if isinstance(policy, FixedCycle):
+        a = policy.actions[t % len(policy.actions)]
+        if not 0 <= a < n:
+            raise DomainError(f"cycle action {a} out of range for {n} sources")
+        return a
+    if isinstance(policy, MaxAge):
+        return int(np.argmax(arr))
+    if isinstance(policy, StationaryRandomized):
+        if len(policy.probs) != n:
+            raise DomainError("randomized probs length must match source count")
+        if rng is None:
+            raise DomainError("the randomized policy needs an rng")
+        return int(rng.choice(n, p=policy.probs))
+    if isinstance(policy, Tabular):
+        key = tuple(int(a) for a in arr)
+        if key in policy.table:
+            a = int(policy.table[key])
+            if not 0 <= a < n:
+                raise DomainError(f"tabular action {a} out of range for {n} sources")
+            return a
+        if policy.fallback is None:
+            raise MissingStateError(f"state {key} not in table and fallback disabled")
+        return _scalar_decide(policy.fallback, spec, arr, t, rng, index_table)
+    raise DomainError(f"unknown policy {policy!r}")
+
+
+_SPECS = (
+    two_linear(),
+    setting_a1(),
+    SystemSpec((Source(cost.linear(13), 0.9), Source(cost.power(1, 2), 0.5))),
+    SystemSpec(
+        (
+            Source(cost.power(1, 2), 0.66),
+            Source(cost.exponential(3), 0.8),
+            Source(cost.power(1, 4), 0.75),
+        )
+    ),
+    SystemSpec(
+        (
+            Source(cost.power(0.5, 3)),
+            Source(cost.logarithmic(10)),
+            Source(cost.indicator(4, 2.0)),
+            Source(cost.table([0.0, 1.0, 1.0, 5.0])),
+        )
+    ),
+)
+# the index tables stop at age 8 while ages reach 12, so some rows fall back
+# to the per-age series
+_TABLES = {id(spec): whittle_index_table(spec, 8) for spec in _SPECS}
+_SIMPLE = ("whittle", "round_robin", "fixed_cycle", "max_age", "randomized")
+
+
+@st.composite
+def _policy_for(draw, n, kind, ages):
+    if kind == "whittle":
+        return Whittle()
+    if kind == "round_robin":
+        order = draw(st.none() | st.permutations(range(n)).map(tuple))
+        return RoundRobin(order)
+    if kind == "fixed_cycle":  # n is one past the range
+        return FixedCycle(tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=5))))
+    if kind == "max_age":
+        return MaxAge()
+    if kind == "randomized":  # one extra source half the time
+        m = n + draw(st.integers(0, 1))
+        weights = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+        if sum(weights) == 0:
+            weights[0] = 1
+        return StationaryRandomized(tuple(w / sum(weights) for w in weights))
+    # tabular: each row is listed or not; listed actions may fall out of range
+    keys = [tuple(int(a) for a in row) for row in ages]
+    table = {key: draw(st.integers(-1, n)) for key in keys if draw(st.booleans())}
+    fallback = draw(st.sampled_from((None, "whittle", "max_age", "round_robin", "randomized")))
+    if fallback is not None:
+        fallback = draw(_policy_for(n, fallback, ages))
+    return Tabular(table, fallback=fallback)
+
+
+@st.composite
+def _decision_case(draw):
+    spec = draw(st.sampled_from(_SPECS))
+    n = spec.n_sources
+    runs = draw(st.integers(1, 6))
+    ages = np.array(
+        draw(st.lists(st.lists(st.integers(1, 12), min_size=n, max_size=n), min_size=runs, max_size=runs)),
+        dtype=np.int64,
+    )
+    kind = draw(st.sampled_from(_SIMPLE + ("tabular",)))
+    policy = draw(_policy_for(n, kind, ages))
+    t = draw(st.integers(0, 50))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
+    table = draw(st.sampled_from((None, _TABLES[id(spec)])))
+    return spec, policy, ages, t, seeds, table
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (DomainError, MissingStateError) as e:
+        return type(e)
+
+
+def _check_agreement(spec, policy, ages, t, seeds, table):
+    want = [
+        _outcome(lambda: _scalar_decide(policy, spec, row, t, np.random.default_rng(s), table))
+        for row, s in zip(ages, seeds)
+    ]
+    # the scalar rule draws one uniform per randomized decision; hand the
+    # block rule the same draw for each row
+    u = np.array([np.random.default_rng(s).random() for s in seeds])
+    got = _outcome(lambda: _decide_rows(policy, spec, ages, t, u, table).tolist())
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        assert got in errors
+    else:
+        assert got == want
+    for row, s, w in zip(ages, seeds, want):
+        assert _outcome(lambda: decide(policy, spec, row, t, np.random.default_rng(s), table)) == w
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_decision_case())
+def test_block_rule_matches_scalar_oracle_row_for_row(case):
+    _check_agreement(*case)
+
+
+@pytest.mark.parametrize(
+    "policy, ages, t",
+    [
+        (Tabular({(1, 1): 1, (2, 3): 0}), [[1, 1], [2, 3], [4, 4]], 0),  # hits and a miss
+        (Tabular({(1, 1): 2}), [[1, 1]], 0),  # action past the last source
+        (Tabular({(2, 2): -1}), [[1, 1], [2, 2]], 0),  # negative action
+        (Tabular({(1, 1): 0}, fallback=None), [[1, 1], [2, 2]], 0),  # miss, no fallback
+        (Tabular({(1, 1): 0}, fallback=StationaryRandomized((0.3, 0.7))), [[1, 1], [3, 1], [1, 1], [1, 5]], 0),
+        (FixedCycle((0, 2)), [[1, 1]], 1),  # cycle action past the last source
+        (FixedCycle((0, 2)), [[1, 1]], 2),  # in range at this slot
+        (Whittle(), [[3, 9], [9, 30], [2, 2]], 0),  # rows past the 8-wide table
+        (Tabular({(1, 1): 1}), [[1, 1], [20, 2]], 0),  # whittle fallback past the table
+        (StationaryRandomized((0.2, 0.3, 0.5)), [[1, 1]], 0),  # one prob too many
+    ],
+)
+def test_edge_cases_match_scalar_oracle(policy, ages, t):
+    spec = _SPECS[2]
+    ages = np.array(ages, dtype=np.int64)
+    _check_agreement(spec, policy, ages, t, list(range(len(ages))), _TABLES[id(spec)])
+
+
+def test_randomized_rule_draws_right_of_each_cumulative_step():
+    # as Generator.choice does: a zero-probability source is never drawn,
+    # even at u = 0, and u on a step goes to the next source
+    spec = SystemSpec(tuple(Source(cost.linear(1)) for _ in range(3)))
+    u = np.array([0.0, 0.5, 0.999])
+    acts = _decide_rows(StationaryRandomized((0.0, 0.5, 0.5)), spec, np.ones((3, 3), dtype=np.int64), 0, u)
+    assert acts.tolist() == [1, 2, 2]
+
+
+def test_block_rule_without_uniforms_rejects_randomized():
+    with pytest.raises(DomainError, match="needs an rng"):
+        _decide_rows(StationaryRandomized((0.5, 0.5)), two_linear(), np.ones((3, 2), dtype=np.int64), 0)

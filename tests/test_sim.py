@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aoisched import cost
+from aoisched.cost import OVERFLOW_LIMIT
 from aoisched.errors import CostRangeError, DomainError, NonCyclicError
 from aoisched.policies import (
     FixedCycle,
@@ -13,6 +14,7 @@ from aoisched.policies import (
     StationaryRandomized,
     SystemSpec,
     Whittle,
+    decide,
 )
 from aoisched.sim import detect_cycle, divergence_probe, per_slot_costs, simulate
 
@@ -71,6 +73,25 @@ class TestSimulate:
         with pytest.raises(CostRangeError, match=r"slot \d+, source 2"):
             simulate(spec, FixedCycle((0,)), horizon=1000, runs=1, seed=0)
 
+    def test_cost_row_stops_below_an_age_that_overflows(self):
+        # the largest representable age of this cost rounds one too high:
+        # f(4) exceeds 1e300 although the cap reads 4
+        f = cost.power(float(np.nextafter(1e300 / 4.0**100, np.inf)), 100.0)
+        assert cost.max_representable_age(f) == 4
+        with pytest.raises(CostRangeError):
+            cost.evaluate(f, 4)
+        # round robin on two sources keeps ages at 1 and 2: no run reaches 4
+        res = simulate(SystemSpec((Source(f), Source(f))), RoundRobin(), horizon=50, runs=2)
+        assert res.mean_cost == pytest.approx((2 * f(1) + 49 * (f(1) + f(2))) / 50, rel=1e-15)
+        # on four sources the last one reaches age 4 at slot 4
+        with pytest.raises(CostRangeError, match=r"slot 4, source 4: .* at age 4"):
+            simulate(SystemSpec((Source(f),) * 4), RoundRobin(), horizon=50, runs=2)
+
+    def test_ages_below_a_cap_shorter_than_the_horizon(self):
+        # 3^x overflows from age 629, but round robin keeps both ages at 1 and 2
+        res = simulate(two_exponential(), RoundRobin(), horizon=1000, runs=1)
+        assert res.mean_cost == pytest.approx((6 + 999 * 12) / 1000, abs=1e-12)
+
     def test_randomized_policy_simulates(self):
         res = simulate(
             two_exponential(),
@@ -111,6 +132,12 @@ class TestDetectCycle:
             expect = [x + 1 for x in s]
             expect[a] = 1
             assert tuple(expect) == cyc.states[(i + 1) % n]
+
+    def test_cycle_actions_are_the_policy_decisions(self):
+        for name in ("A1", "B1", "C1", "D1", "E1", "F1"):
+            spec = system_for(name)
+            cyc = detect_cycle(spec, Whittle())
+            assert cyc.actions == tuple(decide(Whittle(), spec, s) for s in cyc.states)
 
     def test_fixed_cycle_policy_detected_with_phase(self):
         spec = system_for("A1")
@@ -197,3 +224,112 @@ class TestDivergenceProbe:
     def test_requires_randomized_policy(self):
         with pytest.raises(DomainError):
             divergence_probe(two_exponential(), RoundRobin(), [10])
+
+    def test_randomized_probs_must_match_source_count(self):
+        three = StationaryRandomized((0.2, 0.3, 0.5))
+        for aggregate in ("median", "expectation"):
+            with pytest.raises(DomainError, match="probs length"):
+                divergence_probe(two_exponential(), three, [10, 20], aggregate=aggregate)
+
+    def test_seed_count_must_be_positive(self):
+        for aggregate in ("median", "expectation"):
+            with pytest.raises(DomainError, match="n_seeds"):
+                divergence_probe(
+                    two_exponential(),
+                    StationaryRandomized((0.5, 0.5)),
+                    [10],
+                    n_seeds=0,
+                    aggregate=aggregate,
+                )
+
+    def test_matches_the_slot_loop_it_replaced_on_c9_inputs(self):
+        spec = two_exponential()
+        policy = StationaryRandomized((0.5, 0.5))
+        horizons = [10, 20, 40, 60, 120, 240]
+        got = divergence_probe(spec, policy, horizons, n_seeds=100, seed=20250117)
+        want = _probe_oracle(spec, policy, horizons, 100, 20250117)
+        assert np.array_equal(got, want)
+
+    def test_matches_the_slot_loop_it_replaced_on_non_integer_costs(self):
+        spec = SystemSpec(
+            (
+                Source(cost.power(1.3, 1.7)),
+                Source(cost.logarithmic(2.5), 0.8),
+                Source(cost.exponential(1.7, 0.3), 0.9),
+            )
+        )
+        policy = StationaryRandomized((0.3, 0.3, 0.4))
+        horizons = [5, 50, 120, 300]
+        got = divergence_probe(spec, policy, horizons, n_seeds=60, seed=11)
+        want = _probe_oracle(spec, policy, horizons, 60, 11)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_saturates_like_the_slot_loop_it_replaced(self):
+        # 30^x passes 1e300 from age 204; the rarely served source gets there
+        spec = SystemSpec((Source(cost.linear(1)), Source(cost.exponential(30))))
+        policy = StationaryRandomized((0.995, 0.005))
+        horizons = [100, 250, 400]
+        got = divergence_probe(spec, policy, horizons, n_seeds=30, seed=3)
+        want = _probe_oracle(spec, policy, horizons, 30, 3)
+        assert got[-1] == OVERFLOW_LIMIT / 400
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_an_age_past_the_cost_row_costs_the_saturation_limit(self):
+        # 10^(7x) overflows from age 43; source 2 is never served, so its age
+        # is t + 1 at slot t
+        spec = SystemSpec((Source(cost.linear(1)), Source(cost.exponential(1e7))))
+        policy = StationaryRandomized((1.0, 0.0))
+        got = divergence_probe(spec, policy, [42, 43], n_seeds=3, seed=0)
+        assert got[0] < 1e295
+        assert got[1] == OVERFLOW_LIMIT / 43
+        assert np.array_equal(got, _probe_oracle(spec, policy, [42, 43], 3, 0))
+
+
+class TestCountsValidated:
+    def test_per_slot_costs_horizon_must_be_positive(self):
+        with pytest.raises(DomainError, match="horizon"):
+            per_slot_costs(two_exponential(), RoundRobin(), 0)
+
+    def test_simulate_counts_must_be_positive(self):
+        with pytest.raises(DomainError):
+            simulate(two_exponential(), RoundRobin(), horizon=0)
+        with pytest.raises(DomainError):
+            simulate(two_exponential(), RoundRobin(), horizon=5, runs=0)
+
+
+def _probe_oracle(spec, policy, horizons, n_seeds, seed):
+    """Oracle: the divergence probe's own slot loop, as it was before the
+    probe shared the simulation's loop. Costs saturate per slot and the
+    running total is accumulated over sources slot by slot."""
+
+    def stream(run, kind):
+        key = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(run, kind))
+        return np.random.Generator(np.random.Philox(key))
+
+    def saturating(f, ages):
+        if f.kind == "exponential":
+            cap = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / math.log(f.base)
+            return np.where(ages > cap, OVERFLOW_LIMIT, f.weight * f.base ** np.minimum(ages, cap))
+        return np.minimum(cost.evaluate(f, ages), OVERFLOW_LIMIT)
+
+    n = spec.n_sources
+    tmax = horizons[-1]
+    probs = spec.probabilities
+    cum = np.cumsum(policy.probs)
+    u_chan = np.stack([stream(run, 0).random(tmax) for run in range(n_seeds)])
+    u_pol = np.stack([stream(run, 1).random(tmax) for run in range(n_seeds)])
+    ages = np.ones((n_seeds, n), dtype=np.int64)
+    acc = np.zeros(n_seeds)
+    rows = np.arange(n_seeds)
+    marks = {}
+    for t in range(tmax):
+        for i, s in enumerate(spec.sources):
+            acc += saturating(s.cost, ages[:, i])
+        np.minimum(acc, OVERFLOW_LIMIT, out=acc)
+        acts = np.minimum(np.searchsorted(cum, u_pol[:, t], side="right"), n - 1)
+        success = u_chan[:, t] < probs[acts]
+        ages += 1
+        ages[rows[success], acts[success]] = 1
+        if (t + 1) in horizons:
+            marks[t + 1] = np.median(acc / (t + 1))
+    return np.array([marks[h] for h in horizons])
