@@ -226,6 +226,7 @@ def _cmd_dp(args) -> int:
     out = {
         "setting": config.name,
         "optimal_average_cost": sol.optimal_average_cost,
+        "upper_bound": sol.upper_bound,
         "horizon": sol.horizon,
         "a_max": sol.box.a_max,
         "truncation_report": sol.truncation_report,

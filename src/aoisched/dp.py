@@ -20,9 +20,13 @@ one-dimensional age chains. When no mass touches the cap, U = L exactly.
 
 A forward pass under the computed policy measures how much probability mass
 ever touches a clamped coordinate; that truncation report is the audit trail
-for the box size and carries the mass the upper bound follows. The backward
-pass is pure per-state arithmetic with argmin ties resolved to the lowest
-source index, so results are bit-identical at any parallelism degree.
+for the box size and carries the mass the upper bound follows.
+
+Both passes read successors as slices of the age box, not through gathered
+index arrays. The backward pass keeps its values in a buffer one entry
+longer on every axis, the extra entry repeating the cap, and picks actions
+by a running compare-select that keeps ties at the lowest source index; the
+forward pass moves all failure mass with one shifted slice.
 """
 
 from __future__ import annotations
@@ -131,14 +135,26 @@ class DpSolution:
         return Tabular(table=table, fallback=fallback)
 
 
-def _estimate_bytes(box: TruncatedBox, horizon: int, retain_stage_tables: bool) -> int:
-    m, n = box.state_count, box.n_sources
-    per_state = (n + 3) * 8  # value, stage cost, fail index, N action values
-    per_state += (n + 1) * 8  # success index arrays
-    total = m * per_state + m * horizon  # int8 per-stage actions
-    if retain_stage_tables:
-        total += m * horizon
-    return total
+def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
+    """Upper estimate of the peak bytes one solve allocates: what is held
+    across the solve plus the largest working set of its three phases. The
+    retained stage tables are the working action table itself, not a copy.
+    """
+    m, n, a_max = box.state_count, box.n_sources, box.a_max
+    below = (a_max - 1) ** n  # states that can carry mass in the forward pass
+    cap = m - below
+    held = m * horizon  # int8 action per state and stage
+    held += 8 * (m + (a_max + 1) ** n)  # stage cost; values with a repeated top face
+    held += 8 * horizon * (n * a_max + 1)  # cap-entry marginals, per-slot costs
+    held += 200 * horizon + (1 << 18)  # realized trajectory; ufunc buffers, objects
+    backward = 17 * m + 8 * n * m // a_max  # best, q, compare mask; success terms
+    # distributions and the failure factors; cap indices, per-source orders
+    # and siphoned mass; live states and one source's success scatter
+    forward = 25 * m + 8 * (2 * n + 3) * cap + 60 * below
+    cycles = len(_weighted_round_robins(n))
+    # schedules; survival factors and age chains, two sources' worth at a swap
+    fallback = 8 * cycles * (7 * horizon + 3 * a_max)
+    return held + max(backward, forward, fallback)
 
 
 def finite_horizon_dp(
@@ -171,47 +187,19 @@ def finite_horizon_dp(
     if not box.contains(initial):
         raise DomainError(f"initial state {initial} outside the box")
 
-    need = _estimate_bytes(box, horizon, retain_stage_tables)
+    need = _estimate_bytes(box, horizon)
     if need > memory_budget:
         raise CapacityError(
             f"DP estimate {need / 2**20:.0f} MiB exceeds budget {memory_budget / 2**20:.0f} MiB"
         )
 
-    m = box.state_count
-    shape = box.shape
-    coords = np.stack(np.unravel_index(np.arange(m), shape))  # (N, m), 0-based
-    stage_cost = np.zeros(m)
-    for i, s in enumerate(spec.sources):
-        stage_cost += s.cost(coords[i] + 1)
-
-    aged = np.minimum(coords + 1, box.a_max - 1)
-    fail_idx = np.ravel_multi_index(tuple(aged), shape)
-    succ_idx = np.empty((n, m), dtype=np.intp)
-    for i in range(n):
-        c = aged.copy()
-        c[i] = 0
-        succ_idx[i] = np.ravel_multi_index(tuple(c), shape)
-
+    stage_cost = _stage_cost(spec, box)
     probs = spec.probabilities
-    actions = np.empty((horizon, m), dtype=np.int8)
-    V = np.zeros(m)
-    q = np.empty((n, m))
-    for t in range(horizon - 1, -1, -1):
-        v_fail = V[fail_idx]
-        for i in range(n):
-            if probs[i] == 1.0:
-                q[i] = V[succ_idx[i]]
-            else:
-                q[i] = probs[i] * V[succ_idx[i]] + (1.0 - probs[i]) * v_fail
-        a = np.argmin(q, axis=0)  # first minimum: lowest source index
-        actions[t] = a
-        V = stage_cost + np.take_along_axis(q, a[None, :], axis=0)[0]
-
-    s0 = box.state_index(initial)
-    total = float(V[s0])
+    V, actions = _backward_pass(box, probs, stage_cost, horizon)
+    total = float(V[tuple(a - 1 for a in initial)])
 
     touched, per_stage, entering = _forward_truncation_pass(
-        box, actions, probs, succ_idx, fail_idx, stage_cost, s0, coords
+        box, actions, probs, stage_cost, box.state_index(initial)
     )
     lower = total / horizon
     if touched == 0.0:
@@ -246,6 +234,69 @@ def finite_horizon_dp(
     )
 
 
+def _stage_cost(spec, box) -> np.ndarray:
+    """Pre-action cost of every box state, shape box.shape: the sources'
+    cost rows broadcast along their axes and summed in source order."""
+    n = box.n_sources
+    total = np.zeros(box.shape)
+    for i, s in enumerate(spec.sources):
+        along = [1] * n
+        along[i] = box.a_max
+        total += s.cost(np.arange(1, box.a_max + 1)).reshape(along)
+    return total
+
+
+def _axis_slices(n, axis, own, rest) -> tuple:
+    """Index of an n-axis array: `own` on `axis`, `rest` on every other."""
+    return tuple(own if j == axis else rest for j in range(n))
+
+
+def _backward_pass(box, probs, stage_cost, horizon):
+    """Stage values and greedy actions, latest stage first.
+
+    V lives in the first a_max entries of each axis of an extended buffer
+    whose last entry repeats entry a_max - 1 (age a_max + 1 reads as a_max),
+    so every successor value is a view: all ages + 1 is the buffer shifted
+    by one on every axis, and serving source i reads entry 0 on axis i,
+    broadcast along it. q_i = p_i S_i + (1 - p_i) V_fail; the action is
+    picked by a running compare-select in which a source replaces the best
+    only where strictly cheaper, so ties go to the lowest source index.
+    """
+    n, a_max = box.n_sources, box.a_max
+    every = slice(1, None)
+    ext = np.zeros((a_max + 1,) * n)
+    value = ext[(slice(0, a_max),) * n]
+    fail = ext[(every,) * n]
+    succ = [ext[_axis_slices(n, i, slice(0, 1), every)] for i in range(n)]
+    top = [(_axis_slices(n, i, a_max, slice(None)), _axis_slices(n, i, a_max - 1, slice(None)))
+           for i in range(n)]
+    actions = np.empty((horizon, box.state_count), dtype=np.int8)
+    best = np.empty(box.shape)
+    q = np.empty(box.shape)
+    cheaper = np.empty(box.shape, dtype=bool)
+    for t in range(horizon - 1, -1, -1):
+        act = actions[t].reshape(box.shape)
+        act.fill(0)
+        for i, p in enumerate(probs):
+            if p == 1.0:
+                qi = succ[i]  # broadcast view, compared without a copy
+            else:
+                qi = best if i == 0 else q
+                np.multiply(fail, 1.0 - p, out=qi)
+                qi += p * succ[i]
+            if i == 0:
+                if qi is not best:
+                    best[...] = qi
+            else:
+                np.less(qi, best, out=cheaper)
+                np.copyto(act, i, where=cheaper)
+                np.copyto(best, qi, where=cheaper)
+        np.add(stage_cost, best, out=value)
+        for dst, src in top:
+            ext[dst] = ext[src]
+    return value, actions
+
+
 def _realized_trajectory(box, actions, initial) -> tuple:
     """(state, action) path of the time-varying optimal policy; deterministic,
     so only meaningful for reliable channels."""
@@ -260,7 +311,7 @@ def _realized_trajectory(box, actions, initial) -> tuple:
     return tuple(out)
 
 
-def _forward_truncation_pass(box, actions, probs, succ_idx, fail_idx, stage_cost, s0, coords):
+def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     """Propagate the state distribution under the per-stage greedy actions.
 
     Mass entering a state with any clamped coordinate is siphoned off and
@@ -268,25 +319,35 @@ def _forward_truncation_pass(box, actions, probs, succ_idx, fail_idx, stage_cost
     Also records the expected pre-action stage cost per slot, and the
     per-source age marginals of the siphoned mass by slot, shape
     (horizon, N, a_max): up to that moment box and true ages coincide.
+
+    Only states below the cap carry mass, since the cap is siphoned. On
+    failure each moves to its every-age-plus-one state, a fixed flat offset
+    (the sum of the strides) away, and no other carrying state lands there,
+    so one shifted slice assignment places all failure mass. The slice also
+    writes each state with an age of 1: its shifted source has an age a_max
+    (the borrow), carries nothing, and leaves the zero that success mass is
+    added to. Success targets collect the states that differ only in the
+    served age, added by np.add.at in ascending state order.
     """
-    m = box.state_count
-    n = box.n_sources
+    n, a_max, m = box.n_sources, box.a_max, box.state_count
+    shape = box.shape
     horizon = actions.shape[0]
-    at_cap = np.zeros(m, dtype=bool)
-    for i in range(n):
-        at_cap |= coords[i] == box.a_max - 1
+    below = (slice(0, a_max - 1),) * n
+    at_cap = np.ones(shape, dtype=bool)
+    at_cap[below] = False
     cap_idx = np.flatnonzero(at_cap)
+    cap_ages = np.unravel_index(cap_idx, shape)
     # per source: the cap states sorted by that source's age, and where each
     # age's run starts (an age with no cap state, possible only for N = 1,
     # gets an empty run, which reduceat would fill with a stray element)
     runs = []
     for i in range(n):
-        ages = coords[i, cap_idx]
+        ages = cap_ages[i]
         order = np.argsort(ages, kind="stable")
-        starts = np.searchsorted(ages[order], np.arange(box.a_max))
+        starts = np.searchsorted(ages[order], np.arange(a_max))
         empty = np.diff(starts, append=cap_idx.size) == 0
         runs.append((order, starts, empty))
-    entering = np.zeros((horizon, n, box.a_max))
+    entering = np.zeros((horizon, n, a_max))
 
     def siphon(vec, t):
         w = vec[cap_idx]
@@ -298,26 +359,29 @@ def _forward_truncation_pass(box, actions, probs, succ_idx, fail_idx, stage_cost
                 entering[t, i, empty] = 0.0
         return mass
 
+    strides = [a_max ** (n - 1 - i) for i in range(n)]
+    shift = sum(strides)
+    fail_p = 1.0 - probs
+    cost = stage_cost.reshape(m)
     d = np.zeros(m)
+    nxt = np.empty(m)
     d[s0] = 1.0
     touched = siphon(d, 0)
     per_stage = np.empty(horizon)
     for t in range(horizon):
-        per_stage[t] = float(d @ stage_cost)
-        nxt = np.zeros(m)
+        per_stage[t] = float(d @ cost)
         a = actions[t]
-        for i in range(len(probs)):
-            sel = np.nonzero(a == i)[0]
-            if not sel.size:
-                continue
-            w = d[sel]
-            if probs[i] == 1.0:
-                np.add.at(nxt, succ_idx[i][sel], w)
-            else:
-                np.add.at(nxt, succ_idx[i][sel], probs[i] * w)
-                np.add.at(nxt, fail_idx[sel], (1.0 - probs[i]) * w)
+        np.multiply(fail_p[a[:-shift]], d[:-shift], out=nxt[shift:])
+        nxt[:shift] = 0.0
+        live = np.flatnonzero(d)
+        live_a = a[live]
+        for i, p in enumerate(probs):
+            sel = live[live_a == i]
+            # served: age i drops to 1, every other age grows by one
+            served = sel + (shift - strides[i]) - (sel // strides[i] % a_max) * strides[i]
+            np.add.at(nxt, served, p * d[sel])
         touched += siphon(nxt, t + 1)
-        d = nxt
+        d, nxt = nxt, d
     return touched, per_stage, entering
 
 

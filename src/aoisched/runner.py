@@ -97,6 +97,7 @@ class ResultBundle:
             sol = self.dp_solution
             out["dp"] = {
                 "optimal_average_cost": sol.optimal_average_cost,
+                "upper_bound": sol.upper_bound,
                 "horizon": sol.horizon,
                 "a_max": sol.box.a_max,
                 "initial_state": list(sol.initial_state),

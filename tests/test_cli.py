@@ -38,7 +38,8 @@ class TestRun:
         assert [r.split(",")[1] for r in rows] == ["dp", "whittle", "round_robin"]
         sidecar = json.loads((out / "smoke.json").read_text())
         assert sidecar["provenance"]["config_hash"]
-        assert "dp" in sidecar
+        dp = sidecar["dp"]
+        assert dp["optimal_average_cost"] <= dp["upper_bound"]
 
     def test_byte_identical_reruns(self, small_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -133,6 +134,7 @@ class TestDpCommand:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["a_max"] == 12
+        assert out["optimal_average_cost"] <= out["upper_bound"]
         assert out["cycle"]["average_cost"] > 0
         assert set(out["cycle"]["actions"]) <= {1, 2}
 

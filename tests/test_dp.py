@@ -1,11 +1,20 @@
+import hashlib
+import tracemalloc
+import warnings
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aoisched import cost
 from aoisched.dp import (
     TruncatedBox,
+    _estimate_bytes,
+    _fallback_cost,
+    _forward_truncation_pass,
+    _stage_cost,
     _weighted_round_robins,
     default_a_max,
     extract_cycle_policy,
@@ -224,6 +233,222 @@ class TestAutoDoubling:
             spec, 120, a_max=15, max_doublings=3, memory_budget=200 * 2**20
         )
         assert sol.box.a_max <= 30
+
+
+class TestMemoryEstimate:
+    # boxes where each phase leads: the forward audit (large boxes), the
+    # backward buffers, and the fallback schedules (long horizons on small
+    # boxes, where the realized trajectory of a reliable spec also counts)
+    @pytest.mark.parametrize("sources,a_max,horizon", [
+        (system_for("A1").sources, 30, 500),
+        (system_for("A2").sources, 30, 500),
+        (system_for("D1").sources, 20, 200),
+        (system_for("D2").sources, 20, 500),
+        (system_for("E1").sources, 12, 100),
+        (system_for("E2").sources, 12, 100),
+        (system_for("F2").sources, 10, 500),
+        (system_for("E1").sources, 2, 1000),
+        (system_for("E2").sources, 2, 1000),
+        ((Source(cost.linear(2), 0.5),), 2, 2000),
+        ((Source(cost.linear(2), 1.0),), 200, 5),
+    ])
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_traced_peak_within_estimate(self, sources, a_max, horizon):
+        spec = SystemSpec(sources)
+        box = TruncatedBox(a_max, spec.n_sources)
+        for retain in (False, True):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                finite_horizon_dp(spec, horizon, box=box, retain_stage_tables=retain)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= _estimate_bytes(box, horizon)
+
+
+def _reference_kernel(spec, horizon, box, initial):
+    """The gather/argmin kernel that the slice views replaced, kept as the
+    oracle: flat successor index arrays, the (N, m) table of action values,
+    argmin plus take_along_axis, and np.add.at for every forward move.
+    Returns the box total, the action tables, the stage costs and the
+    forward audit (report, per-slot costs, cap-entry marginals)."""
+    n, m, shape = box.n_sources, box.state_count, box.shape
+    coords = np.stack(np.unravel_index(np.arange(m), shape))
+    stage_cost = np.zeros(m)
+    for i, s in enumerate(spec.sources):
+        stage_cost += s.cost(coords[i] + 1)
+    aged = np.minimum(coords + 1, box.a_max - 1)
+    fail_idx = np.ravel_multi_index(tuple(aged), shape)
+    succ_idx = np.empty((n, m), dtype=np.intp)
+    for i in range(n):
+        c = aged.copy()
+        c[i] = 0
+        succ_idx[i] = np.ravel_multi_index(tuple(c), shape)
+
+    probs = spec.probabilities
+    actions = np.empty((horizon, m), dtype=np.int8)
+    V = np.zeros(m)
+    q = np.empty((n, m))
+    for t in range(horizon - 1, -1, -1):
+        v_fail = V[fail_idx]
+        for i in range(n):
+            if probs[i] == 1.0:
+                q[i] = V[succ_idx[i]]
+            else:
+                q[i] = probs[i] * V[succ_idx[i]] + (1.0 - probs[i]) * v_fail
+        a = np.argmin(q, axis=0)
+        actions[t] = a
+        V = stage_cost + np.take_along_axis(q, a[None, :], axis=0)[0]
+
+    s0 = box.state_index(initial)
+    at_cap = np.zeros(m, dtype=bool)
+    for i in range(n):
+        at_cap |= coords[i] == box.a_max - 1
+    cap_idx = np.flatnonzero(at_cap)
+    runs = []
+    for i in range(n):
+        ages = coords[i, cap_idx]
+        order = np.argsort(ages, kind="stable")
+        starts = np.searchsorted(ages[order], np.arange(box.a_max))
+        empty = np.diff(starts, append=cap_idx.size) == 0
+        runs.append((order, starts, empty))
+    entering = np.zeros((horizon, n, box.a_max))
+
+    def siphon(vec, t):
+        w = vec[cap_idx]
+        mass = float(w.sum())
+        vec[cap_idx] = 0.0
+        if mass and t < horizon:
+            for i, (order, starts, empty) in enumerate(runs):
+                entering[t, i] = np.add.reduceat(w[order], starts)
+                entering[t, i, empty] = 0.0
+        return mass
+
+    d = np.zeros(m)
+    d[s0] = 1.0
+    touched = siphon(d, 0)
+    per_stage = np.empty(horizon)
+    for t in range(horizon):
+        per_stage[t] = float(d @ stage_cost)
+        nxt = np.zeros(m)
+        a = actions[t]
+        for i in range(n):
+            sel = np.nonzero(a == i)[0]
+            if not sel.size:
+                continue
+            w = d[sel]
+            if probs[i] == 1.0:
+                np.add.at(nxt, succ_idx[i][sel], w)
+            else:
+                np.add.at(nxt, succ_idx[i][sel], probs[i] * w)
+                np.add.at(nxt, fail_idx[sel], (1.0 - probs[i]) * w)
+        touched += siphon(nxt, t + 1)
+        d = nxt
+    return float(V[s0]), actions, stage_cost, touched, per_stage, entering
+
+
+def _assert_matches_reference(spec, horizon, box, initial):
+    total, actions, stage_cost, touched, per_stage, entering = _reference_kernel(
+        spec, horizon, box, initial
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sol = finite_horizon_dp(spec, horizon, box=box, initial=initial, retain_stage_tables=True)
+    lower = total / horizon
+    upper = lower
+    if touched != 0.0:
+        fallback = _fallback_cost(spec.sources, entering)
+        upper = max(lower, (float(per_stage.sum()) + fallback) / horizon)
+    assert sol.optimal_average_cost.hex() == lower.hex()
+    assert sol.upper_bound.hex() == upper.hex()
+    assert sol.truncation_report.hex() == touched.hex()
+    assert sol.stage_costs.tobytes() == per_stage.tobytes()
+    assert sol.stage_actions.tobytes() == actions.tobytes()
+    assert _stage_cost(spec, box).tobytes() == stage_cost.tobytes()
+    _, _, got = _forward_truncation_pass(
+        box, actions, spec.probabilities, _stage_cost(spec, box), box.state_index(initial)
+    )
+    assert got.tobytes() == entering.tobytes()
+
+
+# ties: indicator and table costs make many action values exactly equal
+_COSTS = st.one_of(
+    st.builds(cost.indicator, st.integers(1, 5), st.sampled_from([1.0, 2.5])),
+    st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=1, max_size=5).map(
+        lambda v: cost.table(sorted(v))
+    ),
+    st.builds(cost.linear, st.sampled_from([1.0, 2.0, 13.0])),
+    st.builds(cost.power, st.sampled_from([0.5, 1.0]), st.sampled_from([2.0, 3.0])),
+    st.builds(cost.exponential, st.sampled_from([2.0, np.e, 3.0])),
+    st.builds(cost.logarithmic, st.sampled_from([1.0, 10.0])),
+)
+_PROBS = st.one_of(
+    st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+)
+
+
+@st.composite
+def _dp_case(draw):
+    n = draw(st.integers(1, 4))
+    sources = tuple(Source(draw(_COSTS), draw(_PROBS)) for _ in range(n))
+    a_max = draw(st.integers(2, 8))
+    initial = tuple(draw(st.integers(1, a_max)) for _ in range(n))
+    return SystemSpec(sources), draw(st.integers(1, 40)), TruncatedBox(a_max, n), initial
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_dp_case())
+    def test_random_specs_bit_identical(self, case):
+        _assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("sources,a_max,horizon,initial", [
+        ((Source(cost.linear(2), 0.5),), 2, 30, (1,)),
+        ((Source(cost.linear(2), 1.0),), 2, 10, (2,)),
+        ((Source(cost.indicator(2), 0.3),), 8, 40, (8,)),
+        (system_for("A2").sources, 2, 25, (1, 2)),
+        (system_for("D1").sources, 2, 12, (1, 1, 1)),
+        (system_for("E2").sources, 2, 40, (2, 1, 2, 1)),
+        (system_for("F1").sources, 5, 40, (1, 1, 1, 1)),
+        (system_for("E2").sources, 8, 40, (1, 8, 3, 1)),
+        ((Source(cost.table([0.0]), 0.4), Source(cost.table([0.0]), 1.0)), 4, 20, (4, 1)),
+    ])
+    def test_edge_cases_bit_identical(self, sources, a_max, horizon, initial):
+        _assert_matches_reference(SystemSpec(sources), horizon, TruncatedBox(a_max, len(sources)), initial)
+
+
+# recorded with the gather/argmin kernel before the slice-view rewrite, at
+# horizon 500: a_max, L, U and the truncation report as float.hex, and the
+# first 16 hex digits of the SHA-256 of the stage-1 action table
+_TABLE_PINS = {
+    "A1": (30, "0x1.5f95810624dd3p+4", "0x1.5f95810624dd3p+4", "0x0.0p+0", "d3ec02d5410876aa"),
+    "A2": (30, "0x1.20f6982a5ae75p+5", "0x1.20f69d469bc81p+5", "0x1.242f338af890fp-19", "5866a73efd9809d5"),
+    "B1": (30, "0x1.0f9db22d0e560p+3", "0x1.0f9db22d0e560p+3", "0x0.0p+0", "b31d0e0d50d9895c"),
+    "B2": (30, "0x1.6efbadd683f54p+4", "0x1.6efc1e154144cp+4", "0x1.f3d6a5044770ap-22", "3e6adf4d169a6a11"),
+    "C1": (30, "0x1.6ceb7c8f6a538p+2", "0x1.6ceb7c8f6a538p+2", "0x0.0p+0", "f13cadb680ae591f"),
+    "C2": (30, "0x1.57c60a15d65f1p+4", "0x1.57c68bb1d0b85p+4", "0x1.b02147b27f807p-16", "26e9e7f8f64dcc4f"),
+    "D1": (20, "0x1.5fef9db22d0e5p+5", "0x1.5fef9db22d0e5p+5", "0x0.0p+0", "f1ba3793637c8272"),
+    "D2": (20, "0x1.420c58f404464p+7", "0x1.b4acac8174ea2p+17", "0x1.55976786d2a14p-2", "665735dabf66c94f"),
+    "E1": (10, "0x1.244189374bc6ap+6", "0x1.244189374bc6ap+6", "0x0.0p+0", "9f946541f1d51bfe"),
+    "E2": (10, "0x1.0b45dfdf84287p+7", "0x1.150bff738c03ep+8", "0x1.ffff5c993b110p-1", "c8d32210787650c5"),
+    "F1": (10, "0x1.5d6a2a6c76253p+6", "0x1.5d6a2a6c76253p+6", "0x0.0p+0", "7b85e39e3e6ac770"),
+    "F2": (10, "0x1.2ffe1d6a252e2p+7", "0x1.ab2b4ea4b108dp+9", "0x1.fffffffe88574p-1", "4ef323bb807809a1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_PINS))
+@pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+def test_table_setting_dp_pinned(name):
+    a_max, lower, upper, report, digest = _TABLE_PINS[name]
+    spec = system_for(name)
+    # default_a_max for N <= 3; 10 for N = 4 keeps Tier-1 fast
+    assert a_max == (default_a_max(spec.n_sources) if spec.n_sources <= 3 else 10)
+    sol = finite_horizon_dp(spec, 500, box=TruncatedBox(a_max, spec.n_sources))
+    assert sol.optimal_average_cost.hex() == lower
+    assert sol.upper_bound.hex() == upper
+    assert sol.truncation_report.hex() == report
+    assert hashlib.sha256(sol.stage1_actions.tobytes()).hexdigest()[:16] == digest
 
 
 class TestPolicyTable:
