@@ -15,6 +15,12 @@ set of ages where pulling is optimal shrinks monotonically as C grows. This
 module computes the indices, inverts them into optimal thresholds, and checks
 everything against an independent relative-value-iteration solver.
 
+A lossy index row W(h_1..h_n) is built in one vectorised pass that gives
+every age the same float operations as the scalar series
+(`whittle_unreliable`, which stays the reference); its prefix sums come from
+one cumsum. A threshold is the first age of such a row, built once and
+doubled as needed, whose index exceeds the charge.
+
 Only the Definition-form index above is used anywhere. The shifted auxiliary
 form W~(h) = W(h-1) that appears in threshold interval arguments is never
 materialized; mixing the two is a classic off-by-one trap.
@@ -106,17 +112,42 @@ class DecoupledSolution:
 # -- whittle indices ---------------------------------------------------------
 
 
-def whittle_reliable(f: CostFunction, h):
-    """Definition-form index h*f(h+1) - sum f(1..h); scalar or array in h."""
-    scalar = np.isscalar(h)
+def _positive_ages(h) -> np.ndarray:
+    """h as an int64 array of at least one dimension, checked to hold
+    positive integers only."""
     hs = np.atleast_1d(np.asarray(h))
     if hs.size and (np.any(hs < 1) or np.any(hs != np.floor(hs))):
         raise DomainError("h must be a positive integer")
-    hs = hs.astype(np.int64)
+    return hs.astype(np.int64)
+
+
+def whittle_reliable(f: CostFunction, h):
+    """Definition-form index h*f(h+1) - sum f(1..h); scalar or array in h."""
+    scalar = np.isscalar(h)
+    hs = _positive_ages(h)
     hmax = int(hs.max()) if hs.size else 1
     pref = prefix_array(f, hmax)
     out = hs * costmod.evaluate(f, hs + 1) - pref[hs - 1]
     return float(out[0]) if scalar else out
+
+
+def _check_series(f: CostFunction, p: float, tol: float) -> None:
+    """Reject a p outside (0, 1], a non-positive tol and a divergent series."""
+    if not 0 < p <= 1:
+        raise DomainError(f"p must be in (0, 1], got {p}")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    check = is_bounded_cost(f, p)
+    if not check:
+        raise AdmissibilityError(f"series diverges: {check.reason}")
+
+
+def _start_bound(f: CostFunction) -> int:
+    """First age from which f.growth_ratio_bound holds (past any zero-valued
+    or pre-plateau prefix); ages below it must simply be summed over."""
+    if f.is_bounded_function:
+        return f.plateau_start
+    return 2 if f.kind == "logarithmic" else 1
 
 
 def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> float:
@@ -127,15 +158,9 @@ def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> fl
     f(x+1)(1-p)/f(x); the per-variant growth bound supplies it once x is past
     any zero-valued or pre-plateau prefix.
     """
-    if not 0 < p <= 1:
-        raise DomainError(f"p must be in (0, 1], got {p}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_series(f, p, tol)
     if p == 1.0:
         return costmod.evaluate(f, h + 1)
-    check = is_bounded_cost(f, p)
-    if not check:
-        raise AdmissibilityError(f"series diverges: {check.reason}")
     q = 1.0 - p
     if f.kind == "exponential":
         # terms are exactly geometric with ratio base*q < 1; generating them
@@ -151,10 +176,7 @@ def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> fl
             term *= r
             if term / (1.0 - r) <= tol * max(1.0, abs(total)):
                 return total
-    # ages at which the growth bound is not yet valid must simply be summed over
-    start_bound = 2 if f.kind == "logarithmic" else 1
-    if f.is_bounded_function:
-        start_bound = f.plateau_start
+    start_bound = _start_bound(f)
     total = 0.0
     k = 1
     block = 64
@@ -174,15 +196,73 @@ def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> fl
         block = min(2 * block, 4096)
 
 
+# terms gathered at once per chunk of ages; more makes tolist() cost memory
+_CHUNK_TERMS = 4096
+
+
+def _discounted_tails(f: CostFunction, p: float, ages: np.ndarray, tol: float) -> np.ndarray:
+    """discounted_tail at each age of a 1-d array (p < 1), bit for bit, in
+    one pass.
+
+    Every age takes the same float operations as the scalar series: the
+    same blocks of terms evaluate(f, k+h) * q**(k-1), one fsum per block
+    (exact, so the order of the terms does not matter) and the same
+    stopping test. Only the evaluations are gathered across ages, at most
+    _CHUNK_TERMS terms at a time.
+    """
+    _check_series(f, p, tol)
+    q = 1.0 - p
+    if f.kind == "exponential":
+        r = f.base * q
+        # numpy's power can round a 0-d operand differently from an array
+        # one, so the first terms come from scalar evaluations, as there
+        term = np.array([costmod.evaluate(f, h + 1) for h in ages.tolist()])
+        out = np.empty(len(ages))
+        live = np.arange(len(ages))
+        total = np.zeros(len(ages))
+        while live.size:
+            total += term
+            term *= r
+            done = term / (1.0 - r) <= tol * np.maximum(1.0, np.abs(total))
+            out[live[done]] = total[done]
+            live, total, term = live[~done], total[~done], term[~done]
+        return out
+    start_bound = _start_bound(f)
+    # running totals and live ages stay in arrays: per-age Python floats
+    # that outlive each chunk would pin its terms' memory
+    totals = np.zeros(len(ages))
+    live = np.arange(len(ages))
+    k = 1
+    block = 64
+    while live.size:
+        ks = np.arange(k, k + block)
+        qpow = q ** (ks - 1.0)
+        k += block
+        rows = max(1, _CHUNK_TERMS // block)
+        done = np.zeros(live.size, dtype=bool)
+        for c in range(0, live.size, rows):
+            idx = live[c : c + rows]
+            terms = costmod.evaluate(f, ages[idx, None] + ks) * qpow
+            totals[idx] += [math.fsum(row) for row in terms.tolist()]
+            # x is the age of the last summed term
+            for j, x in enumerate((ages[idx] + (k - 1)).tolist()):
+                if x >= start_bound:
+                    r = f.growth_ratio_bound(x) * q
+                    if r < 1:
+                        tail = terms[j, -1] * r / (1.0 - r)
+                        done[c + j] = tail <= tol * max(1.0, abs(totals[idx[j]]))
+        live = live[~done]
+        block = min(2 * block, 4096)
+    return totals
+
+
 def whittle_unreliable(f: CostFunction, p: float, h: int, tol: float = 1e-10) -> float:
     """Unreliable-channel index p^2 h sum f(k+h)(1-p)^{k-1} - p sum f(1..h).
 
     At p = 1 the series collapses to f(h+1) and the value equals
     whittle_reliable(f, h) exactly.
     """
-    if h < 1 or int(h) != h:
-        raise DomainError("h must be a positive integer")
-    h = int(h)
+    h = int(_positive_ages(h)[0])
     tail = discounted_tail(f, p, h, tol=tol)
     # same cumulative-prefix arithmetic as whittle_reliable so the p = 1
     # collapse is bit-exact
@@ -191,12 +271,23 @@ def whittle_unreliable(f: CostFunction, p: float, h: int, tol: float = 1e-10) ->
 
 
 def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
-    """Index for either channel kind; dispatches on p == 1."""
+    """Index for either channel kind; dispatches on p == 1.
+
+    An array of ages on a lossy channel is one row: each age's tail comes
+    from one vectorised pass with the same bits as whittle_unreliable, and
+    the prefix sums from one cumsum.
+    """
     if p == 1.0:
         return whittle_reliable(f, h)
     if np.isscalar(h):
         return whittle_unreliable(f, p, h, tol=tol)
-    return np.array([whittle_unreliable(f, p, int(hh), tol=tol) for hh in np.asarray(h)])
+    hs = _positive_ages(h)
+    if not hs.size:
+        return np.array([])
+    tails = _discounted_tails(f, p, hs, tol)
+    # cumsum runs left to right, so each entry equals prefix_array(f, h)[-1]
+    pref = prefix_array(f, int(hs.max()))[hs - 1]
+    return p * p * hs * tails - p * pref
 
 
 # -- threshold inversion -----------------------------------------------------
@@ -220,47 +311,46 @@ def optimal_threshold(prob: DecoupledProblem) -> ThresholdPolicy:
     two-sided optimality condition on the threshold is re-checked directly
     (a failure would be an internal bug, not bad input).
     """
-    C = prob.charge
-    if C == 0.0:
-        return ThresholdPolicy(1)
-    f, p = prob.cost, prob.p
+    return _invert(prob.cost, prob.p, [prob.charge])[0]
+
+
+def _invert(f: CostFunction, p: float, charges) -> list:
+    """Optimal thresholds at each charge, searched in one index row W(1..n)
+    that is built once and doubled from n = 32 while no entry exceeds the
+    charge. Bounded costs stop at their plateau start + 1, past which W is
+    flat. Other rows stop first one age below max_representable_age (W(h)
+    needs f(h+1)); only a charge that row cannot reach extends it further,
+    and so raises CostRangeError."""
     sup = _index_supremum(f, p)
-    if C >= sup:
-        return ThresholdPolicy(NEVER)
     h_stop = f.plateau_start + 1 if f.is_bounded_function else None
-    h = _scan_for_threshold(f, p, C, h_stop)
-    if h is None:
-        return ThresholdPolicy(NEVER)
-    _verify_threshold_condition(f, p, C, h)
-    return ThresholdPolicy(h)
-
-
-def _scan_for_threshold(f, p, C, h_stop, block=256):
-    """Smallest h with W(h) > C, scanning in geometric blocks.
-
-    The reliable case keeps a running prefix-sum carry so the scan is linear
-    in the returned threshold.
-    """
-    lo = 1
-    carry = 0.0
-    while True:
-        hi = lo + block - 1
-        if h_stop is not None:
-            hi = min(hi, h_stop)
-        hs = np.arange(lo, hi + 1)
-        if p == 1.0:
-            pref = carry + np.cumsum(costmod.evaluate(f, hs))
-            w = hs * costmod.evaluate(f, hs + 1) - pref
-            carry = float(pref[-1])
-        else:
-            w = whittle_index(f, p, hs)
-        above = np.nonzero(w > C)[0]
-        if above.size:
-            return int(hs[above[0]])
-        if h_stop is not None and hi >= h_stop:
-            return None
-        lo = hi + 1
-        block = min(2 * block, 1 << 16)
+    cap = costmod.max_representable_age(f)
+    row = np.empty(0)
+    out = []
+    for C in charges:
+        if C == 0.0:
+            out.append(ThresholdPolicy(1))
+            continue
+        if C >= sup:
+            out.append(ThresholdPolicy(NEVER))
+            continue
+        # the first entry above C, not a bisection: a row that dips by an ulp
+        # still inverts as a scan from age 1 would
+        above = np.flatnonzero(row > C)
+        while not above.size and (h_stop is None or len(row) < h_stop):
+            n = 2 * len(row) or 32
+            if h_stop is not None:
+                n = min(n, h_stop)
+            elif cap is not None and len(row) < cap - 1:
+                n = min(n, cap - 1)
+            row = np.concatenate((row, whittle_index(f, p, np.arange(len(row) + 1, n + 1))))
+            above = np.flatnonzero(row > C)
+        if not above.size:
+            out.append(ThresholdPolicy(NEVER))
+            continue
+        h = int(above[0]) + 1
+        _verify_threshold_condition(f, p, C, h)
+        out.append(ThresholdPolicy(h))
+    return out
 
 
 def _verify_threshold_condition(f, p, C, H, slack=1e-9):
@@ -284,7 +374,8 @@ def _verify_threshold_condition(f, p, C, H, slack=1e-9):
 
 
 def indexability_sweep(f: CostFunction, p: float, charges) -> list:
-    """Optimal thresholds for a strictly increasing sequence of charges.
+    """Optimal thresholds for a strictly increasing sequence of charges,
+    searched in one index row that grows with the charges.
 
     Indexability makes the result non-decreasing, with NEVER ordered above
     every finite threshold; that property is the caller's to assert.
@@ -294,7 +385,9 @@ def indexability_sweep(f: CostFunction, p: float, charges) -> list:
         raise DomainError("charges must be non-negative")
     if any(b <= a for a, b in zip(charges, charges[1:])):
         raise DomainError("charges must be strictly increasing")
-    return [optimal_threshold(DecoupledProblem(f, p, c)) for c in charges]
+    if charges:
+        DecoupledProblem(f, p)  # validates p and the bounded-cost condition
+    return _invert(f, p, charges)
 
 
 # -- closed-form average cost of a threshold policy --------------------------

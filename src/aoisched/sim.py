@@ -202,14 +202,22 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
 # -- exact evaluation of deterministic policies -------------------------------
 
 
-def _reliable_path(spec, policy, table):
+def _reliable_path(spec, policy, width):
     """Pre-action ages of the deterministic trajectory on reliable channels
     from all-ones, slot by slot. After slot 0 exactly one age is 1: that of
-    the source scheduled in the slot before."""
+    the source scheduled in the slot before.
+
+    The index table starts `width` ages wide and doubles, up to the cap of
+    _index_table, whenever an age passes it, so a starved source's growing
+    age stays a table lookup."""
+    table = _index_table(spec, policy, width)
     ages = (1,) * spec.n_sources
     t = 0
     while True:
         yield ages
+        if table is not None and max(ages) > width and table.shape[1] == width:
+            width *= 2
+            table = _index_table(spec, policy, width)
         a = decide(policy, spec, ages, t=t, index_table=table)
         ages = tuple(1 if i == a else x + 1 for i, x in enumerate(ages))
         t += 1
@@ -232,7 +240,7 @@ def detect_cycle(spec: SystemSpec, policy, max_steps: int = 100_000) -> Cycle:
     """
     _check_exact(spec, policy, "cycle detection")
     period = time_period(policy, spec.n_sources)
-    path = _reliable_path(spec, policy, _index_table(spec, policy, 4096))
+    path = _reliable_path(spec, policy, 4096)
     seen = {}
     states = []
     for step, ages in zip(range(max_steps), path):
@@ -254,7 +262,7 @@ def per_slot_costs(spec: SystemSpec, policy, horizon: int) -> np.ndarray:
     _check_exact(spec, policy, "exact slot cost")
     if horizon < 1:
         raise DomainError("horizon must be positive")
-    path = _reliable_path(spec, policy, _index_table(spec, policy, horizon + 1))
+    path = _reliable_path(spec, policy, horizon + 1)
     return np.array([spec.state_cost(ages) for _, ages in zip(range(horizon), path)])
 
 

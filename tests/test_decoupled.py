@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoisched import cost
@@ -10,6 +11,8 @@ from aoisched.decoupled import (
     NEVER,
     DecoupledProblem,
     ThresholdPolicy,
+    _index_supremum,
+    _verify_threshold_condition,
     decoupled_value_iteration,
     discounted_tail,
     indexability_sweep,
@@ -19,9 +22,9 @@ from aoisched.decoupled import (
     whittle_reliable,
     whittle_unreliable,
 )
-from aoisched.errors import AdmissibilityError, DomainError
+from aoisched.errors import AdmissibilityError, CostRangeError, DomainError
 
-from conftest import random_cost_and_p
+from conftest import random_cost, random_cost_and_p
 
 
 class TestReliableIndex:
@@ -239,3 +242,195 @@ def test_index_increments_match_cost_increments(seed, h):
     lhs = whittle_reliable(f, h + 1) - whittle_reliable(f, h)
     rhs = (h + 1) * (cost.evaluate(f, h + 2) - cost.evaluate(f, h + 1))
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+# -- the index row against the scalar series ----------------------------------
+
+
+def _lossy_cost(seed, p, near_edge):
+    """A random cost that is bounded at p: one of the test suite's six
+    families as random_cost_and_p draws them, or an exponential whose ratio
+    base*(1-p) lies within 1% below 1 (p >= 0.02 keeps its base above 1)."""
+    rng = np.random.default_rng(seed)
+    if near_edge:
+        ratio = float(rng.uniform(0.99, 1.0))
+        return cost.exponential(ratio / (1.0 - p), float(rng.uniform(0.5, 3.0)))
+    return random_cost(rng, p_for_exponential=p)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.02, 0.995),
+    near_edge=st.booleans(),
+    ages=st.lists(st.integers(1, 2100), min_size=1, max_size=30),
+)
+@settings(max_examples=60, deadline=None)
+# numpy rounds the power of this exponential at age 2 differently for a 0-d
+# operand than for an array (about one age in 6000 differs)
+@example(seed=102, p=0.75, near_edge=False, ages=[1])
+def test_index_row_is_bit_identical_to_the_scalar_series(seed, p, near_edge, ages):
+    f = _lossy_cost(seed, p, near_edge)
+    cap = cost.max_representable_age(f)
+    top = 2050 if cap is None else min(2050, cap - 1)
+    # unsorted, with a repeat, age 1 and (where f allows) an age past 2000
+    hs = np.array([min(h, top) for h in ages] + [1, top, min(ages[0], top)])
+    row = whittle_index(f, p, hs)
+    assert np.array_equal(row, [whittle_unreliable(f, p, int(h)) for h in hs])
+
+
+@pytest.mark.parametrize("f", [cost.linear(1), cost.logarithmic(3)], ids=["linear", "logarithmic"])
+def test_index_row_memory_stays_bounded(f):
+    # the terms are gathered a few thousand at a time; a 2000-wide row at a
+    # small p peaks at about 0.2 MiB, and 64k-term chunks would take 2.7
+    hs = np.arange(1, 2001)
+    whittle_index(f, 0.15, hs[:50])
+    tracemalloc.start()
+    try:
+        whittle_index(f, 0.15, hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("h", [1.5, 0, -1])
+def test_index_rejects_non_integer_and_non_positive_ages(p, h):
+    with pytest.raises(DomainError, match="positive integer"):
+        whittle_index(cost.linear(1), p, np.array([2, h]))
+    with pytest.raises(DomainError, match="positive integer"):
+        whittle_index(cost.linear(1), p, h)
+
+
+def test_empty_age_array_gives_an_empty_row():
+    assert whittle_index(cost.linear(1), 0.5, np.array([], dtype=int)).shape == (0,)
+
+
+# -- threshold search against the old linear scan ------------------------------
+
+
+def _old_scan_for_threshold(f, p, C, h_stop, memo, block=256):
+    """The scan that threshold search replaced: W in geometric blocks of ages
+    from 1, each lossy block through the scalar series (remembered in `memo`
+    across charges, to keep the test quick), the reliable case with a
+    running prefix-sum carry across blocks."""
+    lo = 1
+    carry = 0.0
+    while True:
+        hi = lo + block - 1
+        if h_stop is not None:
+            hi = min(hi, h_stop)
+        hs = np.arange(lo, hi + 1)
+        if p == 1.0:
+            pref = carry + np.cumsum(cost.evaluate(f, hs))
+            w = hs * cost.evaluate(f, hs + 1) - pref
+            carry = float(pref[-1])
+        else:
+            for h in hs.tolist():
+                if h not in memo:
+                    memo[h] = whittle_unreliable(f, p, h)
+            w = np.array([memo[h] for h in hs.tolist()])
+        above = np.nonzero(w > C)[0]
+        if above.size:
+            return int(hs[above[0]])
+        if h_stop is not None and hi >= h_stop:
+            return None
+        lo = hi + 1
+        block = min(2 * block, 1 << 16)
+
+
+def _old_optimal_threshold(f, p, C, memo=None):
+    if C == 0.0:
+        return 1
+    if C >= _index_supremum(f, p):
+        return NEVER
+    h_stop = f.plateau_start + 1 if f.is_bounded_function else None
+    h = _old_scan_for_threshold(f, p, C, h_stop, {} if memo is None else memo)
+    if h is None:
+        return NEVER
+    _verify_threshold_condition(f, p, C, h)
+    return h
+
+
+def _charges(rng, f, p):
+    """Strictly increasing charges: 0, index entries exactly, midpoints
+    between them, and the supremum and beyond for bounded costs."""
+    cap = cost.max_representable_age(f)
+    top = 120 if cap is None else min(120, cap - 2)
+    row = whittle_index(f, p, np.arange(1, top + 1))
+    picks = row[np.sort(rng.choice(top, size=8, replace=False))]
+    mids = (row[:-1] + row[1:])[rng.choice(top - 1, size=4, replace=False)] / 2
+    charges = [0.0, *picks, *mids, *rng.uniform(0, max(row[-1], 0.0), size=4)]
+    sup = _index_supremum(f, p)
+    if math.isfinite(sup):
+        charges += [sup, sup * 1.5, float(np.nextafter(sup, 0))]
+    return sorted({float(c) for c in charges if c >= 0})
+
+
+def test_threshold_search_matches_the_old_scan(rng):
+    for _ in range(40):
+        f, p = random_cost_and_p(rng)
+        charges = _charges(rng, f, p)
+        memo = {}
+        old = [_old_optimal_threshold(f, p, C, memo) for C in charges]
+        assert [optimal_threshold(DecoupledProblem(f, p, C)).threshold for C in charges] == old
+        assert [t.threshold for t in indexability_sweep(f, p, charges)] == old
+
+
+def test_charge_equal_to_an_index_entry_gives_the_next_age_above_it():
+    # linear(1) at p = 1: W(h) = h (h + 1) / 2, strictly increasing
+    f = cost.linear(1)
+    for h in (1, 3, 40):
+        C = whittle_index(f, 1.0, h)
+        assert optimal_threshold(DecoupledProblem(f, 1.0, C)).threshold == h + 1
+    # near its plateau this row dips by an ulp (W(8) < W(7) = sup): C = W(h)
+    # still gives the first age above it, and C at the supremum gives NEVER
+    f = cost.table([0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+    row = whittle_index(f, 0.6, np.arange(1, 10))
+    for C in row[:8]:
+        got = optimal_threshold(DecoupledProblem(f, 0.6, float(C))).threshold
+        assert got == _old_optimal_threshold(f, 0.6, float(C))
+        if got is not NEVER:
+            assert row[got - 1] > C and np.all(row[: got - 1] <= C)
+
+
+def test_reliable_thresholds_above_256_match_the_old_scan():
+    # The old scan summed prefixes per block with a carry, so past age 256 its
+    # row could differ from one cumsum in the last bit; a charge within an ulp
+    # of an entry could then invert one age apart. Midway charges and
+    # integer-valued costs (whose sums are exact) cannot tell them apart.
+    for f in (cost.linear(1), cost.power(1, 2), cost.logarithmic(7.5), cost.power(0.3, 1.5)):
+        row = whittle_index(f, 1.0, np.arange(1, 3001))
+        for h in (257, 300, 511, 700, 2999):
+            C = float((row[h - 2] + row[h - 1]) / 2)
+            assert optimal_threshold(DecoupledProblem(f, 1.0, C)).threshold == h
+            assert _old_optimal_threshold(f, 1.0, C) == h
+    f = cost.linear(3)
+    row = whittle_index(f, 1.0, np.arange(1, 1001))
+    charges = row[[300, 301, 640, 998]]
+    assert [t.threshold for t in indexability_sweep(f, 1.0, charges)] == [302, 303, 642, 1000]
+
+
+@pytest.mark.parametrize("base, p", [(1000.0, 1.0), (900.0, 0.999)])
+def test_threshold_below_a_cap_that_the_old_first_block_passed(base, p):
+    # f(h) = base^h overflows 1e300 from age ~100, inside the old scan's
+    # first block of 256 ages, so that scan raised at any charge; the row
+    # stops at the last age whose index is representable instead
+    f = cost.exponential(base)
+    cap = cost.max_representable_age(f)
+    assert cap < 256
+    row = whittle_index(f, p, np.arange(1, cap))
+    wanted = (2, 70, cap - 1)
+    charges = [float((row[h - 2] + row[h - 1]) / 2) for h in wanted]
+    with pytest.raises(CostRangeError):
+        _old_optimal_threshold(f, p, charges[0])
+    assert [optimal_threshold(DecoupledProblem(f, p, C)).threshold for C in charges] == list(wanted)
+    assert [t.threshold for t in indexability_sweep(f, p, charges)] == list(wanted)
+
+
+def test_a_charge_past_the_last_representable_index_raises():
+    f = cost.exponential(1000.0)
+    cap = cost.max_representable_age(f)
+    C = float(whittle_index(f, 1.0, cap - 1)) * 2
+    with pytest.raises(CostRangeError):
+        optimal_threshold(DecoupledProblem(f, 1.0, C))

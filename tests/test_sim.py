@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from aoisched import cost
+from aoisched import cost, decoupled
 from aoisched.cost import OVERFLOW_LIMIT
+from aoisched.decoupled import whittle_index
 from aoisched.errors import CostRangeError, DomainError, NonCyclicError
 from aoisched.policies import (
     FixedCycle,
@@ -171,6 +172,33 @@ class TestDetectCycle:
     def test_max_age_policy_cycles(self):
         cyc = detect_cycle(system_for("A1"), MaxAge())
         assert cyc.length == 2  # max-age ignores costs: plain alternation
+
+    def test_starved_source_gives_up_in_seconds(self, monkeypatch):
+        # the constant cost's index is 0, so whittle serves only the linear
+        # source and the other age grows without bound; the index table
+        # doubles with it, so the default 100,000 steps stay table lookups
+        def rows_only(f, p, h, tol=1e-10):
+            assert not np.isscalar(h), f"age {h} is past the index table"
+            return whittle_index(f, p, h, tol=tol)
+
+        monkeypatch.setattr(decoupled, "whittle_index", rows_only)
+        spec = SystemSpec((Source(cost.table([5.0])), Source(cost.linear(1))))
+        with pytest.raises(NonCyclicError, match="100000 steps"):
+            detect_cycle(spec, Whittle(), max_steps=100_000)
+
+    def test_whittle_cycles_match_a_table_free_stepper(self):
+        # the oracle decides every state from the per-age index series
+        for name in ("A1", "B1", "C1", "D1", "E1", "F1"):
+            spec = system_for(name)
+            ages, seen, states = (1,) * spec.n_sources, {}, []
+            while ages not in seen:
+                seen[ages] = len(states)
+                states.append(ages)
+                a = decide(Whittle(), spec, ages)
+                ages = tuple(1 if i == a else x + 1 for i, x in enumerate(ages))
+            cyc = detect_cycle(spec, Whittle())
+            assert cyc.states == tuple(states[seen[ages]:])
+            assert cyc.average_cost == math.fsum(map(spec.state_cost, cyc.states)) / cyc.length
 
 
 class TestPerSlotCosts:
