@@ -27,14 +27,8 @@ from .decoupled import (
     whittle_index,
     whittle_reliable,
 )
-from .errors import (
-    AoiSchedError,
-    CapacityError,
-    CertificationError,
-    ConfigError,
-    ConvergenceError,
-)
-from .runner import render_cost_table, run_experiment, write_bundle
+from .errors import AoiSchedError, CapacityError, ConfigError, ConvergenceError
+from .runner import _dp_dict, render_cost_table, run_experiment, write_bundle
 from .structure import certify_theorem3, check_strong_switch
 
 USAGE_EXIT, VERIFY_EXIT, CAPACITY_EXIT = 1, 2, 3
@@ -150,9 +144,6 @@ def main(argv=None) -> int:
     except (CapacityError, ConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return CAPACITY_EXIT
-    except CertificationError as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return VERIFY_EXIT
     except AoiSchedError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
@@ -223,24 +214,12 @@ def _cmd_dp(args) -> int:
     sol = dpmod.finite_horizon_dp(
         spec, horizon, box=dpmod.TruncatedBox(a_max, spec.n_sources), **kwargs
     )
-    out = {
-        "setting": config.name,
-        "optimal_average_cost": sol.optimal_average_cost,
-        "upper_bound": sol.upper_bound,
-        "horizon": sol.horizon,
-        "a_max": sol.box.a_max,
-        "truncation_report": sol.truncation_report,
-        "warnings": list(sol.warnings),
-    }
+    cyc = None
     if args.cycle:
         if not spec.reliable:
             raise ConfigError("--cycle needs reliable channels")
         cyc = dpmod.extract_cycle_policy(sol, spec)
-        out["cycle"] = {
-            "states": [list(s) for s in cyc.states],
-            "actions": [a + 1 for a in cyc.actions],
-            "average_cost": cyc.average_cost,
-        }
+    out = {"setting": config.name, **_dp_dict(sol, cyc)}
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
 

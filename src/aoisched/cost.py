@@ -256,17 +256,33 @@ def prefix_array(f: CostFunction, h: int) -> np.ndarray:
 
 
 def max_representable_age(f: CostFunction) -> Optional[int]:
-    """Largest age whose cost stays within OVERFLOW_LIMIT (None: no limit
-    below astronomically large ages)."""
+    """Largest age that `evaluate` accepts, 0 if none (None: no limit below
+    astronomically large ages)."""
     if f.kind == "exponential":
-        return int((math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / math.log(f.base))
-    if f.kind == "power":
+        limit = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / math.log(f.base)
+    elif f.kind in ("power", "linear"):
         limit = (OVERFLOW_LIMIT / f.weight) ** (1.0 / f.exponent)
-        return int(limit) if limit < 2**62 else None
-    if f.kind == "linear":
-        limit = OVERFLOW_LIMIT / f.weight
-        return int(limit) if limit < 2**62 else None
-    return None
+        if limit >= 2**62:
+            return None
+    else:
+        return None
+    # the closed form can round to either side of the last accepted age, so
+    # it only seeds a walk on evaluate itself; acceptance is monotone in age
+    age = max(int(limit), 0)
+    while age >= 1 and not _accepts(f, age):
+        age -= 1
+    while _accepts(f, age + 1):
+        age += 1
+    return age
+
+
+def _accepts(f: CostFunction, age: int) -> bool:
+    with np.errstate(over="ignore"):
+        try:
+            evaluate(f, age)
+        except CostRangeError:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

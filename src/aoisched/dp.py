@@ -42,6 +42,7 @@ import numpy as np
 from . import cost as costmod
 from .errors import CapacityError, DomainError, NonCyclicError
 from .policies import SystemSpec, Tabular, validate_ages
+from .sim import _closed_cycle, _reliable_path
 
 TRUNCATION_WARN_LEVEL = 1e-6
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes
@@ -101,7 +102,9 @@ class DpSolution:
     the time-varying optimal policy, which is what cycle extraction uses: at
     exact-tie states the per-stage greedy tables can oscillate with the
     period of the underlying reset cycle, so freezing any single stage table
-    into a stationary policy may realize a strictly worse cycle.
+    into a stationary policy may realize a strictly worse cycle. Its
+    (ages, action) pairs hold the true, unclamped ages; a state past the box
+    reads its action at the state with every age clamped to a_max.
     """
 
     optimal_average_cost: float
@@ -208,7 +211,13 @@ def finite_horizon_dp(
         fallback = _fallback_cost(spec.sources, entering)
         # the max only absorbs rounding when the cap mass is tiny
         upper = max(lower, (float(per_stage.sum()) + fallback) / horizon)
-    trajectory = _realized_trajectory(box, actions, initial) if spec.reliable else None
+    trajectory = None
+    if spec.reliable:
+
+        def choose(ages, t):  # the stage-t action at the ages clamped into the box
+            return int(actions[t][box.state_index([min(x, box.a_max) for x in ages])])
+
+        trajectory = tuple(itertools.islice(_reliable_path(initial, choose), horizon))
 
     notes = ()
     if touched > TRUNCATION_WARN_LEVEL:
@@ -295,20 +304,6 @@ def _backward_pass(box, probs, stage_cost, horizon):
         for dst, src in top:
             ext[dst] = ext[src]
     return value, actions
-
-
-def _realized_trajectory(box, actions, initial) -> tuple:
-    """(state, action) path of the time-varying optimal policy; deterministic,
-    so only meaningful for reliable channels."""
-    ages = initial
-    out = []
-    for t in range(actions.shape[0]):
-        a = int(actions[t][box.state_index(ages)])
-        out.append((ages, a))
-        grown = [min(x + 1, box.a_max) for x in ages]
-        grown[a] = 1
-        ages = tuple(grown)
-    return tuple(out)
 
 
 def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
@@ -487,8 +482,6 @@ def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
     from end-of-horizon effects. The exact cycle average cost is independent
     of the discarded transient.
     """
-    from .sim import Cycle  # local import to avoid a module cycle
-
     if not spec.reliable:
         raise DomainError("cycle extraction requires all channels reliable")
     if spec.n_sources != sol.box.n_sources:
@@ -519,13 +512,7 @@ def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
             else:
                 run = 0
         if best_len >= min(max(2 * d, 8), n - d):
-            cyc = window[best_start : best_start + d]
-            avg = math.fsum(spec.state_cost(s) for s, _ in cyc) / d
-            return Cycle(
-                states=tuple(s for s, _ in cyc),
-                actions=tuple(a for _, a in cyc),
-                average_cost=avg,
-            )
+            return _closed_cycle(spec, window[best_start : best_start + d])
     raise NonCyclicError(
         f"optimal trajectory shows no period within the {n}-slot window; "
         "box too small or horizon too short"

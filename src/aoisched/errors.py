@@ -49,9 +49,5 @@ class InconclusiveError(AoiSchedError, RuntimeError):
     """A search hit its boundary, so the reported optimum is not trusted."""
 
 
-class CertificationError(AoiSchedError, RuntimeError):
-    """A structural certificate could not be established."""
-
-
 class ConfigError(AoiSchedError, ValueError):
     """An experiment configuration is invalid; message carries the field path."""

@@ -94,21 +94,26 @@ class ResultBundle:
                 entry["cycle"] = _cycle_dict(pr.cycle)
             out["policies"][pr.label] = entry
         if self.dp_solution is not None:
-            sol = self.dp_solution
-            out["dp"] = {
-                "optimal_average_cost": sol.optimal_average_cost,
-                "upper_bound": sol.upper_bound,
-                "horizon": sol.horizon,
-                "a_max": sol.box.a_max,
-                "initial_state": list(sol.initial_state),
-                "truncation_report": sol.truncation_report,
-                "warnings": list(sol.warnings),
-            }
-            if self.dp_cycle is not None:
-                out["dp"]["cycle"] = _cycle_dict(self.dp_cycle)
+            out["dp"] = _dp_dict(self.dp_solution, self.dp_cycle)
         if self.certificates:
             out["certificates"] = list(self.certificates)
         return out
+
+
+def _dp_dict(sol: dpmod.DpSolution, cycle: Optional[Cycle]) -> dict:
+    """The DP summary of the JSON outputs, with its cycle when given."""
+    out = {
+        "optimal_average_cost": sol.optimal_average_cost,
+        "upper_bound": sol.upper_bound,
+        "horizon": sol.horizon,
+        "a_max": sol.box.a_max,
+        "initial_state": list(sol.initial_state),
+        "truncation_report": sol.truncation_report,
+        "warnings": list(sol.warnings),
+    }
+    if cycle is not None:
+        out["cycle"] = _cycle_dict(cycle)
+    return out
 
 
 def _cycle_dict(cycle: Cycle) -> dict:

@@ -15,6 +15,7 @@ after another without threads, gives identical results at any K.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,11 +141,7 @@ def _cost_row(f, horizon):
     """f(1..T), T the smaller of `horizon` and the largest age f represents."""
     cap = costmod.max_representable_age(f)
     top = horizon if cap is None else min(horizon, cap)
-    while True:
-        try:
-            return costmod.evaluate(f, np.arange(1, top + 1))
-        except CostRangeError:  # the cap can round one age too high
-            top -= 1
+    return costmod.evaluate(f, np.arange(1, top + 1))
 
 
 def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
@@ -202,25 +199,40 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
 # -- exact evaluation of deterministic policies -------------------------------
 
 
-def _reliable_path(spec, policy, width):
-    """Pre-action ages of the deterministic trajectory on reliable channels
-    from all-ones, slot by slot. After slot 0 exactly one age is 1: that of
-    the source scheduled in the slot before.
+def _reliable_path(start, choose):
+    """(ages, action) pairs of a deterministic trajectory on reliable
+    channels from `start`, slot by slot, where `choose(ages, t)` is the
+    source served at slot t: it resets to 1 and every other age grows by one.
+    Ages are never clamped."""
+    ages = tuple(start)
+    for t in itertools.count():
+        a = choose(ages, t)
+        yield ages, a
+        ages = tuple(1 if i == a else x + 1 for i, x in enumerate(ages))
 
-    The index table starts `width` ages wide and doubles, up to the cap of
-    _index_table, whenever an age passes it, so a starved source's growing
-    age stays a table lookup."""
+
+def _policy_chooser(spec, policy, width):
+    """`choose` for _reliable_path that asks `decide`. The index table starts
+    `width` ages wide and doubles, up to the cap of _index_table, whenever an
+    age passes it, so a starved source's growing age stays a table lookup."""
     table = _index_table(spec, policy, width)
-    ages = (1,) * spec.n_sources
-    t = 0
-    while True:
-        yield ages
+
+    def choose(ages, t):
+        nonlocal table, width
         if table is not None and max(ages) > width and table.shape[1] == width:
             width *= 2
             table = _index_table(spec, policy, width)
-        a = decide(policy, spec, ages, t=t, index_table=table)
-        ages = tuple(1 if i == a else x + 1 for i, x in enumerate(ages))
-        t += 1
+        return decide(policy, spec, ages, t=t, index_table=table)
+
+    return choose
+
+
+def _closed_cycle(spec, pairs) -> Cycle:
+    """The Cycle of a run of (ages, action) pairs that closes on itself, with
+    its exact average cost."""
+    states = tuple(s for s, _ in pairs)
+    avg = math.fsum(spec.state_cost(s) for s in states) / len(states)
+    return Cycle(states=states, actions=tuple(a for _, a in pairs), average_cost=avg)
 
 
 def _check_exact(spec, policy, what):
@@ -240,19 +252,15 @@ def detect_cycle(spec: SystemSpec, policy, max_steps: int = 100_000) -> Cycle:
     """
     _check_exact(spec, policy, "cycle detection")
     period = time_period(policy, spec.n_sources)
-    path = _reliable_path(spec, policy, 4096)
+    path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy, 4096))
     seen = {}
-    states = []
-    for step, ages in zip(range(max_steps), path):
+    pairs = []
+    for step, (ages, a) in zip(range(max_steps), path):
         key = (ages, step % period)
         if key in seen:
-            cyc_states = tuple(states[seen[key]:])
-            # each state's action is the source whose age is 1 in the next state
-            cyc_acts = tuple(s.index(1) for s in cyc_states[1:] + (ages,))
-            avg = math.fsum(spec.state_cost(s) for s in cyc_states) / len(cyc_states)
-            return Cycle(states=cyc_states, actions=cyc_acts, average_cost=avg)
+            return _closed_cycle(spec, pairs[seen[key]:])
         seen[key] = step
-        states.append(ages)
+        pairs.append((ages, a))
     raise NonCyclicError(f"no state recurrence within {max_steps} steps")
 
 
@@ -262,8 +270,8 @@ def per_slot_costs(spec: SystemSpec, policy, horizon: int) -> np.ndarray:
     _check_exact(spec, policy, "exact slot cost")
     if horizon < 1:
         raise DomainError("horizon must be positive")
-    path = _reliable_path(spec, policy, horizon + 1)
-    return np.array([spec.state_cost(ages) for _, ages in zip(range(horizon), path)])
+    path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy, horizon + 1))
+    return np.array([spec.state_cost(ages) for ages, _ in itertools.islice(path, horizon)])
 
 
 # -- divergence probe ----------------------------------------------------------

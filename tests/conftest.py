@@ -101,3 +101,9 @@ def random_cost_and_p(rng, kinds=ALL_KINDS):
     if rng.random() < 0.25:
         p = 1.0
     return random_cost(rng, kinds=kinds, p_for_exponential=p), p
+
+
+def overflow_at_four():
+    """A power cost whose closed-form overflow cap rounds to age 4 although
+    f(4) exceeds the overflow limit; f(1..3) stay finite."""
+    return power(float(np.nextafter(1e300 / 4.0**100, np.inf)), 100.0)

@@ -137,6 +137,10 @@ class TestDpCommand:
         assert out["optimal_average_cost"] <= out["upper_bound"]
         assert out["cycle"]["average_cost"] > 0
         assert set(out["cycle"]["actions"]) <= {1, 2}
+        # the same summary as the sidecar's dp block, plus the setting
+        assert out["setting"] == "smoke"
+        assert out["initial_state"] == [1, 1]
+        assert out["cycle"]["length"] == len(out["cycle"]["states"])
 
     def test_capacity_exit_code(self, small_config, capsys):
         rc = main(

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 import warnings
 from collections import defaultdict
@@ -21,11 +22,11 @@ from aoisched.dp import (
     finite_horizon_dp,
     finite_horizon_dp_auto,
 )
-from aoisched.errors import CapacityError, DomainError
+from aoisched.errors import CapacityError, DomainError, NonCyclicError
 from aoisched.policies import MaxAge, RoundRobin, Source, SystemSpec, Whittle
 from aoisched.sim import simulate
 
-from conftest import references_for, system_for
+from conftest import overflow_at_four, references_for, system_for
 
 
 class TestBasics:
@@ -212,6 +213,16 @@ class TestCertifiedInterval:
         )
         assert sol.upper_bound == pytest.approx(exact, rel=1e-12)
         assert sol.optimal_average_cost < sol.upper_bound
+
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_fallback_stops_below_an_age_that_overflows(self):
+        # the fallback's cost rows end at the largest representable age, 3;
+        # mass that grows past it costs inf, which keeps U an upper bound
+        f = overflow_at_four()
+        spec = SystemSpec((Source(f, 0.5), Source(f, 0.5)))
+        sol = finite_horizon_dp(spec, 10, box=TruncatedBox(3, 2))
+        assert sol.truncation_report > 0.5
+        assert sol.upper_bound == math.inf
 
 
 class TestAutoDoubling:
@@ -449,6 +460,59 @@ def test_table_setting_dp_pinned(name):
     assert sol.upper_bound.hex() == upper
     assert sol.truncation_report.hex() == report
     assert hashlib.sha256(sol.stage1_actions.tobytes()).hexdigest()[:16] == digest
+
+
+def _clamped_trajectory(box, actions, initial):
+    """The DP's own trajectory stepper that the shared reliable path
+    replaced, kept as the oracle: ages grow clamped at a_max, so it agrees
+    with the true path until an age passes the box."""
+    ages = initial
+    out = []
+    for t in range(actions.shape[0]):
+        a = int(actions[t][box.state_index(ages)])
+        out.append((ages, a))
+        grown = [min(x + 1, box.a_max) for x in ages]
+        grown[a] = 1
+        ages = tuple(grown)
+    return tuple(out)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("name", ["A1", "B1", "C1", "D1", "E1", "F1"])
+    def test_reliable_settings_match_the_clamped_stepper(self, name):
+        spec = system_for(name)
+        box = TruncatedBox(_TABLE_PINS[name][0], spec.n_sources)
+        sol = finite_horizon_dp(spec, 500, box=box, retain_stage_tables=True)
+        assert sol.truncation_report == 0.0
+        assert sol.trajectory == _clamped_trajectory(box, sol.stage_actions, sol.initial_state)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_dp_case())
+    def test_random_reliable_specs_match_the_clamped_stepper(self, case):
+        spec, horizon, box, initial = case
+        spec = SystemSpec(tuple(Source(s.cost) for s in spec.sources))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = finite_horizon_dp(spec, horizon, box=box, initial=initial, retain_stage_tables=True)
+        oracle = _clamped_trajectory(box, sol.stage_actions, initial)
+        if sol.truncation_report == 0.0:
+            assert sol.trajectory == oracle
+        # the two agree until the true path first leaves the box
+        out = [t for t, (ages, _) in enumerate(sol.trajectory) if max(ages) > box.a_max]
+        inside = out[0] if out else horizon
+        assert sol.trajectory[:inside] == oracle[:inside]
+
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_a_path_past_the_box_is_not_a_cycle(self):
+        # serving the costly source forever starves the free one; clamped at
+        # a_max 4 its age would stall at 4 and fake a one-state cycle
+        spec = SystemSpec((Source(cost.table([0.0])), Source(cost.linear(1))))
+        box = TruncatedBox(4, 2)
+        sol = finite_horizon_dp(spec, 200, box=box, retain_stage_tables=True)
+        assert _clamped_trajectory(box, sol.stage_actions, (1, 1))[100] == ((4, 1), 1)
+        assert sol.trajectory[100] == ((101, 1), 1)
+        with pytest.raises(NonCyclicError):
+            extract_cycle_policy(sol, spec)
 
 
 class TestPolicyTable:

@@ -19,7 +19,7 @@ from aoisched.policies import (
 )
 from aoisched.sim import detect_cycle, divergence_probe, per_slot_costs, simulate
 
-from conftest import references_for, system_for
+from conftest import overflow_at_four, references_for, system_for
 
 
 def two_exponential():
@@ -75,10 +75,10 @@ class TestSimulate:
             simulate(spec, FixedCycle((0,)), horizon=1000, runs=1, seed=0)
 
     def test_cost_row_stops_below_an_age_that_overflows(self):
-        # the largest representable age of this cost rounds one too high:
-        # f(4) exceeds 1e300 although the cap reads 4
-        f = cost.power(float(np.nextafter(1e300 / 4.0**100, np.inf)), 100.0)
-        assert cost.max_representable_age(f) == 4
+        # the closed-form cap of this cost rounds to 4, but f(4) exceeds
+        # 1e300, so the largest representable age is 3
+        f = overflow_at_four()
+        assert cost.max_representable_age(f) == 3
         with pytest.raises(CostRangeError):
             cost.evaluate(f, 4)
         # round robin on two sources keeps ages at 1 and 2: no run reaches 4
@@ -124,6 +124,13 @@ class TestDetectCycle:
         form = parse_two_source_cycle(cyc)
         assert form.leader == 0
         assert form.k == cyc.length - 1
+
+    def test_index_table_stops_below_an_age_that_overflows(self):
+        # the index table is one age narrower than the cap: W(h) needs f(h + 1)
+        f = overflow_at_four()
+        cyc = detect_cycle(SystemSpec((Source(f), Source(f))), Whittle())
+        assert cyc.states == ((1, 2), (2, 1))
+        assert cyc.average_cost == f(1) + f(2)
 
     def test_cycle_transitions_close(self):
         cyc = detect_cycle(system_for("C1"), Whittle())

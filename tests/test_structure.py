@@ -14,7 +14,7 @@ from aoisched.structure import (
     two_source_cycle_cost,
 )
 
-from conftest import system_for
+from conftest import overflow_at_four, system_for
 
 
 class TestStrongSwitch:
@@ -106,6 +106,14 @@ class TestBestCycle:
     def test_c1_cost(self):
         best = best_two_source_cycle(cost.power(0.5, 3), cost.logarithmic(10))
         assert best.cost == pytest.approx(5.69, rel=0.01)
+
+    def test_sweep_stops_below_an_age_that_overflows(self):
+        # the sweep evaluates the follower up to its cap; f(3) dwarfs the
+        # k = 1 cycle, so alternation wins
+        f = overflow_at_four()
+        best = best_two_source_cycle(f, f)
+        assert (best.leader, best.k) == (0, 1)
+        assert best.cost == two_source_cycle_cost(f, f, 1)
 
     def test_boundary_minimizer_raises(self):
         # a very cheap follower pushes the optimal k past a tiny sweep bound
