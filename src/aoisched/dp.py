@@ -27,6 +27,15 @@ index arrays. The backward pass keeps its values in a buffer one entry
 longer on every axis, the extra entry repeating the cap, and picks actions
 by a running compare-select that keeps ties at the lowest source index; the
 forward pass moves all failure mass with one shifted slice.
+
+The greedy actions are stored as runs of identical stages: the backward
+pass keeps a stage's table only when it differs from the stage after it,
+and otherwise refers to that stage's table, so `actions[t]` reads every
+stage and the same array object serves the whole run. Lossy policies
+settle far from the horizon (E2 at a_max 30 has 56 runs in 500 stages), so
+such a solve holds a few dozen tables, not one per stage.
+Reliable tables can oscillate with the reset cycle at tie states: B1, C1,
+D1, E1 and F1 store a new table at every stage.
 """
 
 from __future__ import annotations
@@ -83,6 +92,11 @@ class TruncatedBox:
         arr = np.asarray(ages)
         return bool(np.all(arr >= 1) and np.all(arr <= self.a_max))
 
+    @property
+    def strides(self) -> tuple:
+        """Flat-index step of each source's age, in C order."""
+        return tuple(self.a_max ** (self.n_sources - 1 - i) for i in range(self.n_sources))
+
     def state_index(self, ages) -> int:
         return int(np.ravel_multi_index(tuple(np.asarray(ages) - 1), self.shape))
 
@@ -105,19 +119,24 @@ class DpSolution:
     into a stationary policy may realize a strictly worse cycle. Its
     (ages, action) pairs hold the true, unclamped ages; a state past the box
     reads its action at the state with every age clamped to a_max.
+
+    `stage_actions`, kept when the solve is asked to retain it, holds one
+    int8 table per stage; consecutive stages with equal actions share one
+    read-only array object, so it holds references, not a dense copy.
+    `stage1_actions` is its first entry.
     """
 
     optimal_average_cost: float
     horizon: int
     initial_state: tuple
     box: TruncatedBox
-    stage1_actions: np.ndarray  # int8 greedy action per state at stage 1
+    stage1_actions: np.ndarray  # int8 greedy action per state at stage 1, read-only
     truncation_report: float
     stage_costs: np.ndarray  # expected pre-action cost per slot under the policy
     upper_bound: float  # exact average cost of the box policy with a fixed-schedule fallback
     warnings: tuple = ()
     trajectory: Optional[tuple] = field(default=None, repr=False)
-    stage_actions: Optional[np.ndarray] = field(default=None, repr=False)
+    stage_actions: Optional[tuple] = field(default=None, repr=False)
 
     def action(self, ages) -> int:
         """Stage-1 greedy action at an in-box age vector."""
@@ -141,22 +160,32 @@ class DpSolution:
 def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     """Upper estimate of the peak bytes one solve allocates: what is held
     across the solve plus the largest working set of its three phases. The
-    retained stage tables are the working action table itself, not a copy.
+    retained stage tables are the stored action tables themselves, not a
+    copy.
+
+    It charges one stored table per stage, the true worst case: a reliable
+    solve can store a new table at every stage. The run count is known only
+    after the backward pass, so a smaller charge could admit a box whose
+    policy keeps changing and then overrun the budget mid-solve. The full
+    charge is also what stops `finite_horizon_dp_auto` at E2's a_max 30:
+    a_max 60 exceeds the default budget.
     """
     m, n, a_max = box.state_count, box.n_sources, box.a_max
     below = (a_max - 1) ** n  # states that can carry mass in the forward pass
     cap = m - below
-    held = m * horizon  # int8 action per state and stage
+    held = m * (horizon + 1)  # int8 action per state and stage; the spare stage buffer
     held += 8 * (m + (a_max + 1) ** n)  # stage cost; values with a repeated top face
     held += 8 * horizon * (n * a_max + 1)  # cap-entry marginals, per-slot costs
     held += 200 * horizon + (1 << 18)  # realized trajectory; ufunc buffers, objects
-    backward = 17 * m + 8 * n * m // a_max  # best, q, compare mask; success terms
+    # best, q, compare mask and the stage compare; success terms
+    backward = 18 * m + 8 * n * m // a_max
     # distributions and the failure factors; cap indices, per-source orders
     # and siphoned mass; live states and one source's success scatter
     forward = 25 * m + 8 * (2 * n + 3) * cap + 60 * below
     cycles = len(_weighted_round_robins(n))
-    # schedules; survival factors and age chains, two sources' worth at a swap
-    fallback = 8 * cycles * (7 * horizon + 3 * a_max)
+    # age chains, two sources' worth at a swap, and a slot's product and
+    # contiguous copy; one cost row
+    fallback = 8 * (4 * cycles + 1) * (horizon + a_max)
     return held + max(backward, forward, fallback)
 
 
@@ -208,14 +237,15 @@ def finite_horizon_dp(
     if touched == 0.0:
         upper = lower  # the box policy never clamps: the box value is exact
     else:
-        fallback = _fallback_cost(spec.sources, entering)
+        fallback = float(_fallback_totals(spec.sources, entering).min())
         # the max only absorbs rounding when the cap mass is tiny
         upper = max(lower, (float(per_stage.sum()) + fallback) / horizon)
     trajectory = None
     if spec.reliable:
+        a_max, strides = box.a_max, box.strides
 
         def choose(ages, t):  # the stage-t action at the ages clamped into the box
-            return int(actions[t][box.state_index([min(x, box.a_max) for x in ages])])
+            return int(actions[t][sum((min(x, a_max) - 1) * k for x, k in zip(ages, strides))])
 
         trajectory = tuple(itertools.islice(_reliable_path(initial, choose), horizon))
 
@@ -233,7 +263,7 @@ def finite_horizon_dp(
         horizon=horizon,
         initial_state=initial,
         box=box,
-        stage1_actions=actions[0].copy(),
+        stage1_actions=actions[0],
         truncation_report=touched,
         stage_costs=per_stage,
         upper_bound=upper,
@@ -261,7 +291,7 @@ def _axis_slices(n, axis, own, rest) -> tuple:
 
 
 def _backward_pass(box, probs, stage_cost, horizon):
-    """Stage values and greedy actions, latest stage first.
+    """Stage values and the greedy action table of every stage.
 
     V lives in the first a_max entries of each axis of an extended buffer
     whose last entry repeats entry a_max - 1 (age a_max + 1 reads as a_max),
@@ -270,6 +300,12 @@ def _backward_pass(box, probs, stage_cost, horizon):
     broadcast along it. q_i = p_i S_i + (1 - p_i) V_fail; the action is
     picked by a running compare-select in which a source replaces the best
     only where strictly cheaper, so ties go to the lowest source index.
+
+    Each stage's actions are built in one reused buffer. A stage equal to
+    the stage after it refers to that stage's table; otherwise the buffer
+    becomes the new stored table (read-only from then on, since a run
+    shares it) and a fresh buffer takes its place. Returns the stage-0
+    values and a tuple of `horizon` flat tables.
     """
     n, a_max = box.n_sources, box.a_max
     every = slice(1, None)
@@ -279,12 +315,14 @@ def _backward_pass(box, probs, stage_cost, horizon):
     succ = [ext[_axis_slices(n, i, slice(0, 1), every)] for i in range(n)]
     top = [(_axis_slices(n, i, a_max, slice(None)), _axis_slices(n, i, a_max - 1, slice(None)))
            for i in range(n)]
-    actions = np.empty((horizon, box.state_count), dtype=np.int8)
+    actions = [None] * horizon
+    stored = None
+    buf = np.empty(box.state_count, dtype=np.int8)
     best = np.empty(box.shape)
     q = np.empty(box.shape)
     cheaper = np.empty(box.shape, dtype=bool)
     for t in range(horizon - 1, -1, -1):
-        act = actions[t].reshape(box.shape)
+        act = buf.reshape(box.shape)
         act.fill(0)
         for i, p in enumerate(probs):
             if p == 1.0:
@@ -303,11 +341,16 @@ def _backward_pass(box, probs, stage_cost, horizon):
         np.add(stage_cost, best, out=value)
         for dst, src in top:
             ext[dst] = ext[src]
-    return value, actions
+        if stored is None or not (buf == stored).all():
+            stored, buf = buf, np.empty_like(buf)
+            stored.flags.writeable = False
+        actions[t] = stored
+    return value, tuple(actions)
 
 
 def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
-    """Propagate the state distribution under the per-stage greedy actions.
+    """Propagate the state distribution under the per-stage greedy actions,
+    `actions[t]` for slot t.
 
     Mass entering a state with any clamped coordinate is siphoned off and
     counted, so the report is the probability of ever touching the cap.
@@ -323,10 +366,13 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     (the borrow), carries nothing, and leaves the zero that success mass is
     added to. Success targets collect the states that differ only in the
     served age, added by np.add.at in ascending state order.
+
+    The failure factors are gathered once per stored table: a stage that
+    shares the previous stage's table object reuses them.
     """
     n, a_max, m = box.n_sources, box.a_max, box.state_count
     shape = box.shape
-    horizon = actions.shape[0]
+    horizon = len(actions)
     below = (slice(0, a_max - 1),) * n
     at_cap = np.ones(shape, dtype=bool)
     at_cap[below] = False
@@ -354,9 +400,11 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
                 entering[t, i, empty] = 0.0
         return mass
 
-    strides = [a_max ** (n - 1 - i) for i in range(n)]
+    strides = box.strides
     shift = sum(strides)
     fail_p = 1.0 - probs
+    fail_at = np.empty(m - shift)  # 1 - p of the action at each state that can fail
+    gathered = None
     cost = stage_cost.reshape(m)
     d = np.zeros(m)
     nxt = np.empty(m)
@@ -366,7 +414,10 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     for t in range(horizon):
         per_stage[t] = float(d @ cost)
         a = actions[t]
-        np.multiply(fail_p[a[:-shift]], d[:-shift], out=nxt[shift:])
+        if a is not gathered:
+            np.take(fail_p, a[:-shift], out=fail_at, mode="clip")  # unbuffered; a < n
+            gathered = a
+        np.multiply(fail_at, d[:-shift], out=nxt[shift:])
         nxt[:shift] = 0.0
         live = np.flatnonzero(d)
         live_a = a[live]
@@ -401,10 +452,11 @@ def _weighted_round_robins(n: int) -> list:
     return cycles
 
 
-def _fallback_cost(sources, entering) -> float:
+def _fallback_totals(sources, entering) -> np.ndarray:
     """Expected cost, from the slot each path touches the cap to the horizon,
-    of switching to a fixed schedule: the cheapest of `_weighted_round_robins`,
-    played on the global clock (slot t serves cycle[t % period]).
+    of switching to a fixed schedule, one entry per cycle of
+    `_weighted_round_robins` played on the global clock (slot t serves
+    cycle[t % period]); the bound uses the cheapest.
 
     Under a fixed schedule each source's age evolves on its own, so the
     siphoned mass is followed one source at a time as an exact age
@@ -413,21 +465,23 @@ def _fallback_cost(sources, entering) -> float:
     expectation (E2's 2^x source at p = 0.9 renews with probability 0.9
     only every 4 slots: 2^4 * 0.1 > 1); denser cycles for that source avoid
     this. Costs past the overflow limit count as inf, which keeps the bound
-    valid.
+    valid. Slot t's schedule column is read from each cycle at t modulo its
+    period.
     """
     horizon, n, a_max = entering.shape
     cycles = _weighted_round_robins(n)
-    slots = np.arange(horizon)
-    schedule = np.array([np.asarray(c)[slots % len(c)] for c in cycles])  # (K, horizon)
+    periods = np.array([len(c) for c in cycles])
+    padded = np.array([c + [-1] * (periods.max() - len(c)) for c in cycles])  # (K, longest period)
+    picks = np.arange(len(cycles))
     top = a_max + horizon
     totals = np.zeros(len(cycles))
     for i, s in enumerate(sources):
         limit = costmod.max_representable_age(s.cost)
         finite = top if limit is None else min(top, limit)
         row = s.cost(np.arange(1, finite + 1))
-        stay = np.where(schedule == i, 1.0 - s.p, 1.0)  # survival factor per slot
         dist = np.zeros((len(cycles), top))
         for t in range(horizon):
+            served = padded[picks, t % periods] == i  # the cycles serving source i at slot t
             dist[:, :a_max] += entering[t, i]
             width = a_max + t  # ages reachable by slot t
             upto = min(width, finite)
@@ -435,9 +489,9 @@ def _fallback_cost(sources, entering) -> float:
             if width > finite:
                 totals[dist[:, finite:width].sum(axis=1) > 0] = np.inf
             delivered = s.p * dist[:, :width].sum(axis=1)
-            dist[:, 1 : width + 1] = dist[:, :width] * stay[:, t, None]
-            dist[:, 0] = np.where(schedule[:, t] == i, delivered, 0.0)
-    return float(totals.min())
+            dist[:, 1 : width + 1] = dist[:, :width] * np.where(served, 1.0 - s.p, 1.0)[:, None]
+            dist[:, 0] = np.where(served, delivered, 0.0)
+    return totals
 
 
 def finite_horizon_dp_auto(

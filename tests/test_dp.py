@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aoisched import cost
 from aoisched.dp import (
     TruncatedBox,
     _estimate_bytes,
-    _fallback_cost,
+    _fallback_totals,
     _forward_truncation_pass,
     _stage_cost,
     _weighted_round_robins,
@@ -277,6 +278,52 @@ class TestMemoryEstimate:
                 tracemalloc.stop()
             assert peak <= _estimate_bytes(box, horizon)
 
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_few_runs_peak_far_below_a_dense_table(self):
+        # E2's sources at a_max 12 settle into about 50 runs of 500 stages,
+        # so the solve holds far less than the m * horizon bytes a dense
+        # action table alone would take
+        spec = system_for("E2")
+        box = TruncatedBox(12, 4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sol = finite_horizon_dp(spec, 500, box=box, retain_stage_tables=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len({id(a) for a in sol.stage_actions}) < 100
+        assert peak < box.state_count * 500 / 3
+
+
+def _fallback_totals_reference(sources, entering):
+    """The fallback builder that read slot t's schedule column from
+    (cycles, horizon) arrays of the schedules and survival factors, kept
+    as the oracle for the per-slot columns."""
+    horizon, n, a_max = entering.shape
+    cycles = _weighted_round_robins(n)
+    slots = np.arange(horizon)
+    schedule = np.array([np.asarray(c)[slots % len(c)] for c in cycles])
+    top = a_max + horizon
+    totals = np.zeros(len(cycles))
+    for i, s in enumerate(sources):
+        limit = cost.max_representable_age(s.cost)
+        finite = top if limit is None else min(top, limit)
+        row = s.cost(np.arange(1, finite + 1))
+        stay = np.where(schedule == i, 1.0 - s.p, 1.0)
+        dist = np.zeros((len(cycles), top))
+        for t in range(horizon):
+            dist[:, :a_max] += entering[t, i]
+            width = a_max + t
+            upto = min(width, finite)
+            totals += dist[:, :upto] @ row[:upto]
+            if width > finite:
+                totals[dist[:, finite:width].sum(axis=1) > 0] = np.inf
+            delivered = s.p * dist[:, :width].sum(axis=1)
+            dist[:, 1 : width + 1] = dist[:, :width] * stay[:, t, None]
+            dist[:, 0] = np.where(schedule[:, t] == i, delivered, 0.0)
+    return totals
+
 
 def _reference_kernel(spec, horizon, box, initial):
     """The gather/argmin kernel that the slice views replaced, kept as the
@@ -359,6 +406,14 @@ def _reference_kernel(spec, horizon, box, initial):
     return float(V[s0]), actions, stage_cost, touched, per_stage, entering
 
 
+def _assert_maximal_runs(tables):
+    """Equal consecutive stages share one table object, and consecutive
+    stored tables differ, so every run of identical stages is maximal."""
+    assert not any(table.flags.writeable for table in tables)
+    for later, earlier in zip(tables[1:], tables):
+        assert (earlier is later) == np.array_equal(earlier, later)
+
+
 def _assert_matches_reference(spec, horizon, box, initial):
     total, actions, stage_cost, touched, per_stage, entering = _reference_kernel(
         spec, horizon, box, initial
@@ -369,13 +424,15 @@ def _assert_matches_reference(spec, horizon, box, initial):
     lower = total / horizon
     upper = lower
     if touched != 0.0:
-        fallback = _fallback_cost(spec.sources, entering)
+        fallback = float(_fallback_totals(spec.sources, entering).min())
         upper = max(lower, (float(per_stage.sum()) + fallback) / horizon)
     assert sol.optimal_average_cost.hex() == lower.hex()
     assert sol.upper_bound.hex() == upper.hex()
     assert sol.truncation_report.hex() == touched.hex()
     assert sol.stage_costs.tobytes() == per_stage.tobytes()
-    assert sol.stage_actions.tobytes() == actions.tobytes()
+    assert np.stack(sol.stage_actions).tobytes() == actions.tobytes()
+    _assert_maximal_runs(sol.stage_actions)
+    assert sol.stage1_actions is sol.stage_actions[0]
     assert _stage_cost(spec, box).tobytes() == stage_cost.tobytes()
     _, _, got = _forward_truncation_pass(
         box, actions, spec.probabilities, _stage_cost(spec, box), box.state_index(initial)
@@ -406,6 +463,25 @@ def _dp_case(draw):
     a_max = draw(st.integers(2, 8))
     initial = tuple(draw(st.integers(1, a_max)) for _ in range(n))
     return SystemSpec(sources), draw(st.integers(1, 40)), TruncatedBox(a_max, n), initial
+
+
+@st.composite
+def _fallback_case(draw):
+    n = draw(st.integers(1, 4))
+    costs = st.one_of(_COSTS, st.just(overflow_at_four()))
+    sources = tuple(Source(draw(costs), draw(_PROBS)) for _ in range(n))
+    shape = (draw(st.integers(1, 40)), n, draw(st.integers(2, 8)))
+    mass = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    return sources, draw(hnp.arrays(np.float64, shape, elements=mass))
+
+
+class TestFallbackMatchesReference:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_fallback_case())
+    def test_random_entering_bit_identical(self, case):
+        sources, entering = case
+        got = _fallback_totals(sources, entering)
+        assert got.tobytes() == _fallback_totals_reference(sources, entering).tobytes()
 
 
 class TestKernelMatchesReference:
@@ -468,7 +544,7 @@ def _clamped_trajectory(box, actions, initial):
     with the true path until an age passes the box."""
     ages = initial
     out = []
-    for t in range(actions.shape[0]):
+    for t in range(len(actions)):
         a = int(actions[t][box.state_index(ages)])
         out.append((ages, a))
         grown = [min(x + 1, box.a_max) for x in ages]
