@@ -11,8 +11,11 @@ them freely across threads.
     indicator(thr, w)    f(x) = w * 1{x >= thr}
     table(values)        tabulated, constant extension past the last entry
 
-Evaluations that would exceed ``OVERFLOW_LIMIT`` raise :class:`CostRangeError`
-instead of returning infinity.
+A scalar age is evaluated as a one-element array through the same kernel as
+a row of ages, so f(h) has the same bits alone and inside any row (numpy can
+round a 0-d power differently from an array one). :func:`row` gives f(1..n)
+as one evaluation. Evaluations that would exceed ``OVERFLOW_LIMIT`` raise
+:class:`CostRangeError` instead of returning infinity.
 """
 
 from __future__ import annotations
@@ -208,10 +211,11 @@ def _check_ages(age):
 
 
 def evaluate(f: CostFunction, age):
-    """f(age); elementwise over arrays. Raises DomainError for age < 1 and
-    CostRangeError when the result would exceed OVERFLOW_LIMIT."""
-    x = _check_ages(age)
-    scalar = np.isscalar(age) or (isinstance(age, np.ndarray) and age.ndim == 0)
+    """f(age); elementwise over arrays, and a scalar as a one-element array.
+    Raises DomainError for age < 1 and CostRangeError when the result would
+    exceed OVERFLOW_LIMIT."""
+    scalar = np.ndim(age) == 0
+    x = _check_ages(np.atleast_1d(age))
     k = f.kind
     if k == "linear":
         out = f.weight * x
@@ -221,7 +225,7 @@ def evaluate(f: CostFunction, age):
         # cap the age argument before exponentiating so no inf is produced
         cap = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / math.log(f.base)
         if np.any(x > cap):
-            bad = int(np.min(np.asarray(x)[np.asarray(x) > cap]))
+            bad = int(np.min(x[x > cap]))
             raise CostRangeError(
                 f"exponential cost exceeds {OVERFLOW_LIMIT:g} from age {bad}"
             )
@@ -238,7 +242,7 @@ def evaluate(f: CostFunction, age):
     if np.any(out > OVERFLOW_LIMIT):
         bad = int(np.min(x[out > OVERFLOW_LIMIT]))
         raise CostRangeError(f"{k} cost exceeds {OVERFLOW_LIMIT:g} at age {bad}")
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def prefix_sum(f: CostFunction, h: int) -> float:
@@ -261,9 +265,11 @@ def max_representable_age(f: CostFunction) -> Optional[int]:
     if f.kind == "exponential":
         limit = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / math.log(f.base)
     elif f.kind in ("power", "linear"):
-        limit = (OVERFLOW_LIMIT / f.weight) ** (1.0 / f.exponent)
-        if limit >= 2**62:
+        # in logs: (OVERFLOW_LIMIT / w) ** (1 / e) itself overflows for e < 1
+        log_limit = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / f.exponent
+        if log_limit >= 62 * math.log(2):
             return None
+        limit = math.exp(log_limit)
     else:
         return None
     # the closed form can round to either side of the last accepted age, so
@@ -274,6 +280,13 @@ def max_representable_age(f: CostFunction) -> Optional[int]:
     while _accepts(f, age + 1):
         age += 1
     return age
+
+
+def row(f: CostFunction, n: int) -> np.ndarray:
+    """f(1..m) in one evaluation, m = min(n, max_representable_age(f))."""
+    cap = max_representable_age(f)
+    m = n if cap is None else min(n, cap)
+    return evaluate(f, np.arange(1, m + 1))
 
 
 def _accepts(f: CostFunction, age: int) -> bool:

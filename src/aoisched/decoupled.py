@@ -15,11 +15,12 @@ set of ages where pulling is optimal shrinks monotonically as C grows. This
 module computes the indices, inverts them into optimal thresholds, and checks
 everything against an independent relative-value-iteration solver.
 
-A lossy index row W(h_1..h_n) is built in one vectorised pass that gives
-every age the same float operations as the scalar series
-(`whittle_unreliable`, which stays the reference); its prefix sums come from
-one cumsum. A threshold is the first age of such a row, built once and
-doubled as needed, whose index exceeds the charge.
+The lossy series is summed in one place, `_discounted_tails`, for a whole
+row of ages in one vectorised pass; each age gets the same bits whatever
+the other ages are, so a single index (`whittle_unreliable`) is a row of
+one age. The prefix sums come from one cumsum. A threshold is the first age
+of such a row, built once and doubled as needed, whose index exceeds the
+charge; all thresholds found are rechecked together in one more row.
 
 Only the Definition-form index above is used anywhere. The shifted auxiliary
 form W~(h) = W(h-1) that appears in threshold interval arguments is never
@@ -152,48 +153,13 @@ def _start_bound(f: CostFunction) -> int:
 
 def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> float:
     """sum_{k>=1} f(k+h) (1-p)^{k-1}, summed until the geometric tail bound on
-    the remainder drops below tol * max(1, partial sum).
-
-    The bound needs an upper bound r < 1 on the term ratio
-    f(x+1)(1-p)/f(x); the per-variant growth bound supplies it once x is past
-    any zero-valued or pre-plateau prefix.
+    the remainder drops below tol * max(1, partial sum); one age of
+    _discounted_tails.
     """
     _check_series(f, p, tol)
     if p == 1.0:
         return costmod.evaluate(f, h + 1)
-    q = 1.0 - p
-    if f.kind == "exponential":
-        # terms are exactly geometric with ratio base*q < 1; generating them
-        # recursively keeps every intermediate bounded even when b**(h+k)
-        # itself would not be representable
-        r = f.base * q
-        term = costmod.evaluate(f, h + 1)
-        if r == 0.0:
-            return term
-        total = 0.0
-        while True:
-            total += term
-            term *= r
-            if term / (1.0 - r) <= tol * max(1.0, abs(total)):
-                return total
-    start_bound = _start_bound(f)
-    total = 0.0
-    k = 1
-    block = 64
-    while True:
-        ks = np.arange(k, k + block)
-        terms = costmod.evaluate(f, ks + h) * q ** (ks - 1.0)
-        total += math.fsum(terms)
-        k += block
-        x_next = h + k  # age of the first un-summed term
-        if x_next - 1 >= start_bound:
-            r = f.growth_ratio_bound(x_next - 1) * q
-            if r < 1:
-                last = float(terms[-1])
-                tail = last * r / (1.0 - r)
-                if tail <= tol * max(1.0, abs(total)):
-                    return total
-        block = min(2 * block, 4096)
+    return float(_discounted_tails(f, p, np.array([h]), tol)[0])
 
 
 # terms gathered at once per chunk of ages; more makes tolist() cost memory
@@ -201,32 +167,20 @@ _CHUNK_TERMS = 4096
 
 
 def _discounted_tails(f: CostFunction, p: float, ages: np.ndarray, tol: float) -> np.ndarray:
-    """discounted_tail at each age of a 1-d array (p < 1), bit for bit, in
-    one pass.
+    """discounted_tail at each age of a 1-d array (p < 1), in one pass.
 
-    Every age takes the same float operations as the scalar series: the
-    same blocks of terms evaluate(f, k+h) * q**(k-1), one fsum per block
-    (exact, so the order of the terms does not matter) and the same
-    stopping test. Only the evaluations are gathered across ages, at most
-    _CHUNK_TERMS terms at a time.
+    The bound needs an upper bound r < 1 on the term ratio f(x+1)(1-p)/f(x);
+    the per-variant growth bound supplies it once x is past any zero-valued
+    or pre-plateau prefix. Each age gets the same float operations whatever
+    the other ages are: blocks of terms evaluate(f, k+h) * q**(k-1), one
+    fsum per block (exact, so the order of the terms does not matter) and
+    the stopping test after each block. Only the evaluations are gathered
+    across ages, at most _CHUNK_TERMS terms at a time.
     """
     _check_series(f, p, tol)
     q = 1.0 - p
     if f.kind == "exponential":
-        r = f.base * q
-        # numpy's power can round a 0-d operand differently from an array
-        # one, so the first terms come from scalar evaluations, as there
-        term = np.array([costmod.evaluate(f, h + 1) for h in ages.tolist()])
-        out = np.empty(len(ages))
-        live = np.arange(len(ages))
-        total = np.zeros(len(ages))
-        while live.size:
-            total += term
-            term *= r
-            done = term / (1.0 - r) <= tol * np.maximum(1.0, np.abs(total))
-            out[live[done]] = total[done]
-            live, total, term = live[~done], total[~done], term[~done]
-        return out
+        return _geometric_tails(costmod.evaluate(f, ages + 1), f.base * q, tol)
     start_bound = _start_bound(f)
     # running totals and live ages stay in arrays: per-age Python floats
     # that outlive each chunk would pin its terms' memory
@@ -256,26 +210,56 @@ def _discounted_tails(f: CostFunction, p: float, ages: np.ndarray, tol: float) -
     return totals
 
 
+def _geometric_tails(term: np.ndarray, r: float, tol: float) -> np.ndarray:
+    """Exponential tails from each age's first term (updated in place): the
+    terms are exactly geometric with ratio r < 1.
+
+    Generating them recursively keeps every intermediate bounded even when
+    b**(h+k) itself would not be representable. Each age runs
+    `total += term; term *= r` until term / (1 - r) <= tol * max(1, total),
+    a block of steps at a time: cumprod and cumsum accumulate in sequence,
+    so they give the same bits as the loop. Almost every age stops within
+    log(tol) / log(r) steps, which sizes the block.
+    """
+    block = min(_CHUNK_TERMS, max(1, int(math.log(tol) / math.log(r)) + 2))
+    rows = max(1, _CHUNK_TERMS // block)
+    total = np.zeros(len(term))
+    out = np.empty(len(term))
+    live = np.arange(len(term))
+    while live.size:
+        done = np.zeros(live.size, dtype=bool)
+        for c in range(0, live.size, rows):
+            idx = live[c : c + rows]
+            # terms[:, j] is the term added at step j, terms[:, -1] the next
+            terms = np.cumprod(np.column_stack((term[idx], np.full((len(idx), block), r))), axis=1)
+            sums = np.cumsum(np.column_stack((total[idx], terms[:, :-1])), axis=1)[:, 1:]
+            stop = terms[:, 1:] / (1.0 - r) <= tol * np.maximum(1.0, np.abs(sums))
+            hit = stop.any(axis=1)
+            j = stop.argmax(axis=1)
+            out[idx[hit]] = sums[hit, j[hit]]
+            total[idx], term[idx] = sums[:, -1], terms[:, -1]
+            done[c : c + len(idx)] = hit
+        live = live[~done]
+    return out
+
+
 def whittle_unreliable(f: CostFunction, p: float, h: int, tol: float = 1e-10) -> float:
-    """Unreliable-channel index p^2 h sum f(k+h)(1-p)^{k-1} - p sum f(1..h).
+    """Unreliable-channel index p^2 h sum f(k+h)(1-p)^{k-1} - p sum f(1..h),
+    as a row of one age.
 
     At p = 1 the series collapses to f(h+1) and the value equals
     whittle_reliable(f, h) exactly.
     """
-    h = int(_positive_ages(h)[0])
-    tail = discounted_tail(f, p, h, tol=tol)
-    # same cumulative-prefix arithmetic as whittle_reliable so the p = 1
-    # collapse is bit-exact
-    pref = float(prefix_array(f, h)[-1])
-    return p * p * h * tail - p * pref
+    _check_series(f, p, tol)
+    return float(whittle_index(f, p, _positive_ages(h)[:1], tol=tol)[0])
 
 
 def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
     """Index for either channel kind; dispatches on p == 1.
 
-    An array of ages on a lossy channel is one row: each age's tail comes
-    from one vectorised pass with the same bits as whittle_unreliable, and
-    the prefix sums from one cumsum.
+    An array of ages on a lossy channel is one row: the tails come from one
+    vectorised pass, each with the bits of whittle_unreliable at its age,
+    and the prefix sums from one cumsum.
     """
     if p == 1.0:
         return whittle_reliable(f, h)
@@ -344,32 +328,39 @@ def _invert(f: CostFunction, p: float, charges) -> list:
                 n = min(n, cap - 1)
             row = np.concatenate((row, whittle_index(f, p, np.arange(len(row) + 1, n + 1))))
             above = np.flatnonzero(row > C)
-        if not above.size:
-            out.append(ThresholdPolicy(NEVER))
-            continue
-        h = int(above[0]) + 1
-        _verify_threshold_condition(f, p, C, h)
-        out.append(ThresholdPolicy(h))
+        out.append(ThresholdPolicy(int(above[0]) + 1 if above.size else NEVER))
+    found = [(C, t.threshold) for C, t in zip(charges, out) if C != 0.0 and not t.is_never]
+    if found:
+        _verify_thresholds(f, p, *zip(*found))
     return out
 
 
-def _verify_threshold_condition(f, p, C, H, slack=1e-9):
-    """Re-check the two-sided optimality condition at the returned H."""
+def _verify_thresholds(f, p, charges, thresholds, slack=1e-9):
+    """Re-check the two-sided optimality condition at each returned
+    threshold H of its charge C, with every index recomputed rather than
+    read from the searched row (on a lossy channel, one row over the ages
+    H - 1 and H)."""
+    C = np.asarray(charges, dtype=float)
+    H = np.asarray(thresholds, dtype=np.int64)
     if p == 1.0:
-        lam = (prefix_sum(f, H) + C) / H
+        lam = (np.array([prefix_sum(f, h) for h in H.tolist()]) + C) / H
         lo, hi = costmod.evaluate(f, H), costmod.evaluate(f, H + 1)
-        tol = slack * max(1.0, abs(lam))
-        ok = lo <= lam + tol and lam <= hi + tol
+        tol = slack * np.maximum(1.0, np.abs(lam))
+        ok = (lo <= lam + tol) & (lam <= hi + tol)
     else:
         # lower arm of the interval is W(H-1), upper is W(H), both in
         # Definition form; W(0) = 0
-        lower = whittle_unreliable(f, p, H - 1) if H > 1 else 0.0
-        upper = whittle_unreliable(f, p, H)
-        tol = slack * max(1.0, abs(C))
-        ok = lower <= C + tol and C <= upper + tol
-    if not ok:
+        ages = np.concatenate((H - 1, H))
+        w = np.zeros(len(ages))
+        w[ages > 0] = whittle_index(f, p, ages[ages > 0])
+        lower, upper = w[: len(H)], w[len(H) :]
+        tol = slack * np.maximum(1.0, np.abs(C))
+        ok = (lower <= C + tol) & (C <= upper + tol)
+    if not ok.all():
+        bad = int(np.argmin(ok))
         raise ConsistencyError(
-            f"threshold {H} fails its two-sided optimality condition at C={C} (internal bug)"
+            f"threshold {H[bad]} fails its two-sided optimality condition at"
+            f" C={C[bad]} (internal bug)"
         )
 
 

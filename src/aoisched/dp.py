@@ -476,9 +476,8 @@ def _fallback_totals(sources, entering) -> np.ndarray:
     top = a_max + horizon
     totals = np.zeros(len(cycles))
     for i, s in enumerate(sources):
-        limit = costmod.max_representable_age(s.cost)
-        finite = top if limit is None else min(top, limit)
-        row = s.cost(np.arange(1, finite + 1))
+        row = costmod.row(s.cost, top)
+        finite = len(row)
         dist = np.zeros((len(cycles), top))
         for t in range(horizon):
             served = padded[picks, t % periods] == i  # the cycles serving source i at slot t

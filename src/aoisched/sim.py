@@ -137,13 +137,6 @@ def _run_blocks(runs, blocks):
     return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _cost_row(f, horizon):
-    """f(1..T), T the smaller of `horizon` and the largest age f represents."""
-    cap = costmod.max_representable_age(f)
-    top = horizon if cap is None else min(horizon, cap)
-    return costmod.evaluate(f, np.arange(1, top + 1))
-
-
 def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     """The slot loop: simulate runs 0..runs-1 in `blocks` consecutive blocks
     of lockstep runs, and return the per-source cost each run accumulated up
@@ -158,7 +151,7 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     probs = spec.probabilities
     table = _index_table(spec, policy, tmax + 1)
     # each row ends in an OVERFLOW_LIMIT entry that stands for every later age
-    rows = [np.append(_cost_row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
+    rows = [np.append(costmod.row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
     randomized = isinstance(policy, StationaryRandomized)
     out = np.empty((len(checkpoints), runs, n))
     for lo, hi in _run_blocks(runs, blocks):
@@ -327,7 +320,7 @@ def _probe_expectation(spec, policy, horizons):
         if q <= 0.0:
             raise DomainError(f"source {i + 1} is never scheduled; expectation diverges")
         ages = np.arange(1, tmax + 1)
-        f_vals = _cost_row(s.cost, tmax)
+        f_vals = costmod.row(s.cost, tmax)
         f_vals = np.append(f_vals, np.full(tmax - len(f_vals), OVERFLOW_LIMIT))
         geo = q * (1.0 - q) ** (ages - 1.0)
         interior = np.concatenate(([0.0], np.cumsum(f_vals * geo)[:-1]))

@@ -122,12 +122,9 @@ def best_two_source_cycle(f1: CostFunction, f2: CostFunction, k_max: int = 1000)
         raise DomainError("k_max must be at least 2")
 
     def sweep(lead: CostFunction, follow: CostFunction):
-        top = k_max
-        cap = costmod.max_representable_age(follow)
-        if cap is not None:
-            top = min(top, cap - 1)  # the sweep evaluates follow(k+1)
+        pref = np.cumsum(costmod.row(follow, k_max + 1))  # sums f(1..k+1)
+        top = len(pref) - 1  # the sweep evaluates follow(k+1)
         ks = np.arange(1, top + 1)
-        pref = np.cumsum(follow(np.arange(1, top + 2)))  # sums f(1..k+1)
         costs = (pref[1:] + ks * lead(1) + lead(2)) / (ks + 1)
         k_best = int(np.argmin(costs))
         return float(costs[k_best]), int(ks[k_best]), top

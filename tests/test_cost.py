@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoisched import cost
+from aoisched import Source, SystemSpec, cost
+from aoisched.decoupled import DecoupledProblem, optimal_threshold
+from aoisched.dp import TruncatedBox, finite_horizon_dp
 from aoisched.errors import CostRangeError, DomainError
+from aoisched.policies import RoundRobin
+from aoisched.sim import simulate
+from aoisched.structure import certify_theorem3
 
-from conftest import random_cost_and_p
+from conftest import ALL_KINDS, random_cost, random_cost_and_p
 
 
 class TestEvaluate:
@@ -59,6 +64,33 @@ class TestEvaluate:
         assert cost.evaluate(f, cap) <= cost.OVERFLOW_LIMIT
         with pytest.raises(CostRangeError):
             cost.evaluate(f, cap + 1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(ALL_KINDS),
+    x=st.integers(1, 600),
+    offset=st.integers(0, 40),
+)
+@settings(max_examples=300, deadline=None)
+# numpy rounds the power of this exponential at age 2 differently for a 0-d
+# operand than for an array
+@example(seed=0, kind="exponential-2.656", x=2, offset=1)
+def test_scalar_one_element_and_row_entry_give_the_same_bits(seed, kind, x, offset):
+    if kind == "exponential-2.656":
+        f = cost.exponential(2.656, 1.243)
+    else:
+        f = random_cost(np.random.default_rng(seed), kinds=(kind,))
+    cap = cost.max_representable_age(f)
+    top = x + 40 if cap is None else min(x + 40, cap)
+    x = min(x, top)
+    offset = min(offset, x - 1)
+    row = cost.evaluate(f, np.arange(x - offset, top + 1))
+    one = cost.evaluate(f, np.array([x]))
+    scalar = cost.evaluate(f, x)
+    assert isinstance(scalar, float) and one.shape == (1,)
+    assert scalar == one[0] == row[offset]
+    assert cost.evaluate(f, np.int64(x)) == cost.evaluate(f, np.array(x)) == scalar
 
 
 class TestValidation:
@@ -210,3 +242,35 @@ class TestConfigRecords:
     def test_log_base_e_token(self):
         f = cost.from_config({"kind": "logarithmic", "weight": 2, "base": "e"})
         assert f.base == math.e
+
+
+class TestMaxRepresentableAge:
+    def test_fractional_power_has_no_limit(self):
+        # (1e300 / w) ** (1 / e) overflows a float for e < 1; the limit is
+        # computed in logs and stays None past 2^62
+        assert cost.max_representable_age(cost.power(1, 0.5)) is None
+        assert cost.max_representable_age(cost.power(1e-5, 0.01)) is None
+        f = cost.power(1e299, 0.5)
+        cap = cost.max_representable_age(f)
+        assert cap == 100
+        cost.evaluate(f, cap)
+        with pytest.raises(CostRangeError):
+            cost.evaluate(f, cap + 1)
+
+    def test_callers_run_on_a_fractional_power(self):
+        f = cost.power(1, 0.5)
+        spec = SystemSpec((Source(f, 0.8), Source(cost.linear(1), 0.9)))
+        assert simulate(spec, RoundRobin(), horizon=20, runs=2).mean_cost > 0
+        sol = finite_horizon_dp(spec, 10, TruncatedBox(6, 2))
+        assert 0 < sol.optimal_average_cost <= sol.upper_bound
+        assert not optimal_threshold(DecoupledProblem(f, 0.5, 1.0)).is_never
+        assert certify_theorem3(f, cost.linear(1), horizon=40, a_max=8, k_max=50).dp_cost > 0
+
+
+class TestRow:
+    def test_row_stops_at_the_largest_representable_age(self):
+        f = cost.exponential(3)
+        cap = cost.max_representable_age(f)
+        assert np.array_equal(cost.row(f, 10), cost.evaluate(f, np.arange(1, 11)))
+        assert np.array_equal(cost.row(f, 10**4), cost.evaluate(f, np.arange(1, cap + 1)))
+        assert cost.row(cost.linear(2), 0).shape == (0,)

@@ -12,7 +12,7 @@ from aoisched.decoupled import (
     DecoupledProblem,
     ThresholdPolicy,
     _index_supremum,
-    _verify_threshold_condition,
+    _verify_thresholds,
     decoupled_value_iteration,
     discounted_tail,
     indexability_sweep,
@@ -22,7 +22,7 @@ from aoisched.decoupled import (
     whittle_reliable,
     whittle_unreliable,
 )
-from aoisched.errors import AdmissibilityError, CostRangeError, DomainError
+from aoisched.errors import AdmissibilityError, ConsistencyError, CostRangeError, DomainError
 
 from conftest import random_cost, random_cost_and_p
 
@@ -247,6 +247,46 @@ def test_index_increments_match_cost_increments(seed, h):
 # -- the index row against the scalar series ----------------------------------
 
 
+def _scalar_discounted_tail(f, p, h, tol=1e-12):
+    """The per-age scalar loop that the vectorised series replaced, kept as
+    its oracle: sum_{k>=1} f(k+h) (1-p)^{k-1} (p < 1), summed in blocks of
+    terms with one fsum each until the geometric tail bound on the
+    remainder drops below tol * max(1, partial sum); exponential terms by
+    the exact recursion term *= base * (1-p)."""
+    q = 1.0 - p
+    if f.kind == "exponential":
+        r = f.base * q
+        term = cost.evaluate(f, h + 1)
+        total = 0.0
+        while True:
+            total += term
+            term *= r
+            if term / (1.0 - r) <= tol * max(1.0, abs(total)):
+                return total
+    start_bound = f.plateau_start if f.is_bounded_function else (2 if f.kind == "logarithmic" else 1)
+    total = 0.0
+    k = 1
+    block = 64
+    while True:
+        ks = np.arange(k, k + block)
+        terms = cost.evaluate(f, ks + h) * q ** (ks - 1.0)
+        total += math.fsum(terms)
+        k += block
+        x_next = h + k  # age of the first un-summed term
+        if x_next - 1 >= start_bound:
+            r = f.growth_ratio_bound(x_next - 1) * q
+            if r < 1:
+                tail = float(terms[-1]) * r / (1.0 - r)
+                if tail <= tol * max(1.0, abs(total)):
+                    return total
+        block = min(2 * block, 4096)
+
+
+def _scalar_whittle_unreliable(f, p, h, tol=1e-10):
+    tail = _scalar_discounted_tail(f, p, h, tol=tol)
+    return p * p * h * tail - p * float(cost.prefix_array(f, h)[-1])
+
+
 def _lossy_cost(seed, p, near_edge):
     """A random cost that is bounded at p: one of the test suite's six
     families as random_cost_and_p draws them, or an exponential whose ratio
@@ -275,13 +315,20 @@ def test_index_row_is_bit_identical_to_the_scalar_series(seed, p, near_edge, age
     # unsorted, with a repeat, age 1 and (where f allows) an age past 2000
     hs = np.array([min(h, top) for h in ages] + [1, top, min(ages[0], top)])
     row = whittle_index(f, p, hs)
-    assert np.array_equal(row, [whittle_unreliable(f, p, int(h)) for h in hs])
+    assert np.array_equal(row, [_scalar_whittle_unreliable(f, p, int(h)) for h in hs])
+    for h in set(hs.tolist()):
+        assert discounted_tail(f, p, h) == _scalar_discounted_tail(f, p, h)
 
 
-@pytest.mark.parametrize("f", [cost.linear(1), cost.logarithmic(3)], ids=["linear", "logarithmic"])
+@pytest.mark.parametrize(
+    "f",
+    [cost.linear(1), cost.logarithmic(3), cost.exponential(1.1)],
+    ids=["linear", "logarithmic", "exponential"],
+)
 def test_index_row_memory_stays_bounded(f):
     # the terms are gathered a few thousand at a time; a 2000-wide row at a
-    # small p peaks at about 0.2 MiB, and 64k-term chunks would take 2.7
+    # small p peaks at about 0.2 MiB (0.25 for the exponential's geometric
+    # blocks), and 64k-term chunks would take 2.7
     hs = np.arange(1, 2001)
     whittle_index(f, 0.15, hs[:50])
     tracemalloc.start()
@@ -328,7 +375,7 @@ def _old_scan_for_threshold(f, p, C, h_stop, memo, block=256):
         else:
             for h in hs.tolist():
                 if h not in memo:
-                    memo[h] = whittle_unreliable(f, p, h)
+                    memo[h] = _scalar_whittle_unreliable(f, p, h)
             w = np.array([memo[h] for h in hs.tolist()])
         above = np.nonzero(w > C)[0]
         if above.size:
@@ -348,7 +395,7 @@ def _old_optimal_threshold(f, p, C, memo=None):
     h = _old_scan_for_threshold(f, p, C, h_stop, {} if memo is None else memo)
     if h is None:
         return NEVER
-    _verify_threshold_condition(f, p, C, h)
+    _verify_thresholds(f, p, [C], [h])
     return h
 
 
@@ -434,3 +481,20 @@ def test_a_charge_past_the_last_representable_index_raises():
     C = float(whittle_index(f, 1.0, cap - 1)) * 2
     with pytest.raises(CostRangeError):
         optimal_threshold(DecoupledProblem(f, 1.0, C))
+
+
+@pytest.mark.parametrize("p", [0.4, 1.0])
+def test_the_batched_guard_rejects_one_threshold_off_by_one(p):
+    # charges midway between index entries: thresholds 2..9, each with a
+    # clear margin on both sides of its two-sided condition
+    f = cost.power(1, 2)
+    row = whittle_index(f, p, np.arange(1, 10))
+    charges = (row[:-1] + row[1:]) / 2
+    thresholds = [t.threshold for t in indexability_sweep(f, p, charges)]
+    assert thresholds == list(range(2, 10))
+    _verify_thresholds(f, p, charges, thresholds)
+    for j, step in ((0, -1), (3, 1), (7, -1), (7, 1)):
+        bad = list(thresholds)
+        bad[j] += step
+        with pytest.raises(ConsistencyError, match=f"threshold {bad[j]} fails"):
+            _verify_thresholds(f, p, charges, bad)
