@@ -28,14 +28,20 @@ longer on every axis, the extra entry repeating the cap, and picks actions
 by a running compare-select that keeps ties at the lowest source index; the
 forward pass moves all failure mass with one shifted slice.
 
-The greedy actions are stored as runs of identical stages: the backward
-pass keeps a stage's table only when it differs from the stage after it,
-and otherwise refers to that stage's table, so `actions[t]` reads every
-stage and the same array object serves the whole run. Lossy policies
-settle far from the horizon (E2 at a_max 30 has 56 runs in 500 stages), so
-such a solve holds a few dozen tables, not one per stage.
-Reliable tables can oscillate with the reset cycle at tie states: B1, C1,
-D1, E1 and F1 store a new table at every stage.
+The greedy actions are stored by content: a stage refers to the stage
+after it when their tables are equal, and otherwise to an earlier stored
+table of equal content if there is one, so `actions[t]` reads every stage
+and equal tables anywhere in the horizon share one array object. Lossy
+policies settle far from the horizon (E2 at a_max 30 has 56 runs in 500
+stages and 50 distinct tables). Reliable tables can oscillate with the
+reset cycle at tie states, changing at every stage among a few contents:
+B1 and C1 (a_max 30) store 3 tables, D1 (a_max 20) 13, and E1 and F1
+(a_max 15) 39 and 64. Either way a solve holds a few dozen tables, not one
+per stage.
+
+The forward audit scatters success mass through a cached index of the
+carrying states that it rebuilds only when the stage table or the support
+outgrows it (see `_forward_truncation_pass`).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -121,8 +128,8 @@ class DpSolution:
     reads its action at the state with every age clamped to a_max.
 
     `stage_actions`, kept when the solve is asked to retain it, holds one
-    int8 table per stage; consecutive stages with equal actions share one
-    read-only array object, so it holds references, not a dense copy.
+    int8 table per stage; stages with equal actions share one read-only
+    array object, so it holds references, not a dense copy.
     `stage1_actions` is its first entry.
     """
 
@@ -140,9 +147,10 @@ class DpSolution:
 
     def action(self, ages) -> int:
         """Stage-1 greedy action at an in-box age vector."""
-        if not self.box.contains(ages):
-            raise DomainError(f"ages {tuple(ages)} outside the solved box")
-        return int(self.stage1_actions[self.box.state_index(ages)])
+        arr = validate_ages(self.box, ages)
+        if not self.box.contains(arr):
+            raise DomainError(f"ages {tuple(arr.tolist())} outside the solved box")
+        return int(self.stage1_actions[self.box.state_index(arr)])
 
     def as_tabular_policy(self, fallback=None) -> Tabular:
         """The stage-1 greedy table as a simulatable policy."""
@@ -163,12 +171,17 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     retained stage tables are the stored action tables themselves, not a
     copy.
 
-    It charges one stored table per stage, the true worst case: a reliable
-    solve can store a new table at every stage. The run count is known only
-    after the backward pass, so a smaller charge could admit a box whose
-    policy keeps changing and then overrun the budget mid-solve. The full
-    charge is also what stops `finite_horizon_dp_auto` at E2's a_max 30:
-    a_max 60 exceeds the default budget.
+    It charges one stored table per stage, the true worst case: tables are
+    shared only when their contents repeat, and a policy can take a new
+    content at every stage. The bundled settings store 3 to 64 tables in
+    500 stages, but that count is known only after the backward pass, so a
+    smaller charge could admit a box whose policy keeps changing and then
+    overrun the budget mid-solve. The full charge is also what stops
+    `finite_horizon_dp_auto` at E2's a_max 30: a_max 60 exceeds the
+    default budget.
+
+    The forward audit's cached index is charged at every below-cap state,
+    since the support it covers can be any set of them.
     """
     m, n, a_max = box.state_count, box.n_sources, box.a_max
     below = (a_max - 1) ** n  # states that can carry mass in the forward pass
@@ -179,9 +192,11 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     held += 200 * horizon + (1 << 18)  # realized trajectory; ufunc buffers, objects
     # best, q, compare mask and the stage compare; success terms
     backward = 18 * m + 8 * n * m // a_max
-    # distributions and the failure factors; cap indices, per-source orders
-    # and siphoned mass; live states and one source's success scatter
-    forward = 25 * m + 8 * (2 * n + 3) * cap + 60 * below
+    # distributions, failure factors, the cap mask and the two support
+    # masks; cap indices and ages, per-source orders and siphoned mass; the
+    # cached index over at most every below-cap state (state, action,
+    # success target and probability, gathered mass, or a rebuild's ages)
+    forward = 27 * m + 8 * (2 * n + 3) * cap + 33 * below
     cycles = len(_weighted_round_robins(n))
     # age chains, two sources' worth at a swap, and a slot's product and
     # contiguous copy; one cost row
@@ -302,10 +317,13 @@ def _backward_pass(box, probs, stage_cost, horizon):
     only where strictly cheaper, so ties go to the lowest source index.
 
     Each stage's actions are built in one reused buffer. A stage equal to
-    the stage after it refers to that stage's table; otherwise the buffer
-    becomes the new stored table (read-only from then on, since a run
-    shares it) and a fresh buffer takes its place. Returns the stage-0
-    values and a tuple of `horizon` flat tables.
+    the stage after it refers to that stage's table. Otherwise it looks up
+    an earlier stored table of equal content, keyed by the CRC-32 of its
+    bytes and confirmed by a full compare, and refers to that one; only a
+    table unseen so far makes the buffer a new stored table (read-only from
+    then on, since several stages share it) and takes a fresh buffer. The
+    lookup runs only when a stage differs from the stage after it. Returns
+    the stage-0 values and a tuple of `horizon` flat tables.
     """
     n, a_max = box.n_sources, box.a_max
     every = slice(1, None)
@@ -317,6 +335,7 @@ def _backward_pass(box, probs, stage_cost, horizon):
            for i in range(n)]
     actions = [None] * horizon
     stored = None
+    by_digest = {}  # CRC-32 of a stored table's bytes -> that table
     buf = np.empty(box.state_count, dtype=np.int8)
     best = np.empty(box.shape)
     q = np.empty(box.shape)
@@ -342,8 +361,12 @@ def _backward_pass(box, probs, stage_cost, horizon):
         for dst, src in top:
             ext[dst] = ext[src]
         if stored is None or not (buf == stored).all():
-            stored, buf = buf, np.empty_like(buf)
-            stored.flags.writeable = False
+            key = zlib.crc32(buf)
+            stored = by_digest.get(key)
+            if stored is None or not np.array_equal(stored, buf):
+                stored, buf = buf, np.empty_like(buf)
+                stored.flags.writeable = False
+                by_digest[key] = stored
         actions[t] = stored
     return value, tuple(actions)
 
@@ -367,8 +390,20 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     added to. Success targets collect the states that differ only in the
     served age, added by np.add.at in ascending state order.
 
-    The failure factors are gathered once per stored table: a stage that
+    The failure factors are gathered once per run of stages: a stage that
     shares the previous stage's table object reuses them.
+
+    Success mass is scattered through a cached index: the indexed states in
+    ascending order, each one's success target and success probability,
+    moved by one np.add.at. The index is rebuilt when the stage's table is
+    a different object or when a carrying state lies outside it; otherwise
+    it is a superset of the carrying states, and the result keeps its bits:
+    a target has an age of 1 on exactly one axis, so all its mass comes
+    from states serving that one source and still arrives in ascending
+    state order, and an indexed state whose mass has since become 0 adds
+    an exact 0.0. A settled lossy box rebuilds it about twice per run of
+    equal stages (E2 at a_max 30: 117 times in 500 stages); a reliable
+    box, whose single carrying state moves at every stage, at every stage.
     """
     n, a_max, m = box.n_sources, box.a_max, box.state_count
     shape = box.shape
@@ -400,11 +435,13 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
                 entering[t, i, empty] = 0.0
         return mass
 
-    strides = box.strides
-    shift = sum(strides)
+    strides = np.array(box.strides)
+    shift = int(strides.sum())
     fail_p = 1.0 - probs
     fail_at = np.empty(m - shift)  # 1 - p of the action at each state that can fail
     gathered = None
+    carrying = np.empty(m - shift, dtype=bool)
+    indexed = np.zeros(m - shift, dtype=bool)  # the states the index was built from
     cost = stage_cost.reshape(m)
     d = np.zeros(m)
     nxt = np.empty(m)
@@ -414,18 +451,35 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     for t in range(horizon):
         per_stage[t] = float(d @ cost)
         a = actions[t]
-        if a is not gathered:
+        stale = a is not gathered
+        if stale:
             np.take(fail_p, a[:-shift], out=fail_at, mode="clip")  # unbuffered; a < n
             gathered = a
-        np.multiply(fail_at, d[:-shift], out=nxt[shift:])
+        head = d[:-shift]
+        np.not_equal(head, 0.0, out=carrying)
+        np.greater(carrying, indexed, out=carrying)  # carrying but not indexed
+        if stale or carrying.any():
+            live = own = served = succ = w = None  # release the old index first
+            np.not_equal(head, 0.0, out=indexed)
+            live = np.flatnonzero(indexed)
+            own = a[live]
+            succ = probs[own]
+            # served: the served source's age c + 1 drops to 1, every other
+            # age grows by one, so the target is live + shift - (c + 1) * stride
+            served = strides[own]
+            c = live // served
+            c %= a_max
+            c += 1
+            served *= c
+            del c
+            np.subtract(live, served, out=served)
+            served += shift
+            w = np.empty(live.size)
+        np.multiply(fail_at, head, out=nxt[shift:])
         nxt[:shift] = 0.0
-        live = np.flatnonzero(d)
-        live_a = a[live]
-        for i, p in enumerate(probs):
-            sel = live[live_a == i]
-            # served: age i drops to 1, every other age grows by one
-            served = sel + (shift - strides[i]) - (sel // strides[i] % a_max) * strides[i]
-            np.add.at(nxt, served, p * d[sel])
+        np.take(d, live, out=w, mode="clip")  # unbuffered; live < m
+        w *= succ
+        np.add.at(nxt, served, w)
         touched += siphon(nxt, t + 1)
         d, nxt = nxt, d
     return touched, per_stage, entering
@@ -504,6 +558,8 @@ def finite_horizon_dp_auto(
     clean, the doubling budget runs out, or the next doubling would blow the
     memory budget; the best solution obtained is returned (with its warning
     when the report stayed above threshold)."""
+    if max_doublings < 0:
+        raise DomainError("max_doublings must be non-negative")
     if a_max is None:
         a_max = default_a_max(spec.n_sources)
     best = None

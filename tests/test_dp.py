@@ -414,6 +414,14 @@ def _assert_maximal_runs(tables):
         assert (earlier is later) == np.array_equal(earlier, later)
 
 
+def _assert_shared_by_content(tables):
+    """Equal tables anywhere in the horizon share one object."""
+    by_content = {}
+    for table in tables:
+        assert by_content.setdefault(table.tobytes(), table) is table
+    return len(by_content)
+
+
 def _assert_matches_reference(spec, horizon, box, initial):
     total, actions, stage_cost, touched, per_stage, entering = _reference_kernel(
         spec, horizon, box, initial
@@ -432,6 +440,7 @@ def _assert_matches_reference(spec, horizon, box, initial):
     assert sol.stage_costs.tobytes() == per_stage.tobytes()
     assert np.stack(sol.stage_actions).tobytes() == actions.tobytes()
     _assert_maximal_runs(sol.stage_actions)
+    _assert_shared_by_content(sol.stage_actions)
     assert sol.stage1_actions is sol.stage_actions[0]
     assert _stage_cost(spec, box).tobytes() == stage_cost.tobytes()
     _, _, got = _forward_truncation_pass(
@@ -500,9 +509,69 @@ class TestKernelMatchesReference:
         (system_for("F1").sources, 5, 40, (1, 1, 1, 1)),
         (system_for("E2").sources, 8, 40, (1, 8, 3, 1)),
         ((Source(cost.table([0.0]), 0.4), Source(cost.table([0.0]), 1.0)), 4, 20, (4, 1)),
+        # the forward audit's cached index: cap contact empties indexed
+        # states under an unchanged table (stages 57 to 59 scatter zeros
+        # without a rebuild); 1 - p = 1e-12 underflows failure chains to
+        # exact zeros; A2's table changes near the horizon over a settled
+        # support; a lossy N = 1 box of a_max 2 and a three-source one
+        # start at the cap, so the support is empty from the first stage
+        ((Source(cost.linear(1), 1 - 1e-6), Source(cost.linear(3), 1e-3)), 30, 60, (1, 5)),
+        ((Source(cost.linear(1), 1 - 1e-12),), 64, 60, (20,)),
+        ((Source(cost.linear(1), 1 - 1e-12), Source(cost.linear(2), 0.5)), 40, 60, (1, 1)),
+        (system_for("A2").sources, 10, 60, (1, 1)),
+        ((Source(cost.linear(2), 0.5),), 2, 30, (2,)),
+        (system_for("D2").sources, 6, 30, (6, 1, 2)),
     ])
     def test_edge_cases_bit_identical(self, sources, a_max, horizon, initial):
         _assert_matches_reference(SystemSpec(sources), horizon, TruncatedBox(a_max, len(sources)), initial)
+
+
+class TestForwardIndex:
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_settled_box_rebuilds_the_index_rarely(self, monkeypatch):
+        # E2's sources at a_max 12 rebuild the index 78 times in 500 stages;
+        # the audit calls flatnonzero once for the cap and once per rebuild
+        spec = system_for("E2")
+        box = TruncatedBox(12, 4)
+        sol = finite_horizon_dp(spec, 500, box=box, retain_stage_tables=True)
+        calls = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
+        _forward_truncation_pass(box, sol.stage_actions, spec.probabilities, _stage_cost(spec, box), 0)
+        rebuilds = len(calls) - 1
+        assert 0 < rebuilds <= 100
+
+
+class TestStoredTables:
+    @pytest.mark.parametrize("name,a_max,stored", [
+        ("B1", 30, 3), ("D1", 20, 13), ("E1", 15, 39), ("F1", 15, 64),
+    ])
+    def test_reliable_tables_stored_once_per_content(self, name, a_max, stored):
+        # tie states make these tables change at every stage, among a few
+        # contents that recur with the reset cycle
+        spec = system_for(name)
+        sol = finite_horizon_dp(
+            spec, 500, box=TruncatedBox(a_max, spec.n_sources), retain_stage_tables=True
+        )
+        _assert_maximal_runs(sol.stage_actions)
+        assert _assert_shared_by_content(sol.stage_actions) == stored
+        assert len({id(a) for a in sol.stage_actions}) == stored
+
+
+class TestInputChecks:
+    def test_negative_doubling_budget_is_refused(self):
+        with pytest.raises(DomainError, match="max_doublings"):
+            finite_horizon_dp_auto(system_for("A1"), 10, a_max=6, max_doublings=-1)
+
+    @pytest.mark.parametrize("ages", [(1.5, 2), (1, 2, 3), (1,), (0, 1), (7, 1)])
+    def test_action_rejects_bad_age_vectors(self, ages):
+        sol = finite_horizon_dp(system_for("A1"), 10, box=TruncatedBox(6, 2))
+        with pytest.raises(DomainError):
+            sol.action(ages)
+
+    def test_action_accepts_integral_floats(self):
+        sol = finite_horizon_dp(system_for("A1"), 10, box=TruncatedBox(6, 2))
+        assert sol.action((2.0, 3.0)) == sol.action((2, 3))
 
 
 # recorded with the gather/argmin kernel before the slice-view rewrite, at
