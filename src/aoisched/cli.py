@@ -151,6 +151,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     if cmd == "run":
         return _cmd_run(args)
     if cmd == "index":

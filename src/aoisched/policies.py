@@ -270,13 +270,14 @@ def _whittle_values(spec, ages, index_table):
     """Index values at a block of ages: table lookups, except that a row
     with any age past the table computes its whole row from the series."""
     width = 0 if index_table is None else index_table.shape[1]
-    cols = np.arange(spec.n_sources)
+    # W_i(a) is entry a + offsets[i] of the table read in C order
+    offsets = np.arange(spec.n_sources) * width - 1
     if ages.max() <= width:
-        return index_table[cols, ages - 1]
+        return index_table.take(ages + offsets)
     vals = np.empty(ages.shape)
     for j, row in enumerate(ages):
         if row.max() <= width:
-            vals[j] = index_table[cols, row - 1]
+            vals[j] = index_table.take(row + offsets)
         else:
             vals[j] = [decoupled.whittle_index(s.cost, s.p, int(a)) for s, a in zip(spec.sources, row)]
     return vals

@@ -11,6 +11,13 @@ its channel uniforms from a counter-based Philox stream keyed by (s, r, 0)
 and its policy uniforms, when the policy is randomized, from (s, r, 1).
 Runs therefore commute: splitting the runs into K blocks, simulated one
 after another without threads, gives identical results at any K.
+
+The key of stream (s, r, kind) is the one numpy's
+`SeedSequence(entropy=s mod 2**64, spawn_key=(r, kind))` generates, so the
+stream is Philox(key) as numpy builds it. The keys of a block of runs are
+derived in one vectorised pass of that hash, and one reused Philox draws
+every run's uniforms. Reliable runs draw no channel uniforms at all: a
+uniform in [0, 1) is always below p = 1.
 """
 
 from __future__ import annotations
@@ -89,13 +96,90 @@ class Cycle:
         return len(self.states)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): hashmix runs
+# a multiplier from INIT_A by MULT_A, generate_state one from INIT_B by MULT_B
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _multipliers(init, mult, n):
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+# 4 pool words, 12 pool cross-mixes and 2 spawn words into 4 pool words
+_HASH_A = _multipliers(_INIT_A, _MULT_A, 24)
+_HASH_B = _multipliers(_INIT_B, _MULT_B, 4)
+
+
+def _xorshift(v):
+    return v ^ (v >> np.uint32(16))
+
+
+def _philox_keys(seed: int, runs: np.ndarray, kind: int) -> np.ndarray:
+    """Philox key of the stream (seed, run, kind) for every run in `runs`,
+    shape (len(runs), 2) uint64. It equals
+    SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(run, kind))
+    .generate_state(2, np.uint64), computed for all runs at once in uint32
+    arithmetic: the entropy is the seed's two words padded to the 4-word
+    pool, then the run and the kind, one word each, and no hash constant
+    depends on the data."""
+    s = seed & (2**64 - 1)
+    words = [np.full(len(runs), w, dtype=np.uint32) for w in (s & _M32, s >> 32, 0, 0)]
+    words += [np.asarray(runs, dtype=np.uint32), np.full(len(runs), kind, dtype=np.uint32)]
+    consts = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(v):
+        x, m = next(consts)
+        return _xorshift((v ^ np.uint32(x)) * np.uint32(m))
+
+    def mix(x, y):
+        return _xorshift(np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = [
+        _xorshift((v ^ np.uint32(x)) * np.uint32(m)).astype(np.uint64)
+        for v, x, m in zip(pool, _HASH_B, _HASH_B[1:])
+    ]
+    high = np.uint64(32)
+    return np.stack([state[0] | state[1] << high, state[2] | state[3] << high], axis=1)
+
+
 def _uniforms(seed: int, lo: int, hi: int, kind: int, slots: int) -> np.ndarray:
     """`slots` uniforms for each of runs lo..hi-1 from the Philox stream keyed
-    by (seed, run, kind); kind 0 is the channel, kind 1 the policy."""
-    out = np.empty((hi - lo, slots))
-    for row, run in zip(out, range(lo, hi)):
-        key = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(run, kind))
-        np.random.Generator(np.random.Philox(key)).random(out=row)
+    by (seed, run, kind), as a (slots, hi - lo) array whose row t holds
+    slot t of every run; kind 0 is the channel, kind 1 the policy. One
+    Philox is reset to each run's key, counter 0 and an empty buffer, which
+    is the state numpy builds from the run's SeedSequence."""
+    if not 0 <= lo <= hi <= 2**32:
+        raise DomainError(f"run indices must lie in [0, 2**32), got {lo}..{hi - 1}")
+    out = np.empty((slots, hi - lo))
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": None},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for j, key in enumerate(_philox_keys(seed, np.arange(lo, hi), kind)):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        out[:, j] = gen.random(slots)
     return out
 
 
@@ -111,12 +195,15 @@ def simulate(
 
     Returns the mean and standard error (over runs) of the per-slot average
     cost, plus the per-source breakdown of the mean. The runs are split into
-    `workers` blocks simulated one after another (no threads), which bounds
-    the memory of the uniform arrays; identical (seed, config) inputs give
-    bit-identical results at any block count.
+    `workers` blocks (an integer >= 1, else DomainError) simulated one after
+    another (no threads), which bounds the memory of the uniform arrays;
+    identical (seed, config) inputs give bit-identical results at any block
+    count.
     """
     if horizon < 1 or runs < 1:
         raise DomainError("horizon and runs must be positive")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     (acc,) = _run_slots(spec, policy, runs, seed, [horizon], blocks=workers)
     totals = acc.sum(axis=1) / horizon
     mean = float(totals.mean())
@@ -132,8 +219,7 @@ def simulate(
 
 
 def _run_blocks(runs, blocks):
-    blocks = max(1, min(int(blocks), runs))
-    bounds = np.linspace(0, runs, blocks + 1).astype(int)
+    bounds = np.linspace(0, runs, min(blocks, runs) + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
@@ -142,9 +228,12 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     of lockstep runs, and return the per-source cost each run accumulated up
     to each checkpoint horizon, shape (len(checkpoints), runs, N).
 
-    Costs are looked up in one row per source, built once. An age past its
-    row raises CostRangeError naming the slot and source, or, with
-    `saturate`, costs OVERFLOW_LIMIT (callers cap the sums there).
+    Costs are looked up in one row per source, built once and laid end to
+    end in one flat table, so a slot whose ages all lie inside their rows
+    costs one gather. An age past its row raises CostRangeError naming the
+    slot and source, or, with `saturate`, costs OVERFLOW_LIMIT (callers cap
+    the sums there). A served age is reset through its flat cell index:
+    run r's source i is cell r * N + i.
     """
     n = spec.n_sources
     tmax = checkpoints[-1]
@@ -152,34 +241,46 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     table = _index_table(spec, policy, tmax + 1)
     # each row ends in an OVERFLOW_LIMIT entry that stands for every later age
     rows = [np.append(costmod.row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
+    lens = [len(row) for row in rows]
+    flat_cost = np.concatenate(rows)
+    # age a of source i costs flat_cost[a + cost_offsets[i]]
+    cost_offsets = np.cumsum([0] + lens[:-1]) - 1
+    shortest = min(lens)
     randomized = isinstance(policy, StationaryRandomized)
     out = np.empty((len(checkpoints), runs, n))
     for lo, hi in _run_blocks(runs, blocks):
-        u_chan = _uniforms(seed, lo, hi, 0, tmax)
+        u_chan = None if spec.reliable else _uniforms(seed, lo, hi, 0, tmax)
         u_pol = _uniforms(seed, lo, hi, 1, tmax) if randomized else None
         ages = np.ones((hi - lo, n), dtype=np.int64)
+        cells = np.arange(0, ages.size, n)
+        # one offset per cell: a broadcast (runs, N) + (N,) add is slow at small N
+        cost_cells = np.tile(cost_offsets, (hi - lo, 1))
         acc = np.zeros((hi - lo, n))
-        run_idx = np.arange(hi - lo)
         k = 0
         for t in range(tmax):
-            for i, row in enumerate(rows):
-                col = ages[:, i]
-                if t + 1 < len(row) or col.max() < len(row):  # ages are at most t + 1
-                    acc[:, i] += row[col - 1]
-                elif saturate:
-                    acc[:, i] += row[np.minimum(col, len(row)) - 1]
-                else:  # past the row: evaluate raises, naming the age
-                    try:
-                        acc[:, i] += spec.sources[i].cost(col)
-                    except CostRangeError as e:
-                        raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
+            if t + 1 < shortest:  # ages are at most t + 1
+                acc += flat_cost.take(ages + cost_cells)
+            else:
+                for i, row in enumerate(rows):
+                    col = ages[:, i]
+                    if col.max() < len(row):
+                        acc[:, i] += row[col - 1]
+                    elif saturate:
+                        acc[:, i] += row[np.minimum(col, len(row)) - 1]
+                    else:  # past the row: evaluate raises, naming the age
+                        try:
+                            acc[:, i] += spec.sources[i].cost(col)
+                        except CostRangeError as e:
+                            raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
             try:
-                acts = _decide_rows(policy, spec, ages, t, u_pol[:, t] if randomized else None, table)
+                acts = _decide_rows(policy, spec, ages, t, u_pol[t] if randomized else None, table)
             except CostRangeError as e:
                 raise CostRangeError(f"slot {t + 1}: {e}") from None
-            success = u_chan[:, t] < probs[acts]
+            served = cells + acts
+            if u_chan is not None:
+                served = served[u_chan[t] < probs.take(acts)]
             ages += 1
-            ages[run_idx[success], acts[success]] = 1
+            ages.put(served, 1)
             # ages after slot t are at most t + 2; saturated costs need no guard
             if t + 2 > AGE_GUARD and not saturate and ages.max() > AGE_GUARD:
                 raise CostRangeError(f"age exceeded {AGE_GUARD} at slot {t + 1}")

@@ -55,6 +55,14 @@ class TestRun:
         assert (out1 / "smoke.csv").read_bytes() == (out2 / "smoke.csv").read_bytes()
         assert (out1 / "smoke.json").read_bytes() == (out2 / "smoke.json").read_bytes()
 
+    def test_workers_below_one_is_usage_error(self, small_config, tmp_path, capsys):
+        for bad in ("0", "-3"):
+            out = tmp_path / f"w{bad}"
+            rc = main(["run", "--config", str(small_config), "--out", str(out), "--workers", bad])
+            assert rc == 1
+            assert f"--workers must be at least 1, got {bad}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_seed_override_changes_results(self, small_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         main(["run", "--config", str(small_config), "--out", str(out1)])
@@ -211,6 +219,12 @@ class TestTables:
 
     def test_unknown_subset_is_usage_error(self, capsys):
         assert main(["tables", "--only", "table9_Z1"]) == 1
+
+    def test_workers_below_one_is_usage_error(self, capsys):
+        assert main(["tables", "--only", "table1_A1", "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--workers must be at least 1, got 0" in captured.err
+        assert "finished" not in captured.err
 
 
 def test_run_experiment_library_roundtrip(small_config):
