@@ -39,9 +39,12 @@ B1 and C1 (a_max 30) store 3 tables, D1 (a_max 20) 13, and E1 and F1
 (a_max 15) 39 and 64. Either way a solve holds a few dozen tables, not one
 per stage.
 
-The forward audit scatters success mass through a cached index of the
-carrying states that it rebuilds only when the stage table or the support
-outgrows it (see `_forward_truncation_pass`).
+On lossy or mixed channels the forward audit scatters success mass
+through a cached index of the carrying states that it rebuilds only when
+the stage table or the support outgrows it (see `_forward_truncation_pass`).
+On reliable channels the state distribution is a single point, so the
+audit walks the one path that point takes, the realized trajectory, with
+the dense pass's bits (see `_reliable_audit`).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from . import cost as costmod
 from .errors import CapacityError, DomainError, NonCyclicError
-from .policies import SystemSpec, Tabular, validate_ages
+from .policies import SystemSpec, Tabular, validate_ages, validate_count
 from .sim import _closed_cycle, _reliable_path
 
 TRUNCATION_WARN_LEVEL = 1e-6
@@ -82,10 +85,8 @@ class TruncatedBox:
     n_sources: int
 
     def __post_init__(self):
-        if self.a_max < 2:
-            raise DomainError("a_max must be at least 2")
-        if self.n_sources < 1:
-            raise DomainError("n_sources must be positive")
+        validate_count("a_max", self.a_max, 2)
+        validate_count("n_sources", self.n_sources)
 
     @property
     def shape(self) -> tuple:
@@ -125,7 +126,10 @@ class DpSolution:
     period of the underlying reset cycle, so freezing any single stage table
     into a stationary policy may realize a strictly worse cycle. Its
     (ages, action) pairs hold the true, unclamped ages; a state past the box
-    reads its action at the state with every age clamped to a_max.
+    reads its action at the state with every age clamped to a_max. The same
+    path gives the truncation report and `stage_costs`: the report is 1.0 if
+    the path reaches an age of a_max by slot `horizon`, else 0.0, and each
+    slot from that one on costs 0.0.
 
     `stage_actions`, kept when the solve is asked to retain it, holds one
     int8 table per stage; stages with equal actions share one read-only
@@ -212,17 +216,17 @@ def finite_horizon_dp(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     retain_stage_tables: bool = False,
 ) -> DpSolution:
-    """Backward induction over `horizon` slots from `initial` (all ones by
-    default). The value is exact for the clamped box and a lower bound L on
-    the unclamped optimum; `upper_bound` is the exact cost U of the box
-    policy with its fixed-schedule fallback at the cap, so the unclamped
-    optimum lies in [L, U] (U = L when the truncation report is 0). Raises
+    """Backward induction over `horizon` slots (an integer >= 1, else
+    DomainError) from `initial` (all ones by default). The value is exact
+    for the clamped box and a lower bound L on the unclamped optimum;
+    `upper_bound` is the exact cost U of the box policy with its
+    fixed-schedule fallback at the cap, so the unclamped optimum lies in
+    [L, U] (U = L when the truncation report is 0). Raises
     CapacityError before allocating anything if the memory estimate exceeds
     `memory_budget`; attaches a warning to the solution when the truncation
     report exceeds 1e-6.
     """
-    if horizon < 1:
-        raise DomainError("horizon must be positive")
+    horizon = validate_count("horizon", horizon)
     n = spec.n_sources
     if box is None:
         box = TruncatedBox(default_a_max(n), n)
@@ -245,9 +249,15 @@ def finite_horizon_dp(
     V, actions = _backward_pass(box, probs, stage_cost, horizon)
     total = float(V[tuple(a - 1 for a in initial)])
 
-    touched, per_stage, entering = _forward_truncation_pass(
-        box, actions, probs, stage_cost, box.state_index(initial)
-    )
+    trajectory = None
+    if spec.reliable:
+        trajectory, touched, per_stage, entering = _reliable_audit(
+            box, actions, stage_cost, initial
+        )
+    else:
+        touched, per_stage, entering = _forward_truncation_pass(
+            box, actions, probs, stage_cost, box.state_index(initial)
+        )
     lower = total / horizon
     if touched == 0.0:
         upper = lower  # the box policy never clamps: the box value is exact
@@ -255,14 +265,6 @@ def finite_horizon_dp(
         fallback = float(_fallback_totals(spec.sources, entering).min())
         # the max only absorbs rounding when the cap mass is tiny
         upper = max(lower, (float(per_stage.sum()) + fallback) / horizon)
-    trajectory = None
-    if spec.reliable:
-        a_max, strides = box.a_max, box.strides
-
-        def choose(ages, t):  # the stage-t action at the ages clamped into the box
-            return int(actions[t][sum((min(x, a_max) - 1) * k for x, k in zip(ages, strides))])
-
-        trajectory = tuple(itertools.islice(_reliable_path(initial, choose), horizon))
 
     notes = ()
     if touched > TRUNCATION_WARN_LEVEL:
@@ -363,7 +365,7 @@ def _backward_pass(box, probs, stage_cost, horizon):
         if stored is None or not (buf == stored).all():
             key = zlib.crc32(buf)
             stored = by_digest.get(key)
-            if stored is None or not np.array_equal(stored, buf):
+            if stored is None or not (stored == buf).all():
                 stored, buf = buf, np.empty_like(buf)
                 stored.flags.writeable = False
                 by_digest[key] = stored
@@ -402,8 +404,11 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     from states serving that one source and still arrives in ascending
     state order, and an indexed state whose mass has since become 0 adds
     an exact 0.0. A settled lossy box rebuilds it about twice per run of
-    equal stages (E2 at a_max 30: 117 times in 500 stages); a reliable
-    box, whose single carrying state moves at every stage, at every stage.
+    equal stages (E2 at a_max 30: 117 times in 500 stages).
+
+    `finite_horizon_dp` runs this pass for lossy and mixed specs only; a
+    reliable spec's audit walks its one path instead (`_reliable_audit`),
+    and this pass stays its oracle in the tests.
     """
     n, a_max, m = box.n_sources, box.a_max, box.state_count
     shape = box.shape
@@ -485,6 +490,48 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     return touched, per_stage, entering
 
 
+def _reliable_audit(box, actions, stage_cost, initial):
+    """The realized trajectory of a reliable solve, and the forward audit
+    of `_forward_truncation_pass` read off it.
+
+    On reliable channels the state distribution is a point mass on the one
+    path `_reliable_path` walks under the stage tables, reading each action
+    at the ages clamped into the box. The walk goes one slot past the
+    horizon, to the arrival state, whose action is never read. Until the
+    path first has an age equal to a_max (at slots 0 to `horizon`), each
+    slot costs its state's stage cost. At that slot the whole mass touches
+    the cap: the report is 1.0, the cap-entry marginals (below the horizon)
+    hold a 1.0 at each source's age, and every later slot costs 0.0.
+
+    These are the dense pass's bits. With p = 1 its failure slice writes
+    exact zeros and the success scatter moves the single 1.0 to its target;
+    `d @ cost` of a one-hot vector is that state's cost, since every stage
+    cost is finite and +0.0 or positive; and the siphon's sum and reduceat
+    each see one 1.0.
+
+    Returns the `horizon` (ages, action) pairs of the path on true ages,
+    then the report, the per-slot costs and the marginals.
+    """
+    horizon, n, a_max = len(actions), box.n_sources, box.a_max
+    strides = box.strides
+
+    def choose(ages, t):  # the stage-t action at the ages clamped into the box
+        if t == horizon:
+            return None  # the arrival state: the walk ends here
+        return int(actions[t][sum((min(x, a_max) - 1) * k for x, k in zip(ages, strides))])
+
+    path = tuple(itertools.islice(_reliable_path(initial, choose), horizon + 1))
+    ages = np.array([state for state, _ in path])
+    hits = np.flatnonzero((ages == a_max).any(axis=1))
+    stop = int(hits[0]) if hits.size else horizon
+    per_stage = np.zeros(horizon)
+    per_stage[:stop] = stage_cost.reshape(-1)[(ages[:stop] - 1) @ np.array(strides)]  # below the cap
+    entering = np.zeros((horizon, n, a_max))
+    if stop < horizon:
+        entering[stop, np.arange(n), ages[stop] - 1] = 1.0
+    return path[:horizon], float(hits.size > 0), per_stage, entering
+
+
 def _weighted_round_robins(n: int) -> list:
     """Smooth weighted round-robin cycles, one per weight vector k >= 1 with
     sum(k) <= 2n and no common factor (a multiple repeats a shorter cycle);
@@ -558,8 +605,7 @@ def finite_horizon_dp_auto(
     clean, the doubling budget runs out, or the next doubling would blow the
     memory budget; the best solution obtained is returned (with its warning
     when the report stayed above threshold)."""
-    if max_doublings < 0:
-        raise DomainError("max_doublings must be non-negative")
+    validate_count("max_doublings", max_doublings, 0)
     if a_max is None:
         a_max = default_a_max(spec.n_sources)
     best = None

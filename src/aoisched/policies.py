@@ -89,6 +89,14 @@ def validate_ages(spec: SystemSpec, ages) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def validate_count(name: str, value, least: int = 1) -> int:
+    """`value` as an int, or DomainError naming `name` unless it is an
+    integer (a bool is refused) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 # -- policy variants ----------------------------------------------------------
 
 

@@ -40,6 +40,7 @@ from .policies import (
     decide,
     is_deterministic,
     time_period,
+    validate_count,
     whittle_index_table,
 )
 
@@ -194,16 +195,15 @@ def simulate(
     """Simulate `runs` independent episodes of `horizon` slots.
 
     Returns the mean and standard error (over runs) of the per-slot average
-    cost, plus the per-source breakdown of the mean. The runs are split into
-    `workers` blocks (an integer >= 1, else DomainError) simulated one after
-    another (no threads), which bounds the memory of the uniform arrays;
-    identical (seed, config) inputs give bit-identical results at any block
-    count.
+    cost, plus the per-source breakdown of the mean. `horizon`, `runs` and
+    `workers` must be integers >= 1 (not bools), else DomainError. The runs
+    are split into `workers` blocks simulated one after another (no
+    threads), which bounds the memory of the uniform arrays; identical
+    (seed, config) inputs give bit-identical results at any block count.
     """
-    if horizon < 1 or runs < 1:
-        raise DomainError("horizon and runs must be positive")
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
+    horizon = validate_count("horizon", horizon)
+    runs = validate_count("runs", runs)
+    workers = validate_count("workers", workers)
     (acc,) = _run_slots(spec, policy, runs, seed, [horizon], blocks=workers)
     totals = acc.sum(axis=1) / horizon
     mean = float(totals.mean())
@@ -362,8 +362,7 @@ def per_slot_costs(spec: SystemSpec, policy, horizon: int) -> np.ndarray:
     """Exact pre-action cost of each slot for a deterministic policy on
     reliable channels (a single noiseless trajectory)."""
     _check_exact(spec, policy, "exact slot cost")
-    if horizon < 1:
-        raise DomainError("horizon must be positive")
+    horizon = validate_count("horizon", horizon)
     path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy, horizon + 1))
     return np.array([spec.state_cost(ages) for ages, _ in itertools.islice(path, horizon)])
 

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aoisched import cost
+from aoisched import dp as dpmod
 from aoisched.dp import (
     TruncatedBox,
     _estimate_bytes,
     _fallback_totals,
     _forward_truncation_pass,
+    _reliable_audit,
     _stage_cost,
     _weighted_round_robins,
     default_a_max,
@@ -447,6 +449,10 @@ def _assert_matches_reference(spec, horizon, box, initial):
         box, actions, spec.probabilities, _stage_cost(spec, box), box.state_index(initial)
     )
     assert got.tobytes() == entering.tobytes()
+    if spec.reliable:  # the solve walked its path; the dense pass above is the oracle
+        trajectory, _, _, walked = _reliable_audit(box, sol.stage_actions, stage_cost, initial)
+        assert trajectory == sol.trajectory
+        assert walked.tobytes() == entering.tobytes()
 
 
 # ties: indicator and table costs make many action values exactly equal
@@ -466,9 +472,9 @@ _PROBS = st.one_of(
 
 
 @st.composite
-def _dp_case(draw):
+def _dp_case(draw, probs=_PROBS):
     n = draw(st.integers(1, 4))
-    sources = tuple(Source(draw(_COSTS), draw(_PROBS)) for _ in range(n))
+    sources = tuple(Source(draw(_COSTS), draw(probs)) for _ in range(n))
     a_max = draw(st.integers(2, 8))
     initial = tuple(draw(st.integers(1, a_max)) for _ in range(n))
     return SystemSpec(sources), draw(st.integers(1, 40)), TruncatedBox(a_max, n), initial
@@ -499,6 +505,11 @@ class TestKernelMatchesReference:
     def test_random_specs_bit_identical(self, case):
         _assert_matches_reference(*case)
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_dp_case(probs=st.just(1.0)))
+    def test_random_reliable_specs_bit_identical(self, case):
+        _assert_matches_reference(*case)
+
     @pytest.mark.parametrize("sources,a_max,horizon,initial", [
         ((Source(cost.linear(2), 0.5),), 2, 30, (1,)),
         ((Source(cost.linear(2), 1.0),), 2, 10, (2,)),
@@ -521,9 +532,59 @@ class TestKernelMatchesReference:
         (system_for("A2").sources, 10, 60, (1, 1)),
         ((Source(cost.linear(2), 0.5),), 2, 30, (2,)),
         (system_for("D2").sources, 6, 30, (6, 1, 2)),
+        # the reliable walk (see TestReliableWalk for a path that reaches
+        # the cap only at the arrival slot): a start on the cap; N = 1 off
+        # the cap; horizon 1 inside the box
+        (system_for("E1").sources, 5, 30, (1, 5, 2, 1)),
+        ((Source(cost.linear(2)),), 3, 20, (2,)),
+        (system_for("B1").sources, 30, 1, (4, 7)),
     ])
     def test_edge_cases_bit_identical(self, sources, a_max, horizon, initial):
         _assert_matches_reference(SystemSpec(sources), horizon, TruncatedBox(a_max, len(sources)), initial)
+
+
+class TestReliableWalk:
+    @pytest.mark.parametrize("sources,a_max,horizon", [
+        ((Source(cost.linear(1)), Source(cost.linear(1))), 3, 4),
+        ((Source(cost.linear(1)), Source(cost.linear(2)), Source(cost.linear(4))), 3, 2),
+        ((Source(cost.linear(1)), Source(cost.linear(1))), 2, 1),
+    ])
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_cap_reached_at_the_arrival_slot(self, sources, a_max, horizon):
+        # every slot of the path lies below the cap, and the arrival state
+        # at slot `horizon` touches it: all the mass escapes, but after the
+        # last marginal row, so U goes through a fallback that costs nothing
+        spec = SystemSpec(sources)
+        box = TruncatedBox(a_max, len(sources))
+        sol = finite_horizon_dp(spec, horizon, box=box, retain_stage_tables=True)
+        assert all(max(ages) < a_max for ages, _ in sol.trajectory)
+        _, touched, per_stage, entering = _reliable_audit(
+            box, sol.stage_actions, _stage_cost(spec, box), sol.initial_state
+        )
+        assert touched == sol.truncation_report == 1.0
+        assert not entering.any()
+        assert not _fallback_totals(spec.sources, entering).any()
+        upper = max(sol.optimal_average_cost, (float(per_stage.sum()) + 0.0) / horizon)
+        assert sol.upper_bound.hex() == upper.hex()
+        _assert_matches_reference(spec, horizon, box, sol.initial_state)
+
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_only_lossy_or_mixed_solves_run_the_dense_audit(self, monkeypatch):
+        calls = []
+        dense = dpmod._forward_truncation_pass
+        monkeypatch.setattr(
+            dpmod, "_forward_truncation_pass", lambda *args: calls.append(1) or dense(*args)
+        )
+        for name in ("A1", "D1", "E1"):
+            spec = system_for(name)
+            finite_horizon_dp(spec, 100, box=TruncatedBox(6, spec.n_sources))
+        finite_horizon_dp(system_for("A1"), 40, box=TruncatedBox(3, 2))  # touches the cap
+        assert calls == []
+        finite_horizon_dp(system_for("A2"), 100, box=TruncatedBox(6, 2))
+        assert len(calls) == 1
+        mixed = SystemSpec((Source(cost.linear(1)), Source(cost.linear(2), 0.5)))
+        finite_horizon_dp(mixed, 100, box=TruncatedBox(6, 2))
+        assert len(calls) == 2
 
 
 class TestForwardIndex:
@@ -557,11 +618,48 @@ class TestStoredTables:
         assert _assert_shared_by_content(sol.stage_actions) == stored
         assert len({id(a) for a in sol.stage_actions}) == stored
 
+    @pytest.mark.parametrize("name,a_max", [("D1", 20), ("A2", 12)])
+    def test_a_digest_collision_is_confirmed_by_content(self, name, a_max, monkeypatch):
+        # every table gets the same CRC: only the full compare keeps tables
+        # of different content apart
+        spec = system_for(name)
+        box = TruncatedBox(a_max, spec.n_sources)
+        sol = finite_horizon_dp(spec, 200, box=box, retain_stage_tables=True)
+        monkeypatch.setattr(dpmod.zlib, "crc32", lambda data: 0)
+        collided = finite_horizon_dp(spec, 200, box=box, retain_stage_tables=True)
+        assert np.stack(collided.stage_actions).tobytes() == np.stack(sol.stage_actions).tobytes()
+        assert collided.optimal_average_cost == sol.optimal_average_cost
+
 
 class TestInputChecks:
     def test_negative_doubling_budget_is_refused(self):
         with pytest.raises(DomainError, match="max_doublings"):
             finite_horizon_dp_auto(system_for("A1"), 10, a_max=6, max_doublings=-1)
+
+    @pytest.mark.parametrize("max_doublings", [1.5, 2.0, True, "2", None])
+    def test_doubling_budget_must_be_an_integer(self, max_doublings):
+        with pytest.raises(DomainError, match="max_doublings"):
+            finite_horizon_dp_auto(system_for("A1"), 10, a_max=6, max_doublings=max_doublings)
+
+    @pytest.mark.parametrize("a_max,n_sources,name", [
+        (2.5, 2, "a_max"), (3.0, 2, "a_max"), (True, 2, "a_max"), ("3", 2, "a_max"), (1, 2, "a_max"),
+        (3, 2.0, "n_sources"), (3, True, "n_sources"), (3, 0, "n_sources"), (3, None, "n_sources"),
+    ])
+    def test_box_sizes_must_be_integers(self, a_max, n_sources, name):
+        with pytest.raises(DomainError, match=name):
+            TruncatedBox(a_max, n_sources)
+
+    @pytest.mark.parametrize("horizon", [0, -1, 2.5, 3.0, True, "3", None])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            finite_horizon_dp(system_for("A1"), horizon, box=TruncatedBox(4, 2))
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        sol = finite_horizon_dp(system_for("A1"), np.int64(10), box=TruncatedBox(np.int64(6), 2))
+        assert type(sol.horizon) is int
+        assert sol.optimal_average_cost == finite_horizon_dp(
+            system_for("A1"), 10, box=TruncatedBox(6, 2)
+        ).optimal_average_cost
 
     @pytest.mark.parametrize("ages", [(1.5, 2), (1, 2, 3), (1,), (0, 1), (7, 1)])
     def test_action_rejects_bad_age_vectors(self, ages):

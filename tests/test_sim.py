@@ -331,6 +331,18 @@ class TestCountsValidated:
         with pytest.raises(DomainError):
             simulate(two_exponential(), RoundRobin(), horizon=5, runs=0)
 
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, 3.0, True, "3", None])
+    @pytest.mark.parametrize("name", ["horizon", "runs"])
+    def test_simulate_counts_must_be_integers(self, name, bad):
+        counts = {"horizon": 5, "runs": 3, name: bad}
+        with pytest.raises(DomainError, match=name):
+            simulate(two_exponential(), RoundRobin(), **counts)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_per_slot_costs_horizon_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError, match="horizon"):
+            per_slot_costs(two_exponential(), RoundRobin(), bad)
+
 
 def _probe_oracle(spec, policy, horizons, n_seeds, seed):
     """Oracle: the divergence probe's own slot loop, as it was before the
