@@ -187,8 +187,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_index(args) -> int:
     f = _cost_arg(args.cost)
-    if args.h_min < 1 or args.h_max < args.h_min:
-        raise ConfigError("need 1 <= h-min <= h-max")
+    if args.h_max < args.h_min:
+        raise ConfigError("need h-min <= h-max")
     hs = np.arange(args.h_min, args.h_max + 1)
     w_rel = whittle_reliable(f, hs)
     w_unrel = whittle_index(f, args.p, hs)
@@ -208,14 +208,12 @@ def _cmd_threshold(args) -> int:
 def _cmd_dp(args) -> int:
     config = load_config(args.config)
     spec = config.system
-    horizon = args.horizon or config.horizon
-    a_max = args.a_max or config.dp.a_max or dpmod.default_a_max(spec.n_sources)
-    kwargs = {}
-    if args.memory_budget or config.dp.memory_budget:
-        kwargs["memory_budget"] = args.memory_budget or config.dp.memory_budget
-    sol = dpmod.finite_horizon_dp(
-        spec, horizon, box=dpmod.TruncatedBox(a_max, spec.n_sources), **kwargs
-    )
+    horizon = config.horizon if args.horizon is None else args.horizon
+    a_max = config.dp.a_max if args.a_max is None else args.a_max
+    box = None if a_max is None else dpmod.TruncatedBox(a_max, spec.n_sources)
+    budget = config.dp.memory_budget if args.memory_budget is None else args.memory_budget
+    kwargs = {} if budget is None else {"memory_budget": budget}
+    sol = dpmod.finite_horizon_dp(spec, horizon, box=box, **kwargs)
     cyc = None
     if args.cycle:
         if not spec.reliable:
@@ -231,11 +229,10 @@ def _cmd_verify(args) -> int:
         with open(args.pairs, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         try:
-            states = data["states"]
-            actions = data["actions"]
+            states, actions = data["states"], data["actions"]
         except (TypeError, KeyError):
             raise ConfigError("pairs file needs 'states' and 'actions' arrays") from None
-        pairs = [(tuple(s), int(a) - 1) for s, a in zip(states, actions)]
+        pairs = [(s, costmod.validate_count("action", a) - 1) for s, a in zip(states, actions)]
         violations = check_strong_switch(pairs)
         report = {
             "ok": not violations,

@@ -203,8 +203,8 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
             raise ConfigError(f"{path}.cost: {e}") from None
         p = rec.get("p", 1.0)
         try:
-            sources.append(Source(f, float(p)))
-        except (TypeError, ValueError, DomainError) as e:
+            sources.append(Source(f, float(costmod.validate_probability(p))))
+        except DomainError as e:
             raise ConfigError(f"{path}.p: {e}") from None
 
     raw_policies = data.get("policies")
@@ -218,10 +218,10 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
         except ConfigError as e:
             raise ConfigError(f"policies[{j}]: {e}") from None
 
-    horizon = _positive_int(data.get("horizon", DEFAULT_HORIZON), "horizon")
+    horizon = _count(data.get("horizon", DEFAULT_HORIZON), "horizon")
     any_unreliable = any(s.p < 1 for s in sources)
     default_runs = DEFAULT_RUNS_UNRELIABLE if any_unreliable else 1
-    runs = _positive_int(data.get("runs", default_runs), "runs")
+    runs = _count(data.get("runs", default_runs), "runs")
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed.bit_length() > 64:
         raise ConfigError("seed: must be an integer fitting in 64 bits")
@@ -237,13 +237,11 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
         raise ConfigError("dp.enabled: must be a boolean")
     a_max = dp_raw.get("a_max")
     if a_max is not None:
-        a_max = _positive_int(a_max, "dp.a_max")
+        a_max = _count(a_max, "dp.a_max", 2)
     budget = dp_raw.get("memory_budget")
     if budget is not None:
-        budget = _positive_int(budget, "dp.memory_budget")
-    auto_double = dp_raw.get("auto_double", 2)
-    if not isinstance(auto_double, int) or auto_double < 0:
-        raise ConfigError("dp.auto_double: must be a non-negative integer")
+        budget = _count(budget, "dp.memory_budget")
+    auto_double = _count(dp_raw.get("auto_double", 2), "dp.auto_double", 0)
 
     return ExperimentConfig(
         name=name,
@@ -256,10 +254,12 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
     )
 
 
-def _positive_int(value, path):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{path}: must be a positive integer, got {value!r}")
-    return value
+def _count(value, path, least=1):
+    """cost.validate_count, refusing with a ConfigError naming the field."""
+    try:
+        return costmod.validate_count(path, value, least)
+    except DomainError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def load_config(path) -> ExperimentConfig:

@@ -16,11 +16,16 @@ a row of ages, so f(h) has the same bits alone and inside any row (numpy can
 round a 0-d power differently from an array one). :func:`row` gives f(1..n)
 as one evaluation. Evaluations that would exceed ``OVERFLOW_LIMIT`` raise
 :class:`CostRangeError` instead of returning infinity.
+
+Every module imports this one, so the package's argument checks live here:
+:func:`validate_count` for sizes, :func:`positive_ages` for ages and
+:func:`validate_probability` for channel success probabilities.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,6 +36,39 @@ from .errors import CostRangeError, DomainError
 OVERFLOW_LIMIT = 1e300
 
 KINDS = ("linear", "power", "exponential", "logarithmic", "indicator", "table")
+
+
+# -- argument checks ----------------------------------------------------------
+
+
+def validate_count(name: str, value, least: int = 1) -> int:
+    """`value` as an int, or DomainError naming `name` unless it is an
+    integer (a bool is refused) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def positive_ages(age, name: str = "age") -> np.ndarray:
+    """`age` as an array of its own shape, or DomainError naming `name` unless
+    every entry is a positive integer (integral floats count, bools do not)."""
+    try:
+        ages = np.asarray(age)
+    except ValueError:  # ragged nested sequences
+        raise DomainError(f"{name} must be numeric, not ragged") from None
+    if ages.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be numeric, got {ages.dtype}")
+    if np.any(ages < 1) or np.any(ages != np.floor(ages)):
+        raise DomainError(f"{name} must be a positive integer (>= 1)")
+    return ages
+
+
+def validate_probability(p, name: str = "p"):
+    """`p` unchanged, or DomainError naming `name` unless it is a real
+    number (bools and strings refused) in (0, 1]."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 < p <= 1:
+        raise DomainError(f"{name} must be a real number in (0, 1], got {p!r}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -57,8 +95,8 @@ class CostFunction:
             raise DomainError("exponent must be positive")
         if self.kind in ("exponential", "logarithmic") and self.base <= 1:
             raise DomainError("base must exceed 1")
-        if self.kind == "indicator" and (self.threshold < 1 or int(self.threshold) != self.threshold):
-            raise DomainError("indicator threshold must be a positive integer")
+        if self.kind == "indicator":
+            object.__setattr__(self, "threshold", validate_count("threshold", self.threshold))
         if self.kind == "table":
             vals = tuple(float(v) for v in self.values)
             if not vals:
@@ -99,8 +137,7 @@ class CostFunction:
         any zero-valued prefix (log at age 1, indicator below threshold,
         leading zeros of a table).
         """
-        if x < 1:
-            raise DomainError("x must be >= 1")
+        validate_count("x", x)
         k = self.kind
         if k == "linear":
             return (x + 1) / x
@@ -153,7 +190,7 @@ def logarithmic(weight: float, base: float = math.e) -> CostFunction:
 
 
 def indicator(threshold: int, weight: float = 1.0) -> CostFunction:
-    return CostFunction("indicator", threshold=int(threshold), weight=float(weight))
+    return CostFunction("indicator", threshold=threshold, weight=float(weight))
 
 
 def table(values) -> CostFunction:
@@ -199,23 +236,12 @@ def from_config(record: dict) -> CostFunction:
 # -- operations -------------------------------------------------------------
 
 
-def _check_ages(age):
-    ages = np.asarray(age)
-    if ages.size == 0:
-        return ages.astype(float)
-    if not np.issubdtype(ages.dtype, np.number):
-        raise DomainError(f"age must be numeric, got {ages.dtype}")
-    if np.any(ages < 1) or np.any(ages != np.floor(ages)):
-        raise DomainError("age must be a positive integer (>= 1)")
-    return ages.astype(float)
-
-
 def evaluate(f: CostFunction, age):
     """f(age); elementwise over arrays, and a scalar as a one-element array.
     Raises DomainError for age < 1 and CostRangeError when the result would
     exceed OVERFLOW_LIMIT."""
     scalar = np.ndim(age) == 0
-    x = _check_ages(np.atleast_1d(age))
+    x = positive_ages(np.atleast_1d(age)).astype(float)
     k = f.kind
     if k == "linear":
         out = f.weight * x
@@ -247,16 +273,12 @@ def evaluate(f: CostFunction, age):
 
 def prefix_sum(f: CostFunction, h: int) -> float:
     """Sum of f(1..h), accumulated with a compensated (exact fsum) sum."""
-    if h < 1 or int(h) != h:
-        raise DomainError("h must be a positive integer")
-    return math.fsum(evaluate(f, np.arange(1, int(h) + 1)))
+    return math.fsum(evaluate(f, np.arange(1, validate_count("h", h) + 1)))
 
 
 def prefix_array(f: CostFunction, h: int) -> np.ndarray:
     """Cumulative sums [f(1), f(1)+f(2), ..., sum f(1..h)]."""
-    if h < 1:
-        raise DomainError("h must be a positive integer")
-    return np.cumsum(evaluate(f, np.arange(1, int(h) + 1)))
+    return np.cumsum(evaluate(f, np.arange(1, validate_count("h", h) + 1)))
 
 
 def max_representable_age(f: CostFunction) -> Optional[int]:
@@ -317,8 +339,7 @@ def is_bounded_cost(f: CostFunction, p: float) -> BoundedCost:
     variant converges iff base * (1-p) < 1. The governing geometric ratio is
     reported as the diagnostic.
     """
-    if not 0 < p <= 1:
-        raise DomainError(f"success probability must be in (0, 1], got {p}")
+    validate_probability(p)
     q = 1.0 - p
     if f.kind == "exponential":
         ratio = f.base * q

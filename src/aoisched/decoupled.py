@@ -64,11 +64,8 @@ class ThresholdPolicy:
     threshold: "int | Never"
 
     def __post_init__(self):
-        t = self.threshold
-        if t is not NEVER and (not isinstance(t, (int, np.integer)) or t < 1):
-            raise DomainError(f"threshold must be a positive integer or NEVER, got {t!r}")
-        if isinstance(t, np.integer):
-            object.__setattr__(self, "threshold", int(t))
+        if self.threshold is not NEVER:
+            object.__setattr__(self, "threshold", costmod.validate_count("threshold", self.threshold))
 
     @property
     def is_never(self) -> bool:
@@ -87,8 +84,7 @@ class DecoupledProblem:
     charge: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise DomainError(f"p must be in (0, 1], got {self.p}")
+        costmod.validate_probability(self.p)
         if self.charge < 0:
             raise DomainError(f"charge must be non-negative, got {self.charge}")
         if self.p < 1:
@@ -113,19 +109,17 @@ class DecoupledSolution:
 # -- whittle indices ---------------------------------------------------------
 
 
-def _positive_ages(h) -> np.ndarray:
-    """h as an int64 array of at least one dimension, checked to hold
-    positive integers only."""
-    hs = np.atleast_1d(np.asarray(h))
-    if hs.size and (np.any(hs < 1) or np.any(hs != np.floor(hs))):
-        raise DomainError("h must be a positive integer")
-    return hs.astype(np.int64)
+def _one_age(h) -> int:
+    """h as an int, or DomainError unless it is a single positive integer."""
+    if np.ndim(h) != 0:
+        raise DomainError(f"h must be a single age, got {h!r}")
+    return int(costmod.positive_ages(h, "h"))
 
 
 def whittle_reliable(f: CostFunction, h):
     """Definition-form index h*f(h+1) - sum f(1..h); scalar or array in h."""
     scalar = np.isscalar(h)
-    hs = _positive_ages(h)
+    hs = np.atleast_1d(costmod.positive_ages(h, "h")).astype(np.int64)
     hmax = int(hs.max()) if hs.size else 1
     pref = prefix_array(f, hmax)
     out = hs * costmod.evaluate(f, hs + 1) - pref[hs - 1]
@@ -134,8 +128,7 @@ def whittle_reliable(f: CostFunction, h):
 
 def _check_series(f: CostFunction, p: float, tol: float) -> None:
     """Reject a p outside (0, 1], a non-positive tol and a divergent series."""
-    if not 0 < p <= 1:
-        raise DomainError(f"p must be in (0, 1], got {p}")
+    costmod.validate_probability(p)
     if tol <= 0:
         raise DomainError("tol must be positive")
     check = is_bounded_cost(f, p)
@@ -157,6 +150,7 @@ def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> fl
     _discounted_tails.
     """
     _check_series(f, p, tol)
+    h = _one_age(h)
     if p == 1.0:
         return costmod.evaluate(f, h + 1)
     return float(_discounted_tails(f, p, np.array([h]), tol)[0])
@@ -251,7 +245,7 @@ def whittle_unreliable(f: CostFunction, p: float, h: int, tol: float = 1e-10) ->
     whittle_reliable(f, h) exactly.
     """
     _check_series(f, p, tol)
-    return float(whittle_index(f, p, _positive_ages(h)[:1], tol=tol)[0])
+    return float(whittle_index(f, p, np.array([_one_age(h)]), tol=tol)[0])
 
 
 def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
@@ -261,11 +255,12 @@ def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
     vectorised pass, each with the bits of whittle_unreliable at its age,
     and the prefix sums from one cumsum.
     """
+    costmod.validate_probability(p)
     if p == 1.0:
         return whittle_reliable(f, h)
     if np.isscalar(h):
         return whittle_unreliable(f, p, h, tol=tol)
-    hs = _positive_ages(h)
+    hs = np.atleast_1d(costmod.positive_ages(h, "h")).astype(np.int64)
     if not hs.size:
         return np.array([])
     tails = _discounted_tails(f, p, hs, tol)
@@ -393,9 +388,7 @@ def threshold_policy_average_cost(
         p = 1:  (sum f(1..H) + C) / H
         p < 1:  (p (sum f(1..H) + sum_{k>=1} f(k+H)(1-p)^k) + C) / (1 + p(H-1))
     """
-    if H < 1 or int(H) != H:
-        raise DomainError("H must be a positive integer")
-    H = int(H)
+    H = costmod.validate_count("H", H)
     if p == 1.0:
         return (prefix_sum(f, H) + charge) / H
     tail = (1.0 - p) * discounted_tail(f, p, H, tol=tol)
@@ -453,18 +446,16 @@ def decoupled_value_iteration(
     the whole solve is re-run with a doubled a_max whenever the greedy
     threshold lands within 10% of the truncation.
     """
-    if tol <= 0 or max_iters < 1:
-        raise DomainError("tol and max_iters must be positive")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    costmod.validate_count("max_iters", max_iters)
     if not 0 < damping < 1:
         raise DomainError("damping must be in (0, 1)")
-    if a_max is None:
-        a_max = default_a_max(prob)
-    if a_max < 2:
-        raise DomainError("a_max must be at least 2")
+    a_max = costmod.validate_count("a_max", default_a_max(prob) if a_max is None else a_max, 2)
 
     f, p, C = prob.cost, prob.p, prob.charge
     for _attempt in range(12):
-        sol = _rvi_once(f, p, C, int(a_max), tol, max_iters, damping)
+        sol = _rvi_once(f, p, C, a_max, tol, max_iters, damping)
         thr = sol.policy.threshold
         if thr is NEVER or thr < 0.9 * a_max:
             return sol

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import cost as costmod
 from .errors import CapacityError, DomainError, NonCyclicError
-from .policies import SystemSpec, Tabular, validate_ages, validate_count
+from .policies import SystemSpec, Tabular, validate_ages
 from .sim import _closed_cycle, _reliable_path
 
 TRUNCATION_WARN_LEVEL = 1e-6
@@ -85,8 +85,8 @@ class TruncatedBox:
     n_sources: int
 
     def __post_init__(self):
-        validate_count("a_max", self.a_max, 2)
-        validate_count("n_sources", self.n_sources)
+        costmod.validate_count("a_max", self.a_max, 2)
+        costmod.validate_count("n_sources", self.n_sources)
 
     @property
     def shape(self) -> tuple:
@@ -216,17 +216,18 @@ def finite_horizon_dp(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     retain_stage_tables: bool = False,
 ) -> DpSolution:
-    """Backward induction over `horizon` slots (an integer >= 1, else
-    DomainError) from `initial` (all ones by default). The value is exact
-    for the clamped box and a lower bound L on the unclamped optimum;
-    `upper_bound` is the exact cost U of the box policy with its
-    fixed-schedule fallback at the cap, so the unclamped optimum lies in
-    [L, U] (U = L when the truncation report is 0). Raises
+    """Backward induction over `horizon` slots from `initial` (all ones by
+    default); `horizon` and `memory_budget` must be integers >= 1, else
+    DomainError. The value is exact for the clamped box and a lower bound L
+    on the unclamped optimum; `upper_bound` is the exact cost U of the box
+    policy with its fixed-schedule fallback at the cap, so the unclamped
+    optimum lies in [L, U] (U = L when the truncation report is 0). Raises
     CapacityError before allocating anything if the memory estimate exceeds
     `memory_budget`; attaches a warning to the solution when the truncation
     report exceeds 1e-6.
     """
-    horizon = validate_count("horizon", horizon)
+    horizon = costmod.validate_count("horizon", horizon)
+    costmod.validate_count("memory_budget", memory_budget)
     n = spec.n_sources
     if box is None:
         box = TruncatedBox(default_a_max(n), n)
@@ -605,7 +606,7 @@ def finite_horizon_dp_auto(
     clean, the doubling budget runs out, or the next doubling would blow the
     memory budget; the best solution obtained is returned (with its warning
     when the report stayed above threshold)."""
-    validate_count("max_doublings", max_doublings, 0)
+    costmod.validate_count("max_doublings", max_doublings, 0)
     if a_max is None:
         a_max = default_a_max(spec.n_sources)
     best = None

@@ -9,6 +9,9 @@ The whittle policy schedules the source maximizing its single-arm index at
 its current age, with ties broken toward the lowest source index. Because the
 per-source index functions are non-decreasing, any such policy is
 strong-switch-type by construction (see the structure module's checker).
+
+Counts, ages and probabilities are checked in `cost`; :func:`validate_ages`
+adds only the length check of an age vector against its system.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from . import decoupled
-from .cost import CostFunction, is_bounded_cost
+from .cost import CostFunction, is_bounded_cost, positive_ages, validate_count, validate_probability
 from .errors import AdmissibilityError, DomainError, MissingStateError
 
 
@@ -31,8 +34,7 @@ class Source:
     p: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise DomainError(f"p must be in (0, 1], got {self.p}")
+        validate_probability(self.p)
 
 
 @dataclass(frozen=True)
@@ -84,17 +86,7 @@ def validate_ages(spec: SystemSpec, ages) -> np.ndarray:
     arr = np.asarray(ages)
     if arr.shape != (spec.n_sources,):
         raise DomainError(f"age vector must have length {spec.n_sources}, got shape {arr.shape}")
-    if np.any(arr < 1) or np.any(arr != np.floor(arr)):
-        raise DomainError("ages must be positive integers")
-    return arr.astype(np.int64)
-
-
-def validate_count(name: str, value, least: int = 1) -> int:
-    """`value` as an int, or DomainError naming `name` unless it is an
-    integer (a bool is refused) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+    return positive_ages(arr, "ages").astype(np.int64)
 
 
 # -- policy variants ----------------------------------------------------------
@@ -145,7 +137,7 @@ class FixedCycle:
     actions: tuple
 
     def __post_init__(self):
-        acts = tuple(int(a) for a in self.actions)
+        acts = tuple(validate_count("cycle action", a, 0) for a in self.actions)
         if not acts:
             raise DomainError("fixed cycle needs at least one action")
         object.__setattr__(self, "actions", acts)
@@ -167,7 +159,6 @@ class Tabular:
 Policy = Union[Whittle, RoundRobin, StationaryRandomized, MaxAge, FixedCycle, Tabular]
 
 DETERMINISTIC_KINDS = (Whittle, RoundRobin, MaxAge, FixedCycle, Tabular)
-STATIONARY_KINDS = (Whittle, MaxAge, Tabular)
 
 
 def is_deterministic(policy) -> bool:
@@ -194,9 +185,7 @@ def whittle_index_table(spec: SystemSpec, a_max: int, tol: float = 1e-10) -> np.
     Each row is non-decreasing; whittle decisions over ages <= a_max become
     pure table lookups.
     """
-    if a_max < 1:
-        raise DomainError("a_max must be positive")
-    hs = np.arange(1, a_max + 1)
+    hs = np.arange(1, validate_count("a_max", a_max) + 1)
     rows = []
     for i, s in enumerate(spec.sources):
         try:

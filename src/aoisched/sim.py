@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cost as costmod
-from .cost import OVERFLOW_LIMIT
+from .cost import OVERFLOW_LIMIT, validate_count
 from .errors import CostRangeError, DomainError, NonCyclicError
 from .policies import (
     StationaryRandomized,
@@ -40,7 +40,6 @@ from .policies import (
     decide,
     is_deterministic,
     time_period,
-    validate_count,
     whittle_index_table,
 )
 
@@ -48,10 +47,12 @@ AGE_GUARD = 10**6
 
 
 def _index_table(spec: SystemSpec, policy, wanted: int):
-    """Whittle index table for the policies that look indices up (None for
-    the others), as wide as the cost functions can represent, capped at
-    `wanted`. The index at age h needs f(h+1), hence the -1."""
-    if not isinstance(policy, (Whittle, Tabular)):
+    """Whittle index table for a policy whose fallback chain ends at Whittle
+    (None for the others), as wide as the cost functions can represent,
+    capped at `wanted`. The index at age h needs f(h+1), hence the -1."""
+    while isinstance(policy, Tabular):
+        policy = policy.fallback
+    if not isinstance(policy, Whittle):
         return None
     width = wanted
     for s in spec.sources:
@@ -246,7 +247,7 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     # age a of source i costs flat_cost[a + cost_offsets[i]]
     cost_offsets = np.cumsum([0] + lens[:-1]) - 1
     shortest = min(lens)
-    randomized = isinstance(policy, StationaryRandomized)
+    randomized = not is_deterministic(policy)
     out = np.empty((len(checkpoints), runs, n))
     for lo, hi in _run_blocks(runs, blocks):
         u_chan = None if spec.reliable else _uniforms(seed, lo, hi, 0, tmax)
@@ -345,6 +346,7 @@ def detect_cycle(spec: SystemSpec, policy, max_steps: int = 100_000) -> Cycle:
     pairs so their period is respected.
     """
     _check_exact(spec, policy, "cycle detection")
+    max_steps = validate_count("max_steps", max_steps)
     period = time_period(policy, spec.n_sources)
     path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy, 4096))
     seen = {}
@@ -389,11 +391,10 @@ def divergence_probe(
     """
     if not isinstance(policy, StationaryRandomized):
         raise DomainError("the divergence probe takes a stationary randomized policy")
-    horizons = [int(h) for h in horizons]
-    if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
-        raise DomainError("horizons must be a strictly increasing positive sequence")
-    if n_seeds < 1:
-        raise DomainError("n_seeds must be positive")
+    horizons = [validate_count("horizon", h) for h in horizons]
+    if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise DomainError("horizons must be a non-empty, strictly increasing sequence")
+    n_seeds = validate_count("n_seeds", n_seeds)
     # the decision rule checks the policy against the system
     _decide_rows(policy, spec, np.ones((1, spec.n_sources), dtype=np.int64), 0, np.zeros(1))
     if aggregate == "expectation":

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cost as costmod
 from . import dp as dpmod
-from .cost import CostFunction
+from .cost import CostFunction, positive_ages, validate_count
 from .decoupled import whittle_reliable
 from .errors import DomainError, InconclusiveError
 from .policies import Source, SystemSpec, Whittle
@@ -48,15 +48,17 @@ def check_strong_switch(pairs) -> list:
 
     pairs: iterable of (age vector, 0-based action). States must be distinct.
     """
-    pairs = [(tuple(int(x) for x in s), int(a)) for s, a in pairs]
-    if len({s for s, _ in pairs}) != len(pairs):
-        raise DomainError("states in a state-action set must be distinct")
+    pairs = list(pairs)
     if not pairs:
         return []
-    states = np.array([s for s, _ in pairs])
-    actions = np.array([a for _, a in pairs])
+    states = positive_ages([s for s, _ in pairs], "state").astype(np.int64)
+    if states.ndim != 2:
+        raise DomainError("states must be age vectors of one length")
+    actions = np.array([validate_count("action", a, 0) for _, a in pairs])
+    if len(set(map(tuple, states.tolist()))) != len(pairs):
+        raise DomainError("states in a state-action set must be distinct")
     n = states.shape[1]
-    if actions.min() < 0 or actions.max() >= n:
+    if actions.max() >= n:
         raise DomainError("actions must be valid 0-based source indices")
 
     violations = []
@@ -96,9 +98,7 @@ def two_source_cycle_cost(f1: CostFunction, f2: CostFunction, k: int) -> float:
 
         [ sum_{j=1}^{k+1} f2(j) + k f1(1) + f1(2) ] / (k + 1)
     """
-    if k < 1 or int(k) != k:
-        raise DomainError("k must be a positive integer")
-    k = int(k)
+    k = validate_count("k", k)
     parts = [f2(j) for j in range(1, k + 2)]
     parts.append(k * f1(1))
     parts.append(f1(2))
@@ -118,8 +118,7 @@ def best_two_source_cycle(f1: CostFunction, f2: CostFunction, k_max: int = 1000)
     """Minimize the two-source cycle cost over leader and k; ties prefer the
     smaller k, then leader 0. Errors out if the minimizer sits on the k_max
     boundary, since then a longer sweep might still improve it."""
-    if k_max < 2:
-        raise DomainError("k_max must be at least 2")
+    k_max = validate_count("k_max", k_max, 2)
 
     def sweep(lead: CostFunction, follow: CostFunction):
         pref = np.cumsum(costmod.row(follow, k_max + 1))  # sums f(1..k+1)
@@ -229,9 +228,9 @@ def certify_theorem3(
     the other source's (with the lowest-index tie rule).
     """
     spec = SystemSpec((Source(f1, 1.0), Source(f2, 1.0)))
+    box = dpmod.TruncatedBox(dpmod.default_a_max(2) if a_max is None else a_max, 2)
     wc = detect_cycle(spec, Whittle())
     best = best_two_source_cycle(f1, f2, k_max=k_max)
-    box = dpmod.TruncatedBox(a_max or dpmod.default_a_max(2), 2)
     sol = dpmod.finite_horizon_dp(spec, horizon, box=box)
 
     checks = []

@@ -248,6 +248,47 @@ class TestAutoDoubling:
         )
         assert sol.box.a_max <= 30
 
+    def test_spent_budget_returns_the_last_box_and_warns_once(self):
+        # D2 at a_max 20 leaves mass at the cap, and no doubling is allowed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = finite_horizon_dp_auto(system_for("D2"), 500, a_max=20, max_doublings=0)
+        assert sol.box.a_max == 20
+        assert sol.truncation_report > 1e-6
+        assert [str(w.message) for w in caught] == list(sol.warnings)
+        assert len(sol.warnings) == 1
+
+    def test_capacity_error_on_the_first_box_is_raised(self):
+        with pytest.raises(CapacityError):
+            finite_horizon_dp_auto(system_for("A1"), 50, a_max=40, memory_budget=10**5)
+
+    def test_default_box_size(self):
+        spec = system_for("A1")
+        sol = finite_horizon_dp_auto(spec, 50)
+        assert sol.box.a_max == default_a_max(spec.n_sources)
+
+
+class TestExtractCycleRefusals:
+    def test_lossy_spec(self):
+        sol = finite_horizon_dp(system_for("A1"), 50, box=TruncatedBox(10, 2))
+        with pytest.raises(DomainError, match="reliable"):
+            extract_cycle_policy(sol, system_for("A2"))
+
+    def test_other_source_count(self):
+        sol = finite_horizon_dp(system_for("A1"), 50, box=TruncatedBox(10, 2))
+        with pytest.raises(DomainError, match="source count"):
+            extract_cycle_policy(sol, system_for("D1"))
+
+    def test_solution_without_a_trajectory(self):
+        sol = finite_horizon_dp(system_for("A2"), 50, box=TruncatedBox(10, 2))
+        with pytest.raises(DomainError, match="trajectory"):
+            extract_cycle_policy(sol, system_for("A1"))
+
+    def test_horizon_too_short_for_a_window(self):
+        sol = finite_horizon_dp(system_for("A1"), 4, box=TruncatedBox(10, 2))
+        with pytest.raises(NonCyclicError, match="no mid-horizon window"):
+            extract_cycle_policy(sol, system_for("A1"))
+
 
 class TestMemoryEstimate:
     # boxes where each phase leads: the forward audit (large boxes), the
