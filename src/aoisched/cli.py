@@ -230,8 +230,11 @@ def _cmd_verify(args) -> int:
             data = json.load(fh)
         try:
             states, actions = data["states"], data["actions"]
+            uneven = len(states) != len(actions)
         except (TypeError, KeyError):
             raise ConfigError("pairs file needs 'states' and 'actions' arrays") from None
+        if uneven:
+            raise ConfigError(f"pairs file has {len(states)} states but {len(actions)} actions")
         pairs = [(s, costmod.validate_count("action", a) - 1) for s, a in zip(states, actions)]
         violations = check_strong_switch(pairs)
         report = {

@@ -51,14 +51,17 @@ def validate_count(name: str, value, least: int = 1) -> int:
 
 def positive_ages(age, name: str = "age") -> np.ndarray:
     """`age` as an array of its own shape, or DomainError naming `name` unless
-    every entry is a positive integer (integral floats count, bools do not)."""
+    every entry is a positive integer (integral floats count; bools, inf
+    and nan do not)."""
     try:
         ages = np.asarray(age)
     except ValueError:  # ragged nested sequences
         raise DomainError(f"{name} must be numeric, not ragged") from None
     if ages.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be numeric, got {ages.dtype}")
-    if np.any(ages < 1) or np.any(ages != np.floor(ages)):
+    # only a float can be fractional, inf or nan
+    bad = ages.dtype.kind == "f" and not np.all(np.isfinite(ages) & (ages == np.floor(ages)))
+    if bad or np.any(ages < 1):
         raise DomainError(f"{name} must be a positive integer (>= 1)")
     return ages
 
@@ -157,20 +160,17 @@ class CostFunction:
     # -- config records -----------------------------------------------------
 
     def to_config(self) -> dict:
-        """Tagged record, e.g. {"kind": "linear", "weight": 13}."""
-        k = self.kind
-        if k == "linear":
-            return {"kind": k, "weight": self.weight}
-        if k == "power":
-            return {"kind": k, "weight": self.weight, "exponent": self.exponent}
-        if k == "exponential":
-            return {"kind": k, "base": self.base, "weight": self.weight}
-        if k == "logarithmic":
-            base = "e" if self.base == math.e else self.base
-            return {"kind": k, "weight": self.weight, "base": base}
-        if k == "indicator":
-            return {"kind": k, "threshold": self.threshold, "weight": self.weight}
-        return {"kind": k, "values": list(self.values)}
+        """Tagged record of the kind's required then optional fields, e.g.
+        {"kind": "linear", "weight": 13}; a natural-log base reads "e"."""
+        required, optional = _FIELDS[self.kind]
+        rec = {"kind": self.kind}
+        for name in required + optional:
+            rec[name] = getattr(self, name)
+        if self.kind == "logarithmic" and self.base == math.e:
+            rec["base"] = "e"
+        if self.kind == "table":
+            rec["values"] = list(self.values)
+        return rec
 
 
 def linear(weight: float) -> CostFunction:
@@ -197,6 +197,10 @@ def table(values) -> CostFunction:
     return CostFunction("table", values=tuple(values))
 
 
+# each kind's factory, whose keyword arguments are the kind's fields
+_FACTORIES = {f.__name__: f for f in (linear, power, exponential, logarithmic, indicator, table)}
+
+# each kind's (required, optional) config fields
 _FIELDS = {
     "linear": (("weight",), ()),
     "power": (("weight", "exponent"), ()),
@@ -222,15 +226,7 @@ def from_config(record: dict) -> CostFunction:
         raise DomainError(f"cost record for {kind!r} has unknown fields {unknown}")
     if kind == "logarithmic" and rec.get("base") in ("e", "E"):
         rec["base"] = math.e
-    builders = {
-        "linear": lambda: linear(rec["weight"]),
-        "power": lambda: power(rec["weight"], rec["exponent"]),
-        "exponential": lambda: exponential(rec["base"], rec.get("weight", 1.0)),
-        "logarithmic": lambda: logarithmic(rec["weight"], rec.get("base", math.e)),
-        "indicator": lambda: indicator(rec["threshold"], rec.get("weight", 1.0)),
-        "table": lambda: table(rec["values"]),
-    }
-    return builders[kind]()
+    return _FACTORIES[kind](**rec)
 
 
 # -- operations -------------------------------------------------------------

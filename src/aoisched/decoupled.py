@@ -15,12 +15,13 @@ set of ages where pulling is optimal shrinks monotonically as C grows. This
 module computes the indices, inverts them into optimal thresholds, and checks
 everything against an independent relative-value-iteration solver.
 
-The lossy series is summed in one place, `_discounted_tails`, for a whole
-row of ages in one vectorised pass; each age gets the same bits whatever
-the other ages are, so a single index (`whittle_unreliable`) is a row of
-one age. The prefix sums come from one cumsum. A threshold is the first age
+Both are computed by `whittle_index` for a row of ages: one cumsum of
+prefix sums and, on a lossy channel, one vectorised pass of the series
+(`_discounted_tails`). Each age gets the same bits whatever the other ages
+are, so a single index is a row of one age. A threshold is the first age
 of such a row, built once and doubled as needed, whose index exceeds the
-charge; all thresholds found are rechecked together in one more row.
+charge; all thresholds found are rechecked against W(H-1) <= C <= W(H)
+together in one more row.
 
 Only the Definition-form index above is used anywhere. The shifted auxiliary
 form W~(h) = W(h-1) that appears in threshold interval arguments is never
@@ -118,12 +119,7 @@ def _one_age(h) -> int:
 
 def whittle_reliable(f: CostFunction, h):
     """Definition-form index h*f(h+1) - sum f(1..h); scalar or array in h."""
-    scalar = np.isscalar(h)
-    hs = np.atleast_1d(costmod.positive_ages(h, "h")).astype(np.int64)
-    hmax = int(hs.max()) if hs.size else 1
-    pref = prefix_array(f, hmax)
-    out = hs * costmod.evaluate(f, hs + 1) - pref[hs - 1]
-    return float(out[0]) if scalar else out
+    return whittle_index(f, 1.0, h)
 
 
 def _check_series(f: CostFunction, p: float, tol: float) -> None:
@@ -161,7 +157,8 @@ _CHUNK_TERMS = 4096
 
 
 def _discounted_tails(f: CostFunction, p: float, ages: np.ndarray, tol: float) -> np.ndarray:
-    """discounted_tail at each age of a 1-d array (p < 1), in one pass.
+    """discounted_tail at each age of a 1-d array (p < 1, checked by the
+    caller), in one pass.
 
     The bound needs an upper bound r < 1 on the term ratio f(x+1)(1-p)/f(x);
     the per-variant growth bound supplies it once x is past any zero-valued
@@ -171,7 +168,6 @@ def _discounted_tails(f: CostFunction, p: float, ages: np.ndarray, tol: float) -
     the stopping test after each block. Only the evaluations are gathered
     across ages, at most _CHUNK_TERMS terms at a time.
     """
-    _check_series(f, p, tol)
     q = 1.0 - p
     if f.kind == "exponential":
         return _geometric_tails(costmod.evaluate(f, ages + 1), f.base * q, tol)
@@ -238,35 +234,35 @@ def _geometric_tails(term: np.ndarray, r: float, tol: float) -> np.ndarray:
 
 
 def whittle_unreliable(f: CostFunction, p: float, h: int, tol: float = 1e-10) -> float:
-    """Unreliable-channel index p^2 h sum f(k+h)(1-p)^{k-1} - p sum f(1..h),
-    as a row of one age.
+    """Unreliable-channel index p^2 h sum f(k+h)(1-p)^{k-1} - p sum f(1..h)
+    at a single age.
 
     At p = 1 the series collapses to f(h+1) and the value equals
     whittle_reliable(f, h) exactly.
     """
-    _check_series(f, p, tol)
-    return float(whittle_index(f, p, np.array([_one_age(h)]), tol=tol)[0])
+    return whittle_index(f, p, _one_age(h), tol=tol)
 
 
 def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
-    """Index for either channel kind; dispatches on p == 1.
+    """Index for either channel kind: a float for a scalar age, else an
+    array of the ages' indices.
 
-    An array of ages on a lossy channel is one row: the tails come from one
-    vectorised pass, each with the bits of whittle_unreliable at its age,
-    and the prefix sums from one cumsum.
+    The ages are one row: on a reliable channel f(h+1) is one evaluation,
+    on a lossy one the tails come from one vectorised pass, each with the
+    bits it has alone, and the prefix sums from one cumsum.
     """
-    costmod.validate_probability(p)
-    if p == 1.0:
-        return whittle_reliable(f, h)
-    if np.isscalar(h):
-        return whittle_unreliable(f, p, h, tol=tol)
+    _check_series(f, p, tol)
+    scalar = np.isscalar(h)
     hs = np.atleast_1d(costmod.positive_ages(h, "h")).astype(np.int64)
     if not hs.size:
         return np.array([])
-    tails = _discounted_tails(f, p, hs, tol)
     # cumsum runs left to right, so each entry equals prefix_array(f, h)[-1]
     pref = prefix_array(f, int(hs.max()))[hs - 1]
-    return p * p * hs * tails - p * pref
+    if p == 1.0:
+        out = hs * costmod.evaluate(f, hs + 1) - pref
+    else:
+        out = p * p * hs * _discounted_tails(f, p, hs, tol) - p * pref
+    return float(out[0]) if scalar else out
 
 
 # -- threshold inversion -----------------------------------------------------
@@ -331,26 +327,19 @@ def _invert(f: CostFunction, p: float, charges) -> list:
 
 
 def _verify_thresholds(f, p, charges, thresholds, slack=1e-9):
-    """Re-check the two-sided optimality condition at each returned
-    threshold H of its charge C, with every index recomputed rather than
-    read from the searched row (on a lossy channel, one row over the ages
-    H - 1 and H)."""
+    """Re-check the two-sided optimality condition W(H-1) <= C <= W(H) at
+    each returned threshold H of its charge C, with every index recomputed
+    in one row over the ages H - 1 and H. At p = 1 it is f(H) <= (sum
+    f(1..H) + C) / H <= f(H+1), as W(H-1) = H f(H) - sum f(1..H)."""
     C = np.asarray(charges, dtype=float)
     H = np.asarray(thresholds, dtype=np.int64)
-    if p == 1.0:
-        lam = (np.array([prefix_sum(f, h) for h in H.tolist()]) + C) / H
-        lo, hi = costmod.evaluate(f, H), costmod.evaluate(f, H + 1)
-        tol = slack * np.maximum(1.0, np.abs(lam))
-        ok = (lo <= lam + tol) & (lam <= hi + tol)
-    else:
-        # lower arm of the interval is W(H-1), upper is W(H), both in
-        # Definition form; W(0) = 0
-        ages = np.concatenate((H - 1, H))
-        w = np.zeros(len(ages))
-        w[ages > 0] = whittle_index(f, p, ages[ages > 0])
-        lower, upper = w[: len(H)], w[len(H) :]
-        tol = slack * np.maximum(1.0, np.abs(C))
-        ok = (lower <= C + tol) & (C <= upper + tol)
+    # both arms in Definition form; W(0) = 0
+    ages = np.concatenate((H - 1, H))
+    w = np.zeros(len(ages))
+    w[ages > 0] = whittle_index(f, p, ages[ages > 0])
+    lower, upper = w[: len(H)], w[len(H) :]
+    tol = slack * np.maximum(1.0, np.abs(C))
+    ok = (lower <= C + tol) & (C <= upper + tol)
     if not ok.all():
         bad = int(np.argmin(ok))
         raise ConsistencyError(
@@ -398,7 +387,12 @@ def threshold_policy_average_cost(
 # -- value-iteration oracle --------------------------------------------------
 
 
-def default_a_max(prob: DecoupledProblem, minimum: int = 256, factor: int = 64) -> int:
+RVI_MIN_A_MAX = 256  # the smallest RVI box
+RVI_A_MAX_FACTOR = 64  # RVI box per unit of the threshold estimate
+RVI_DAMPING = 0.5  # weight of the new Bellman iterate in each RVI step
+
+
+def default_a_max(prob: DecoupledProblem) -> int:
     """Truncation large enough that clamping is inert: a comfortable multiple
     of the index-inversion threshold estimate.
 
@@ -412,13 +406,13 @@ def default_a_max(prob: DecoupledProblem, minimum: int = 256, factor: int = 64) 
     """
     guess = optimal_threshold(prob)
     if guess.is_never:
-        return minimum
+        return RVI_MIN_A_MAX
     H = guess.threshold
     if prob.cost.kind != "exponential":
         # iteration count grows with the box, so the 64x headroom tapers to
         # 4x + constant once thresholds get large; the solver re-runs with a
         # doubled box anyway whenever the greedy threshold crowds the cap
-        return max(minimum, min(factor * H, 4 * H + 256))
+        return max(RVI_MIN_A_MAX, min(RVI_A_MAX_FACTOR * H, 4 * H + 256))
     if prob.p < 1.0:
         margin = int(math.ceil(36.0 / abs(math.log(1.0 - prob.p))))
     else:
@@ -434,14 +428,13 @@ def decoupled_value_iteration(
     a_max: int | None = None,
     tol: float = 1e-9,
     max_iters: int = 10**6,
-    damping: float = 0.5,
 ) -> DecoupledSolution:
     """Relative value iteration on the age chain truncated at a_max.
 
     Ages clamp at a_max (state a_max transitions to itself when not reset).
-    Iterates the damped Bellman operator until the span of successive
-    differential-cost updates falls below tol; the damping makes the
-    underlying periodic reset cycle aperiodic so the span converges. The
+    Iterates the Bellman operator damped by RVI_DAMPING until the span of
+    successive differential-cost updates falls below tol; the damping makes
+    the underlying periodic reset cycle aperiodic so the span converges. The
     greedy policy is checked to be a threshold policy before returning, and
     the whole solve is re-run with a doubled a_max whenever the greedy
     threshold lands within 10% of the truncation.
@@ -449,13 +442,11 @@ def decoupled_value_iteration(
     if tol <= 0:
         raise DomainError("tol must be positive")
     costmod.validate_count("max_iters", max_iters)
-    if not 0 < damping < 1:
-        raise DomainError("damping must be in (0, 1)")
     a_max = costmod.validate_count("a_max", default_a_max(prob) if a_max is None else a_max, 2)
 
     f, p, C = prob.cost, prob.p, prob.charge
     for _attempt in range(12):
-        sol = _rvi_once(f, p, C, a_max, tol, max_iters, damping)
+        sol = _rvi_once(f, p, C, a_max, tol, max_iters, RVI_DAMPING)
         thr = sol.policy.threshold
         if thr is NEVER or thr < 0.9 * a_max:
             return sol

@@ -44,7 +44,9 @@ through a cached index of the carrying states that it rebuilds only when
 the stage table or the support outgrows it (see `_forward_truncation_pass`).
 On reliable channels the state distribution is a single point, so the
 audit walks the one path that point takes, the realized trajectory, with
-the dense pass's bits (see `_reliable_audit`).
+the dense pass's bits (see `_reliable_audit`). The solution keeps stage
+1's table and that trajectory, whose first repeated (state, action) pair
+closes the extracted cycle.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import numpy as np
 from . import cost as costmod
 from .errors import CapacityError, DomainError, NonCyclicError
 from .policies import SystemSpec, Tabular, validate_ages
-from .sim import _closed_cycle, _reliable_path
+from .sim import _first_cycle, _reliable_path
 
 TRUNCATION_WARN_LEVEL = 1e-6
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes
@@ -130,11 +132,6 @@ class DpSolution:
     path gives the truncation report and `stage_costs`: the report is 1.0 if
     the path reaches an age of a_max by slot `horizon`, else 0.0, and each
     slot from that one on costs 0.0.
-
-    `stage_actions`, kept when the solve is asked to retain it, holds one
-    int8 table per stage; stages with equal actions share one read-only
-    array object, so it holds references, not a dense copy.
-    `stage1_actions` is its first entry.
     """
 
     optimal_average_cost: float
@@ -147,7 +144,6 @@ class DpSolution:
     upper_bound: float  # exact average cost of the box policy with a fixed-schedule fallback
     warnings: tuple = ()
     trajectory: Optional[tuple] = field(default=None, repr=False)
-    stage_actions: Optional[tuple] = field(default=None, repr=False)
 
     def action(self, ages) -> int:
         """Stage-1 greedy action at an in-box age vector."""
@@ -171,9 +167,7 @@ class DpSolution:
 
 def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     """Upper estimate of the peak bytes one solve allocates: what is held
-    across the solve plus the largest working set of its three phases. The
-    retained stage tables are the stored action tables themselves, not a
-    copy.
+    across the solve plus the largest working set of its three phases.
 
     It charges one stored table per stage, the true worst case: tables are
     shared only when their contents repeat, and a policy can take a new
@@ -214,7 +208,6 @@ def finite_horizon_dp(
     box: Optional[TruncatedBox] = None,
     initial=None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    retain_stage_tables: bool = False,
 ) -> DpSolution:
     """Backward induction over `horizon` slots from `initial` (all ones by
     default); `horizon` and `memory_budget` must be integers >= 1, else
@@ -287,7 +280,6 @@ def finite_horizon_dp(
         upper_bound=upper,
         warnings=notes,
         trajectory=trajectory,
-        stage_actions=actions if retain_stage_tables else None,
     )
 
 
@@ -604,39 +596,40 @@ def finite_horizon_dp_auto(
 ) -> DpSolution:
     """finite_horizon_dp with the box doubled until the truncation report is
     clean, the doubling budget runs out, or the next doubling would blow the
-    memory budget; the best solution obtained is returned (with its warning
-    when the report stayed above threshold)."""
+    memory budget; the best solution obtained is returned, and its note, if
+    it has one, is the one truncation warning raised."""
     costmod.validate_count("max_doublings", max_doublings, 0)
     if a_max is None:
         a_max = default_a_max(spec.n_sources)
     best = None
-    for attempt in range(max_doublings + 1):
-        quiet = attempt < max_doublings  # only the final size may warn aloud
+    for _ in range(max_doublings + 1):
         try:
             with warnings.catch_warnings():
-                if quiet:
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                sol = finite_horizon_dp(
+                warnings.filterwarnings("ignore", "truncation report", RuntimeWarning)
+                best = finite_horizon_dp(
                     spec, horizon, TruncatedBox(a_max, spec.n_sources), **kwargs
                 )
         except CapacityError:
             if best is None:
                 raise
-            return best
-        best = sol
-        if sol.truncation_report <= TRUNCATION_WARN_LEVEL:
-            return sol
+            break
+        if best.truncation_report <= TRUNCATION_WARN_LEVEL:
+            break
         a_max *= 2
+    for note in best.warnings:
+        warnings.warn(note, RuntimeWarning, stacklevel=2)
     return best
 
 
 def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
     """The recurrent cycle realized by the optimal policy; reliable only.
 
-    Looks for the minimal period of the solution's realized (state, action)
-    trajectory over a mid-horizon window, away from the initial transient and
-    from end-of-horizon effects. The exact cycle average cost is independent
-    of the discarded transient.
+    Takes the (state, action) pairs between the first two equal pairs of the
+    solution's realized trajectory, searched over a mid-horizon window away
+    from the initial transient and from end-of-horizon effects (the same
+    first recurrence `sim.detect_cycle` finds, keyed on the action instead
+    of a phase). The exact cycle average cost is independent of the
+    discarded transient.
     """
     if not spec.reliable:
         raise DomainError("cycle extraction requires all channels reliable")
@@ -651,25 +644,10 @@ def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
     window = sol.trajectory[lo:hi]
     if len(window) < 4:
         raise NonCyclicError(f"horizon {horizon} leaves no mid-horizon window")
-    # Smallest period with a long clean stretch somewhere in the window; ties
-    # at equal-cost states can cause occasional phase slips between rotations
-    # of the optimal cycle, so global periodicity is too strict.
-    n = len(window)
-    for d in range(1, n // 3 + 1):
-        match = [window[i] == window[i + d] for i in range(n - d)]
-        best_len, run, start, best_start = 0, 0, 0, 0
-        for i, ok in enumerate(match):
-            if ok:
-                if run == 0:
-                    start = i
-                run += 1
-                if run > best_len:
-                    best_len, best_start = run, start
-            else:
-                run = 0
-        if best_len >= min(max(2 * d, 8), n - d):
-            return _closed_cycle(spec, window[best_start : best_start + d])
-    raise NonCyclicError(
-        f"optimal trajectory shows no period within the {n}-slot window; "
-        "box too small or horizon too short"
-    )
+    cycle = _first_cycle(spec, window, lambda step, pair: pair)
+    if cycle is None:
+        raise NonCyclicError(
+            f"optimal trajectory shows no period within the {len(window)}-slot window; "
+            "box too small or horizon too short"
+        )
+    return cycle

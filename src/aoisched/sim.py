@@ -4,7 +4,8 @@ Each run starts from the all-ones age vector. Every slot accrues the cost of
 the pre-action ages, the policy picks one source, and that source's age
 resets to 1 on a Bernoulli(p) success while every other age grows by one.
 Ages are never truncated here (only the DP box truncates); an overflow guard
-trips if any age passes 10^6.
+trips if any age passes 10^6. Every slot's costs are one gather from one
+table of the sources' cost rows (`_cost_rows`).
 
 Randomness is fully reproducible: run r of a simulation seeded with s draws
 its channel uniforms from a counter-based Philox stream keyed by (s, r, 0)
@@ -17,7 +18,8 @@ The key of stream (s, r, kind) is the one numpy's
 stream is Philox(key) as numpy builds it. The keys of a block of runs are
 derived in one vectorised pass of that hash, and one reused Philox draws
 every run's uniforms. Reliable runs draw no channel uniforms at all: a
-uniform in [0, 1) is always below p = 1.
+uniform in [0, 1) is always below p = 1. A cycle, here or in the DP, is
+the run between the first two equal keys of a trajectory (`_first_cycle`).
 """
 
 from __future__ import annotations
@@ -224,29 +226,36 @@ def _run_blocks(runs, blocks):
     return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
+def _cost_rows(spec, width):
+    """f_i(1..width) of every source i as one (N, width) table, padded with
+    OVERFLOW_LIMIT past the last representable age, and each row's count
+    of representable ages."""
+    rows = [costmod.row(s.cost, width) for s in spec.sources]
+    table = np.full((len(rows), width), OVERFLOW_LIMIT)
+    for out, row in zip(table, rows):
+        out[: len(row)] = row
+    return table, [len(row) for row in rows]
+
+
 def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     """The slot loop: simulate runs 0..runs-1 in `blocks` consecutive blocks
     of lockstep runs, and return the per-source cost each run accumulated up
     to each checkpoint horizon, shape (len(checkpoints), runs, N).
 
-    Costs are looked up in one row per source, built once and laid end to
-    end in one flat table, so a slot whose ages all lie inside their rows
-    costs one gather. An age past its row raises CostRangeError naming the
-    slot and source, or, with `saturate`, costs OVERFLOW_LIMIT (callers cap
-    the sums there). A served age is reset through its flat cell index:
-    run r's source i is cell r * N + i.
+    Every slot's costs are one gather from `_cost_rows` laid end to end. An
+    age past its source's last representable age reads OVERFLOW_LIMIT: with
+    `saturate` that is its cost (callers cap the sums there), and otherwise,
+    checked once some age can pass the smallest cap, `evaluate` raises
+    CostRangeError naming the slot and source. A served age is reset through
+    its flat cell index: run r's source i is cell r * N + i.
     """
     n = spec.n_sources
     tmax = checkpoints[-1]
     probs = spec.probabilities
     table = _index_table(spec, policy, tmax + 1)
-    # each row ends in an OVERFLOW_LIMIT entry that stands for every later age
-    rows = [np.append(costmod.row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
-    lens = [len(row) for row in rows]
-    flat_cost = np.concatenate(rows)
-    # age a of source i costs flat_cost[a + cost_offsets[i]]
-    cost_offsets = np.cumsum([0] + lens[:-1]) - 1
-    shortest = min(lens)
+    rows, caps = _cost_rows(spec, tmax)
+    flat_cost = rows.reshape(-1)
+    smallest_cap = tmax if saturate else min(caps)
     randomized = not is_deterministic(policy)
     out = np.empty((len(checkpoints), runs, n))
     for lo, hi in _run_blocks(runs, blocks):
@@ -254,23 +263,18 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
         u_pol = _uniforms(seed, lo, hi, 1, tmax) if randomized else None
         ages = np.ones((hi - lo, n), dtype=np.int64)
         cells = np.arange(0, ages.size, n)
-        # one offset per cell: a broadcast (runs, N) + (N,) add is slow at small N
-        cost_cells = np.tile(cost_offsets, (hi - lo, 1))
+        # age a of source i costs flat_cost[a + i * tmax - 1]; one offset per
+        # cell, since a broadcast (runs, N) + (N,) add is slow at small N
+        cost_cells = np.tile(np.arange(n) * tmax - 1, (hi - lo, 1))
         acc = np.zeros((hi - lo, n))
         k = 0
         for t in range(tmax):
-            if t + 1 < shortest:  # ages are at most t + 1
-                acc += flat_cost.take(ages + cost_cells)
-            else:
-                for i, row in enumerate(rows):
-                    col = ages[:, i]
-                    if col.max() < len(row):
-                        acc[:, i] += row[col - 1]
-                    elif saturate:
-                        acc[:, i] += row[np.minimum(col, len(row)) - 1]
-                    else:  # past the row: evaluate raises, naming the age
+            acc += flat_cost.take(ages + cost_cells)
+            if t + 1 > smallest_cap:  # ages are at most t + 1
+                for i, cap in enumerate(caps):
+                    if ages[:, i].max() > cap:  # evaluate raises, naming the age
                         try:
-                            acc[:, i] += spec.sources[i].cost(col)
+                            spec.sources[i].cost(ages[:, i])
                         except CostRangeError as e:
                             raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
             try:
@@ -322,12 +326,22 @@ def _policy_chooser(spec, policy, width):
     return choose
 
 
-def _closed_cycle(spec, pairs) -> Cycle:
-    """The Cycle of a run of (ages, action) pairs that closes on itself, with
-    its exact average cost."""
-    states = tuple(s for s, _ in pairs)
-    avg = math.fsum(spec.state_cost(s) for s in states) / len(states)
-    return Cycle(states=states, actions=tuple(a for _, a in pairs), average_cost=avg)
+def _first_cycle(spec, pairs, key):
+    """The Cycle between the first two of `pairs`, an iterable of (ages,
+    action) pairs, whose keys `key(step, pair)` are equal, with its exact
+    average cost (the pairs before the first of them do not contribute);
+    None when the pairs run out first."""
+    seen = {}
+    run = []
+    for step, pair in enumerate(pairs):
+        k = key(step, pair)
+        if k in seen:
+            states, actions = zip(*run[seen[k]:])
+            avg = math.fsum(spec.state_cost(s) for s in states) / len(states)
+            return Cycle(states=states, actions=actions, average_cost=avg)
+        seen[k] = step
+        run.append(pair)
+    return None
 
 
 def _check_exact(spec, policy, what):
@@ -349,15 +363,12 @@ def detect_cycle(spec: SystemSpec, policy, max_steps: int = 100_000) -> Cycle:
     max_steps = validate_count("max_steps", max_steps)
     period = time_period(policy, spec.n_sources)
     path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy, 4096))
-    seen = {}
-    pairs = []
-    for step, (ages, a) in zip(range(max_steps), path):
-        key = (ages, step % period)
-        if key in seen:
-            return _closed_cycle(spec, pairs[seen[key]:])
-        seen[key] = step
-        pairs.append((ages, a))
-    raise NonCyclicError(f"no state recurrence within {max_steps} steps")
+    cycle = _first_cycle(
+        spec, itertools.islice(path, max_steps), lambda step, pair: (pair[0], step % period)
+    )
+    if cycle is None:
+        raise NonCyclicError(f"no state recurrence within {max_steps} steps")
+    return cycle
 
 
 def per_slot_costs(spec: SystemSpec, policy, horizon: int) -> np.ndarray:
@@ -413,6 +424,7 @@ def _probe_expectation(spec, policy, horizons):
     tmax = horizons[-1]
     t = np.arange(1, tmax + 1)
     per_slot = np.zeros(tmax)
+    rows, _ = _cost_rows(spec, tmax)
     for i, s in enumerate(spec.sources):
         q = policy.probs[i] * s.p
         if q >= 1.0:
@@ -420,12 +432,9 @@ def _probe_expectation(spec, policy, horizons):
             continue
         if q <= 0.0:
             raise DomainError(f"source {i + 1} is never scheduled; expectation diverges")
-        ages = np.arange(1, tmax + 1)
-        f_vals = costmod.row(s.cost, tmax)
-        f_vals = np.append(f_vals, np.full(tmax - len(f_vals), OVERFLOW_LIMIT))
-        geo = q * (1.0 - q) ** (ages - 1.0)
-        interior = np.concatenate(([0.0], np.cumsum(f_vals * geo)[:-1]))
-        boundary = f_vals * (1.0 - q) ** (t - 1.0)
+        geo = q * (1.0 - q) ** (t - 1.0)  # at age t
+        interior = np.concatenate(([0.0], np.cumsum(rows[i] * geo)[:-1]))
+        boundary = rows[i] * (1.0 - q) ** (t - 1.0)
         per_slot += interior + boundary
     np.minimum(per_slot, OVERFLOW_LIMIT, out=per_slot)
     running = np.minimum(np.cumsum(per_slot), OVERFLOW_LIMIT) / t

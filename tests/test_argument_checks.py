@@ -27,10 +27,12 @@ from aoisched.decoupled import (
 from aoisched.errors import ConfigError, DomainError
 from aoisched.policies import (
     FixedCycle,
+    MaxAge,
     RoundRobin,
     Source,
     StationaryRandomized,
     SystemSpec,
+    decide,
     whittle_index_table,
 )
 from aoisched.sim import detect_cycle, divergence_probe
@@ -86,6 +88,10 @@ BAD_INPUTS = {
     "theorem3 a_max 0": lambda: certify_theorem3(F, cost.power(1, 2), horizon=50, a_max=0),
     "evaluate a bool age": lambda: cost.evaluate(F, True),
     "evaluate a string age": lambda: cost.evaluate(F, "3"),
+    "evaluate at age inf": lambda: cost.evaluate(cost.table([1, 2, 3]), np.inf),
+    "evaluate at age nan": lambda: cost.evaluate(F, np.nan),
+    "whittle_index at age inf": lambda: whittle_index(F, 1.0, np.inf),
+    "decide at ages (inf, 1)": lambda: decide(MaxAge(), SPEC, (np.inf, 1)),
 }
 
 
@@ -148,6 +154,8 @@ def test_cli_dp_still_reads_sizes_from_the_config(config_path, capsys):
     {"states": [[1, 2], [2, 1]], "actions": [1.5, 2]},
     {"states": [[1, 2], [2, 1]], "actions": [0, 1]},
     {"states": [[1, 2], [2, 1]], "actions": [True, 2]},
+    {"states": [[1, 2], [2, 1], [3, 1]], "actions": [1, 2]},
+    {"states": [[1, 2]], "actions": [1, 2]},
 ])
 def test_cli_strong_switch_refuses_bad_pairs(tmp_path, data, capsys):
     path = tmp_path / "pairs.json"

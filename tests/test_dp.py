@@ -14,6 +14,7 @@ from aoisched import cost
 from aoisched import dp as dpmod
 from aoisched.dp import (
     TruncatedBox,
+    _backward_pass,
     _estimate_bytes,
     _fallback_totals,
     _forward_truncation_pass,
@@ -30,6 +31,11 @@ from aoisched.policies import MaxAge, RoundRobin, Source, SystemSpec, Whittle
 from aoisched.sim import simulate
 
 from conftest import overflow_at_four, references_for, system_for
+
+
+def _stage_tables(spec, horizon, box):
+    """The stage action tables of a solve, from the backward pass it runs."""
+    return _backward_pass(box, spec.probabilities, _stage_cost(spec, box), horizon)[1]
 
 
 class TestBasics:
@@ -148,7 +154,7 @@ class TestTruncationInertness:
         assert rel < 1e-4
 
 
-def _switched_policy_cost(spec, sol, cycle):
+def _switched_policy_cost(spec, sol, tables, cycle):
     """Oracle for the upper bound: exact average cost, on unclamped ages, of
     following the solution's stage tables until some age reaches a_max and
     then serving cycle[t % len(cycle)] at every slot t, by enumerating the
@@ -166,7 +172,7 @@ def _switched_policy_cost(spec, sol, cycle):
             if switched:
                 a = cycle[t % len(cycle)]
             else:
-                a = int(sol.stage_actions[t][sol.box.state_index(ages)])
+                a = int(tables[t][sol.box.state_index(ages)])
             grown = tuple(x + 1 for x in ages)
             p = spec.sources[a].p
             nxt[(grown[:a] + (1,) + grown[a + 1 :], switched)] += p * w
@@ -207,12 +213,13 @@ class TestCertifiedInterval:
     ])
     def test_upper_bound_is_the_cheapest_switched_policy(self, sources, a_max, horizon):
         spec = SystemSpec(sources)
-        sol = finite_horizon_dp(
-            spec, horizon, box=TruncatedBox(a_max, spec.n_sources), retain_stage_tables=True
-        )
+        box = TruncatedBox(a_max, spec.n_sources)
+        sol = finite_horizon_dp(spec, horizon, box=box)
+        tables = _stage_tables(spec, horizon, box)
         assert sol.truncation_report > 0.5
         exact = min(
-            _switched_policy_cost(spec, sol, c) for c in _weighted_round_robins(spec.n_sources)
+            _switched_policy_cost(spec, sol, tables, c)
+            for c in _weighted_round_robins(spec.n_sources)
         )
         assert sol.upper_bound == pytest.approx(exact, rel=1e-12)
         assert sol.optimal_average_cost < sol.upper_bound
@@ -243,10 +250,15 @@ class TestAutoDoubling:
 
     def test_budget_fallback_returns_best_feasible(self):
         spec = system_for("F2")
-        sol = finite_horizon_dp_auto(
-            spec, 120, a_max=15, max_doublings=3, memory_budget=200 * 2**20
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = finite_horizon_dp_auto(
+                spec, 120, a_max=15, max_doublings=3, memory_budget=200 * 2**20
+            )
         assert sol.box.a_max <= 30
+        # the memory budget stopped the doubling: the note is warned once
+        assert sol.warnings
+        assert [str(w.message) for w in caught] == list(sol.warnings)
 
     def test_spent_budget_returns_the_last_box_and_warns_once(self):
         # D2 at a_max 20 leaves mass at the cap, and no doubling is allowed
@@ -311,15 +323,14 @@ class TestMemoryEstimate:
     def test_traced_peak_within_estimate(self, sources, a_max, horizon):
         spec = SystemSpec(sources)
         box = TruncatedBox(a_max, spec.n_sources)
-        for retain in (False, True):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                finite_horizon_dp(spec, horizon, box=box, retain_stage_tables=retain)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert peak <= _estimate_bytes(box, horizon)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            finite_horizon_dp(spec, horizon, box=box)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= _estimate_bytes(box, horizon)
 
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
     def test_few_runs_peak_far_below_a_dense_table(self):
@@ -331,11 +342,11 @@ class TestMemoryEstimate:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            sol = finite_horizon_dp(spec, 500, box=box, retain_stage_tables=True)
+            finite_horizon_dp(spec, 500, box=box)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len({id(a) for a in sol.stage_actions}) < 100
+        assert len({id(a) for a in _stage_tables(spec, 500, box)}) < 100
         assert peak < box.state_count * 500 / 3
 
 
@@ -471,7 +482,8 @@ def _assert_matches_reference(spec, horizon, box, initial):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        sol = finite_horizon_dp(spec, horizon, box=box, initial=initial, retain_stage_tables=True)
+        sol = finite_horizon_dp(spec, horizon, box=box, initial=initial)
+    tables = _stage_tables(spec, horizon, box)
     lower = total / horizon
     upper = lower
     if touched != 0.0:
@@ -481,17 +493,17 @@ def _assert_matches_reference(spec, horizon, box, initial):
     assert sol.upper_bound.hex() == upper.hex()
     assert sol.truncation_report.hex() == touched.hex()
     assert sol.stage_costs.tobytes() == per_stage.tobytes()
-    assert np.stack(sol.stage_actions).tobytes() == actions.tobytes()
-    _assert_maximal_runs(sol.stage_actions)
-    _assert_shared_by_content(sol.stage_actions)
-    assert sol.stage1_actions is sol.stage_actions[0]
+    assert np.stack(tables).tobytes() == actions.tobytes()
+    _assert_maximal_runs(tables)
+    _assert_shared_by_content(tables)
+    assert sol.stage1_actions.tobytes() == tables[0].tobytes()
     assert _stage_cost(spec, box).tobytes() == stage_cost.tobytes()
     _, _, got = _forward_truncation_pass(
         box, actions, spec.probabilities, _stage_cost(spec, box), box.state_index(initial)
     )
     assert got.tobytes() == entering.tobytes()
     if spec.reliable:  # the solve walked its path; the dense pass above is the oracle
-        trajectory, _, _, walked = _reliable_audit(box, sol.stage_actions, stage_cost, initial)
+        trajectory, _, _, walked = _reliable_audit(box, tables, stage_cost, initial)
         assert trajectory == sol.trajectory
         assert walked.tobytes() == entering.tobytes()
 
@@ -597,10 +609,10 @@ class TestReliableWalk:
         # last marginal row, so U goes through a fallback that costs nothing
         spec = SystemSpec(sources)
         box = TruncatedBox(a_max, len(sources))
-        sol = finite_horizon_dp(spec, horizon, box=box, retain_stage_tables=True)
+        sol = finite_horizon_dp(spec, horizon, box=box)
         assert all(max(ages) < a_max for ages, _ in sol.trajectory)
         _, touched, per_stage, entering = _reliable_audit(
-            box, sol.stage_actions, _stage_cost(spec, box), sol.initial_state
+            box, _stage_tables(spec, horizon, box), _stage_cost(spec, box), sol.initial_state
         )
         assert touched == sol.truncation_report == 1.0
         assert not entering.any()
@@ -635,11 +647,11 @@ class TestForwardIndex:
         # the audit calls flatnonzero once for the cap and once per rebuild
         spec = system_for("E2")
         box = TruncatedBox(12, 4)
-        sol = finite_horizon_dp(spec, 500, box=box, retain_stage_tables=True)
+        tables = _stage_tables(spec, 500, box)
         calls = []
         flatnonzero = np.flatnonzero
         monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
-        _forward_truncation_pass(box, sol.stage_actions, spec.probabilities, _stage_cost(spec, box), 0)
+        _forward_truncation_pass(box, tables, spec.probabilities, _stage_cost(spec, box), 0)
         rebuilds = len(calls) - 1
         assert 0 < rebuilds <= 100
 
@@ -652,12 +664,10 @@ class TestStoredTables:
         # tie states make these tables change at every stage, among a few
         # contents that recur with the reset cycle
         spec = system_for(name)
-        sol = finite_horizon_dp(
-            spec, 500, box=TruncatedBox(a_max, spec.n_sources), retain_stage_tables=True
-        )
-        _assert_maximal_runs(sol.stage_actions)
-        assert _assert_shared_by_content(sol.stage_actions) == stored
-        assert len({id(a) for a in sol.stage_actions}) == stored
+        tables = _stage_tables(spec, 500, TruncatedBox(a_max, spec.n_sources))
+        _assert_maximal_runs(tables)
+        assert _assert_shared_by_content(tables) == stored
+        assert len({id(a) for a in tables}) == stored
 
     @pytest.mark.parametrize("name,a_max", [("D1", 20), ("A2", 12)])
     def test_a_digest_collision_is_confirmed_by_content(self, name, a_max, monkeypatch):
@@ -665,10 +675,11 @@ class TestStoredTables:
         # of different content apart
         spec = system_for(name)
         box = TruncatedBox(a_max, spec.n_sources)
-        sol = finite_horizon_dp(spec, 200, box=box, retain_stage_tables=True)
+        sol = finite_horizon_dp(spec, 200, box=box)
+        tables = _stage_tables(spec, 200, box)
         monkeypatch.setattr(dpmod.zlib, "crc32", lambda data: 0)
-        collided = finite_horizon_dp(spec, 200, box=box, retain_stage_tables=True)
-        assert np.stack(collided.stage_actions).tobytes() == np.stack(sol.stage_actions).tobytes()
+        collided = finite_horizon_dp(spec, 200, box=box)
+        assert np.stack(_stage_tables(spec, 200, box)).tobytes() == np.stack(tables).tobytes()
         assert collided.optimal_average_cost == sol.optimal_average_cost
 
 
@@ -746,6 +757,29 @@ def test_table_setting_dp_pinned(name):
     assert hashlib.sha256(sol.stage1_actions.tobytes()).hexdigest()[:16] == digest
 
 
+# recorded with the longest-clean-run period scan of extract_cycle_policy,
+# on the boxes of _TABLE_PINS at horizon 500: the cycle's actions and its
+# average cost as float.hex
+_CYCLE_PINS = {
+    "A1": ((1, 0, 0), "0x1.6000000000000p+4"),
+    "B1": ((1, 0), "0x1.1000000000000p+3"),
+    "C1": ((1, 0), "0x1.6dce9df5c6436p+2"),
+    "D1": ((1, 2, 1, 2, 0), "0x1.619999999999ap+5"),
+    "E1": ((2, 3, 0, 1, 2, 0, 3, 1, 0), "0x1.2555555555555p+6"),
+    "F1": ((2, 0, 3, 1, 0, 2, 1, 3, 0, 1), "0x1.5edee6d6f51f8p+6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CYCLE_PINS))
+def test_table_setting_dp_cycle_pinned(name):
+    actions, average = _CYCLE_PINS[name]
+    spec = system_for(name)
+    sol = finite_horizon_dp(spec, 500, box=TruncatedBox(_TABLE_PINS[name][0], spec.n_sources))
+    cyc = extract_cycle_policy(sol, spec)
+    assert cyc.actions == actions
+    assert cyc.average_cost.hex() == average
+
+
 def _clamped_trajectory(box, actions, initial):
     """The DP's own trajectory stepper that the shared reliable path
     replaced, kept as the oracle: ages grow clamped at a_max, so it agrees
@@ -766,9 +800,10 @@ class TestTrajectory:
     def test_reliable_settings_match_the_clamped_stepper(self, name):
         spec = system_for(name)
         box = TruncatedBox(_TABLE_PINS[name][0], spec.n_sources)
-        sol = finite_horizon_dp(spec, 500, box=box, retain_stage_tables=True)
+        sol = finite_horizon_dp(spec, 500, box=box)
         assert sol.truncation_report == 0.0
-        assert sol.trajectory == _clamped_trajectory(box, sol.stage_actions, sol.initial_state)
+        tables = _stage_tables(spec, 500, box)
+        assert sol.trajectory == _clamped_trajectory(box, tables, sol.initial_state)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_dp_case())
@@ -777,8 +812,8 @@ class TestTrajectory:
         spec = SystemSpec(tuple(Source(s.cost) for s in spec.sources))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            sol = finite_horizon_dp(spec, horizon, box=box, initial=initial, retain_stage_tables=True)
-        oracle = _clamped_trajectory(box, sol.stage_actions, initial)
+            sol = finite_horizon_dp(spec, horizon, box=box, initial=initial)
+        oracle = _clamped_trajectory(box, _stage_tables(spec, horizon, box), initial)
         if sol.truncation_report == 0.0:
             assert sol.trajectory == oracle
         # the two agree until the true path first leaves the box
@@ -792,8 +827,8 @@ class TestTrajectory:
         # a_max 4 its age would stall at 4 and fake a one-state cycle
         spec = SystemSpec((Source(cost.table([0.0])), Source(cost.linear(1))))
         box = TruncatedBox(4, 2)
-        sol = finite_horizon_dp(spec, 200, box=box, retain_stage_tables=True)
-        assert _clamped_trajectory(box, sol.stage_actions, (1, 1))[100] == ((4, 1), 1)
+        sol = finite_horizon_dp(spec, 200, box=box)
+        assert _clamped_trajectory(box, _stage_tables(spec, 200, box), (1, 1))[100] == ((4, 1), 1)
         assert sol.trajectory[100] == ((101, 1), 1)
         with pytest.raises(NonCyclicError):
             extract_cycle_policy(sol, spec)
