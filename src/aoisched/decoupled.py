@@ -330,7 +330,9 @@ def _verify_thresholds(f, p, charges, thresholds, slack=1e-9):
     """Re-check the two-sided optimality condition W(H-1) <= C <= W(H) at
     each returned threshold H of its charge C, with every index recomputed
     in one row over the ages H - 1 and H. At p = 1 it is f(H) <= (sum
-    f(1..H) + C) / H <= f(H+1), as W(H-1) = H f(H) - sum f(1..H)."""
+    f(1..H) + C) / H <= f(H+1), as W(H-1) = H f(H) - sum f(1..H).
+    It shares the searched row's `whittle_index` arithmetic, so it catches
+    a search that returns the wrong age, not an arithmetic disagreement."""
     C = np.asarray(charges, dtype=float)
     H = np.asarray(thresholds, dtype=np.int64)
     # both arms in Definition form; W(0) = 0

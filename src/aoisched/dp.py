@@ -46,7 +46,7 @@ On reliable channels the state distribution is a single point, so the
 audit walks the one path that point takes, the realized trajectory, with
 the dense pass's bits (see `_reliable_audit`). The solution keeps stage
 1's table and that trajectory, whose first repeated (state, action) pair
-closes the extracted cycle.
+that the trajectory goes on to repeat closes the extracted cycle.
 """
 
 from __future__ import annotations
@@ -628,8 +628,11 @@ def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
     solution's realized trajectory, searched over a mid-horizon window away
     from the initial transient and from end-of-horizon effects (the same
     first recurrence `sim.detect_cycle` finds, keyed on the action instead
-    of a phase). The exact cycle average cost is independent of the
-    discarded transient.
+    of a phase). The policy varies with the stage, so a pair can recur on
+    a loop the trajectory passes once: in an n-pair window a loop of
+    d <= n // 3 pairs closes the cycle only if the trajectory repeats it for
+    a clean run of min(max(2d, 8), n - d) pairs. The exact cycle average
+    cost is independent of the discarded transient.
     """
     if not spec.reliable:
         raise DomainError("cycle extraction requires all channels reliable")
@@ -642,12 +645,19 @@ def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
     lo = min(horizon // 4, 50)
     hi = horizon - max(2, horizon // 50)
     window = sol.trajectory[lo:hi]
-    if len(window) < 4:
+    n = len(window)
+    if n < 4:
         raise NonCyclicError(f"horizon {horizon} leaves no mid-horizon window")
-    cycle = _first_cycle(spec, window, lambda step, pair: pair)
+
+    def repeats(j, s):
+        d = s - j
+        clean = min(max(2 * d, 8), n - d)
+        return d <= n // 3 and window[j : j + clean] == window[s : s + clean]
+
+    cycle = _first_cycle(spec, window, lambda step, pair: pair, repeats)
     if cycle is None:
         raise NonCyclicError(
-            f"optimal trajectory shows no period within the {len(window)}-slot window; "
+            f"optimal trajectory shows no period within the {n}-slot window; "
             "box too small or horizon too short"
         )
     return cycle

@@ -19,7 +19,8 @@ stream is Philox(key) as numpy builds it. The keys of a block of runs are
 derived in one vectorised pass of that hash, and one reused Philox draws
 every run's uniforms. Reliable runs draw no channel uniforms at all: a
 uniform in [0, 1) is always below p = 1. A cycle, here or in the DP, is
-the run between the first two equal keys of a trajectory (`_first_cycle`).
+the run between the first two equal keys of a trajectory (`_first_cycle`);
+the DP's stage-varying trajectory must also go on to repeat that run.
 """
 
 from __future__ import annotations
@@ -48,19 +49,18 @@ from .policies import (
 AGE_GUARD = 10**6
 
 
-def _index_table(spec: SystemSpec, policy, wanted: int):
+def _index_table(spec: SystemSpec, policy, wanted: int, caps=None):
     """Whittle index table for a policy whose fallback chain ends at Whittle
     (None for the others), as wide as the cost functions can represent,
-    capped at `wanted`. The index at age h needs f(h+1), hence the -1."""
+    capped at `wanted`. The index at age h needs f(h+1), hence the -1.
+    `caps` are the sources' max_representable_age, when already known."""
     while isinstance(policy, Tabular):
         policy = policy.fallback
     if not isinstance(policy, Whittle):
         return None
-    width = wanted
-    for s in spec.sources:
-        cap = costmod.max_representable_age(s.cost)
-        if cap is not None:
-            width = min(width, cap - 1)
+    if caps is None:
+        caps = [costmod.max_representable_age(s.cost) for s in spec.sources]
+    width = min([wanted] + [cap - 1 for cap in caps if cap is not None])
     if width < 1:
         raise CostRangeError("cost functions overflow below age 2; no index table possible")
     return whittle_index_table(spec, width)
@@ -228,13 +228,14 @@ def _run_blocks(runs, blocks):
 
 def _cost_rows(spec, width):
     """f_i(1..width) of every source i as one (N, width) table, padded with
-    OVERFLOW_LIMIT past the last representable age, and each row's count
-    of representable ages."""
-    rows = [costmod.row(s.cost, width) for s in spec.sources]
-    table = np.full((len(rows), width), OVERFLOW_LIMIT)
-    for out, row in zip(table, rows):
-        out[: len(row)] = row
-    return table, [len(row) for row in rows]
+    OVERFLOW_LIMIT past the last representable age, and each source's
+    max_representable_age (None: no limit)."""
+    caps = [costmod.max_representable_age(s.cost) for s in spec.sources]
+    table = np.full((len(caps), width), OVERFLOW_LIMIT)
+    for out, s, cap in zip(table, spec.sources, caps):
+        m = width if cap is None else min(width, cap)
+        out[:m] = costmod.evaluate(s.cost, np.arange(1, m + 1))
+    return table, caps
 
 
 def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
@@ -252,10 +253,12 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     n = spec.n_sources
     tmax = checkpoints[-1]
     probs = spec.probabilities
-    table = _index_table(spec, policy, tmax + 1)
     rows, caps = _cost_rows(spec, tmax)
+    table = _index_table(spec, policy, tmax + 1, caps)
     flat_cost = rows.reshape(-1)
-    smallest_cap = tmax if saturate else min(caps)
+    # ages at slot t are at most t + 1 <= tmax, so only caps below tmax bind
+    bound = [] if saturate else [(i, c) for i, c in enumerate(caps) if c is not None and c < tmax]
+    smallest_cap = min((c for _, c in bound), default=tmax)
     randomized = not is_deterministic(policy)
     out = np.empty((len(checkpoints), runs, n))
     for lo, hi in _run_blocks(runs, blocks):
@@ -271,7 +274,7 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
         for t in range(tmax):
             acc += flat_cost.take(ages + cost_cells)
             if t + 1 > smallest_cap:  # ages are at most t + 1
-                for i, cap in enumerate(caps):
+                for i, cap in bound:
                     if ages[:, i].max() > cap:  # evaluate raises, naming the age
                         try:
                             spec.sources[i].cost(ages[:, i])
@@ -326,16 +329,19 @@ def _policy_chooser(spec, policy, width):
     return choose
 
 
-def _first_cycle(spec, pairs, key):
+def _first_cycle(spec, pairs, key, repeats=None):
     """The Cycle between the first two of `pairs`, an iterable of (ages,
     action) pairs, whose keys `key(step, pair)` are equal, with its exact
     average cost (the pairs before the first of them do not contribute);
-    None when the pairs run out first."""
+    None when the pairs run out first.
+
+    With `repeats`, a recurrence from step j to step s only closes the cycle
+    if `repeats(j, s)` holds; otherwise the scan goes on from step s."""
     seen = {}
     run = []
     for step, pair in enumerate(pairs):
         k = key(step, pair)
-        if k in seen:
+        if k in seen and (repeats is None or repeats(seen[k], step)):
             states, actions = zip(*run[seen[k]:])
             avg = math.fsum(spec.state_cost(s) for s in states) / len(states)
             return Cycle(states=states, actions=actions, average_cost=avg)

@@ -28,7 +28,7 @@ from aoisched.dp import (
 )
 from aoisched.errors import CapacityError, DomainError, NonCyclicError
 from aoisched.policies import MaxAge, RoundRobin, Source, SystemSpec, Whittle
-from aoisched.sim import simulate
+from aoisched.sim import _first_cycle, simulate
 
 from conftest import overflow_at_four, references_for, system_for
 
@@ -778,6 +778,21 @@ def test_table_setting_dp_cycle_pinned(name):
     cyc = extract_cycle_policy(sol, spec)
     assert cyc.actions == actions
     assert cyc.average_cost.hex() == average
+
+
+def test_extracted_cycle_is_a_loop_the_trajectory_repeats():
+    # the first repeated (state, action) pair of this horizon-60 window
+    # closes a 3-loop (2, 0, 1) costing 22.04 that the trajectory passes once
+    # before it settles into the 8-cycle, which the period scan also found
+    spec = SystemSpec(
+        (Source(cost.exponential(math.e)), Source(cost.logarithmic(10)), Source(cost.power(0.5, 3)))
+    )
+    sol = finite_horizon_dp(spec, 60, box=TruncatedBox(10, 3))
+    window = sol.trajectory[15:58]  # extract_cycle_policy's window at horizon 60
+    assert _first_cycle(spec, window, lambda step, pair: pair).actions == (2, 0, 1)
+    cyc = extract_cycle_policy(sol, spec)
+    assert cyc.actions == (2, 0, 2, 1, 0, 2, 0, 1)
+    assert cyc.average_cost.hex() == (21.819270529437915).hex()
 
 
 def _clamped_trajectory(box, actions, initial):
