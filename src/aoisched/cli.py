@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from . import cost as costmod
 from . import dp as dpmod
-from .config import bundled_config, bundled_config_names, load_config
+from .config import _float_args, bundled_config, bundled_config_names, load_config, parse_config
 from .decoupled import (
     DecoupledProblem,
     indexability_sweep,
@@ -92,17 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="simulate even when a source provably diverges",
     )
+    p_run.set_defaults(handler=_cmd_run)
 
     p_idx = sub.add_parser("index", help="print whittle index values as CSV")
     p_idx.add_argument("--cost", required=True, help="cost spec, e.g. '{kind: linear, weight: 13}'")
     p_idx.add_argument("--p", type=float, default=1.0)
     p_idx.add_argument("--h-min", type=int, default=1)
     p_idx.add_argument("--h-max", type=int, required=True)
+    p_idx.set_defaults(handler=_cmd_index)
 
     p_thr = sub.add_parser("threshold", help="optimal activation threshold for a charge")
     p_thr.add_argument("--cost", required=True)
     p_thr.add_argument("--p", type=float, default=1.0)
     p_thr.add_argument("--charge", type=float, required=True)
+    p_thr.set_defaults(handler=_cmd_threshold)
 
     p_dp = sub.add_parser("dp", help="solve the finite-horizon DP for a config's sources")
     p_dp.add_argument("--config", required=True)
@@ -110,34 +113,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_dp.add_argument("--a-max", type=int)
     p_dp.add_argument("--memory-budget", type=int, help="bytes")
     p_dp.add_argument("--cycle", action="store_true", help="also emit the recurrent cycle")
+    p_dp.set_defaults(handler=_cmd_dp)
 
     p_ver = sub.add_parser("verify", help="verification modes; exit 2 on violation")
     ver_sub = p_ver.add_subparsers(dest="mode", required=True)
     v_ss = ver_sub.add_parser("strong-switch", help="check a state-action set from JSON")
     v_ss.add_argument("--pairs", required=True, help="JSON file with {states: [...], actions: [...]} (1-based actions)")
+    v_ss.set_defaults(handler=_verify_strong_switch)
     v_t3 = ver_sub.add_parser("theorem3", help="two-source optimality certificate")
     v_t3.add_argument("--cost1", required=True)
     v_t3.add_argument("--cost2", required=True)
     v_t3.add_argument("--horizon", type=int, default=500)
     v_t3.add_argument("--a-max", type=int)
+    v_t3.set_defaults(handler=_verify_theorem3)
     v_ix = ver_sub.add_parser("indexability", help="threshold monotonicity over a charge sweep")
     v_ix.add_argument("--cost", required=True)
     v_ix.add_argument("--p", type=float, default=1.0)
     v_ix.add_argument("--charges", required=True, help="comma-separated increasing charges")
+    v_ix.set_defaults(handler=_verify_indexability)
 
     p_tab = sub.add_parser("tables", help="regenerate the benchmark tables from bundled configs")
     p_tab.add_argument("--out", help="also write per-setting CSV/JSON here")
     p_tab.add_argument("--only", help="comma-separated subset of bundled config names")
     p_tab.add_argument("--workers", type=int, default=1, metavar="K", help=_WORKERS_HELP)
+    p_tab.set_defaults(handler=_cmd_tables)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        return args.handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_EXIT
@@ -149,31 +158,10 @@ def main(argv=None) -> int:
         return USAGE_EXIT
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-    if getattr(args, "workers", 1) < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    if cmd == "run":
-        return _cmd_run(args)
-    if cmd == "index":
-        return _cmd_index(args)
-    if cmd == "threshold":
-        return _cmd_threshold(args)
-    if cmd == "dp":
-        return _cmd_dp(args)
-    if cmd == "verify":
-        return _cmd_verify(args)
-    if cmd == "tables":
-        return _cmd_tables(args)
-    raise ConfigError(f"unknown command {cmd!r}")
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
+        config = parse_config({**config.to_dict(), "seed": args.seed})
     bundle = run_experiment(
         config,
         out_dir=_out_dir(args),
@@ -212,8 +200,9 @@ def _cmd_dp(args) -> int:
     a_max = config.dp.a_max if args.a_max is None else args.a_max
     box = None if a_max is None else dpmod.TruncatedBox(a_max, spec.n_sources)
     budget = config.dp.memory_budget if args.memory_budget is None else args.memory_budget
-    kwargs = {} if budget is None else {"memory_budget": budget}
-    sol = dpmod.finite_horizon_dp(spec, horizon, box=box, **kwargs)
+    if budget is None:
+        budget = dpmod.DEFAULT_MEMORY_BUDGET
+    sol = dpmod.finite_horizon_dp(spec, horizon, box=box, memory_budget=budget)
     cyc = None
     if args.cycle:
         if not spec.reliable:
@@ -224,74 +213,76 @@ def _cmd_dp(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    if args.mode == "strong-switch":
+def _verify_strong_switch(args) -> int:
+    try:
         with open(args.pairs, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        try:
-            states, actions = data["states"], data["actions"]
-            uneven = len(states) != len(actions)
-        except (TypeError, KeyError):
-            raise ConfigError("pairs file needs 'states' and 'actions' arrays") from None
-        if uneven:
-            raise ConfigError(f"pairs file has {len(states)} states but {len(actions)} actions")
-        pairs = [(s, costmod.validate_count("action", a) - 1) for s, a in zip(states, actions)]
-        violations = check_strong_switch(pairs)
-        report = {
-            "ok": not violations,
-            "violations": [
-                {
-                    "state": list(v.state_a),
-                    "action": v.action_a + 1,
-                    "dominating_state": list(v.state_b),
-                    "its_action": v.action_b + 1,
-                    "implied_action": v.implied_action + 1,
-                }
-                for v in violations
-            ],
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 0 if not violations else VERIFY_EXIT
+    except OSError as e:
+        raise ConfigError(f"cannot read pairs file {args.pairs}: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"unparseable JSON in {args.pairs}: {e}") from None
+    try:
+        states, actions = data["states"], data["actions"]
+        uneven = len(states) != len(actions)
+    except (TypeError, KeyError):
+        raise ConfigError("pairs file needs 'states' and 'actions' arrays") from None
+    if uneven:
+        raise ConfigError(f"pairs file has {len(states)} states but {len(actions)} actions")
+    pairs = [(s, costmod.validate_count("action", a) - 1) for s, a in zip(states, actions)]
+    violations = check_strong_switch(pairs)
+    report = {
+        "ok": not violations,
+        "violations": [
+            {
+                "state": list(v.state_a),
+                "action": v.action_a + 1,
+                "dominating_state": list(v.state_b),
+                "its_action": v.action_b + 1,
+                "implied_action": v.implied_action + 1,
+            }
+            for v in violations
+        ],
+    }
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return 0 if not violations else VERIFY_EXIT
 
-    if args.mode == "theorem3":
-        cert = certify_theorem3(
-            _cost_arg(args.cost1),
-            _cost_arg(args.cost2),
-            horizon=args.horizon,
-            a_max=args.a_max,
-        )
-        report = {
-            "ok": cert.ok,
-            "whittle_cycle_cost": cert.whittle_cycle.average_cost,
-            "best_cycle": {
-                "leader": cert.best_cycle.leader + 1,
-                "k": cert.best_cycle.k,
-                "cost": cert.best_cycle.cost,
-            },
-            "dp_cost": cert.dp_cost,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in cert.checks
-            ],
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 0 if cert.ok else VERIFY_EXIT
 
-    if args.mode == "indexability":
-        f = _cost_arg(args.cost)
-        charges = [float(tok) for tok in args.charges.split(",")]
-        thresholds = indexability_sweep(f, args.p, charges)
-        seq = [None if t.is_never else t.threshold for t in thresholds]
-        numeric = [float("inf") if v is None else v for v in seq]
-        ok = all(b >= a for a, b in zip(numeric, numeric[1:]))
-        report = {
-            "ok": ok,
-            "charges": charges,
-            "thresholds": ["NEVER" if v is None else v for v in seq],
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 0 if ok else VERIFY_EXIT
+def _verify_theorem3(args) -> int:
+    cert = certify_theorem3(
+        _cost_arg(args.cost1),
+        _cost_arg(args.cost2),
+        horizon=args.horizon,
+        a_max=args.a_max,
+    )
+    report = {
+        "ok": cert.ok,
+        "whittle_cycle_cost": cert.whittle_cycle.average_cost,
+        "best_cycle": {
+            "leader": cert.best_cycle.leader + 1,
+            "k": cert.best_cycle.k,
+            "cost": cert.best_cycle.cost,
+        },
+        "dp_cost": cert.dp_cost,
+        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in cert.checks],
+    }
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return 0 if cert.ok else VERIFY_EXIT
 
-    raise ConfigError(f"unknown verify mode {args.mode!r}")
+
+def _verify_indexability(args) -> int:
+    f = _cost_arg(args.cost)
+    charges = _float_args("charges", args.charges)
+    thresholds = indexability_sweep(f, args.p, charges)
+    seq = [None if t.is_never else t.threshold for t in thresholds]
+    numeric = [float("inf") if v is None else v for v in seq]
+    ok = all(b >= a for a, b in zip(numeric, numeric[1:]))
+    report = {
+        "ok": ok,
+        "charges": charges,
+        "thresholds": ["NEVER" if v is None else v for v in seq],
+    }
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return 0 if ok else VERIFY_EXIT
 
 
 def _cmd_tables(args) -> int:

@@ -98,6 +98,9 @@ class ExperimentConfig:
 
 _POLICY_RE = re.compile(r"^\s*(\w+)\s*(?:\((.*)\))?\s*$")
 
+# the policy heads that take no arguments, each with its class
+_PLAIN = {"whittle": Whittle, "round_robin": RoundRobin, "max_age": MaxAge}
+
 
 def parse_policy_spec(spec: str, n_sources: int):
     """Parse one policy grammar string; 'dp' returns the string itself."""
@@ -109,16 +112,11 @@ def parse_policy_spec(spec: str, n_sources: int):
         if args is not None:
             raise ConfigError("dp takes no arguments")
         return "dp"
+    if head in _PLAIN:
+        if args:
+            raise ConfigError(f"{head} takes no arguments")
+        return _PLAIN[head]()
     try:
-        if head == "whittle":
-            _no_args(head, args)
-            return Whittle()
-        if head == "round_robin":
-            _no_args(head, args)
-            return RoundRobin()
-        if head == "max_age":
-            _no_args(head, args)
-            return MaxAge()
         if head == "randomized":
             probs = _float_args(head, args)
             if len(probs) != n_sources:
@@ -139,11 +137,6 @@ def parse_policy_spec(spec: str, n_sources: int):
     raise ConfigError(f"unknown policy {head!r}")
 
 
-def _no_args(head, args):
-    if args not in (None, ""):
-        raise ConfigError(f"{head} takes no arguments")
-
-
 def _float_args(head, args):
     if not args:
         raise ConfigError(f"{head} needs arguments")
@@ -157,12 +150,9 @@ def policy_label(policy) -> str:
     """Canonical grammar string for a policy object (CSV row label)."""
     if policy == "dp":
         return "dp"
-    if isinstance(policy, Whittle):
-        return "whittle"
-    if isinstance(policy, RoundRobin):
-        return "round_robin"
-    if isinstance(policy, MaxAge):
-        return "max_age"
+    for head, kind in _PLAIN.items():
+        if isinstance(policy, kind):
+            return head
     if isinstance(policy, StationaryRandomized):
         return "randomized(" + ",".join(repr(q) for q in policy.probs) + ")"
     if isinstance(policy, FixedCycle):

@@ -40,6 +40,7 @@ from . import cost as costmod
 from .cost import CostFunction, is_bounded_cost, prefix_array, prefix_sum
 from .errors import (
     AdmissibilityError,
+    CapacityError,
     ConsistencyError,
     ConvergenceError,
     DomainError,
@@ -86,7 +87,7 @@ class DecoupledProblem:
 
     def __post_init__(self):
         costmod.validate_probability(self.p)
-        if self.charge < 0:
+        if not self.charge >= 0:  # refuses nan too
             raise DomainError(f"charge must be non-negative, got {self.charge}")
         if self.p < 1:
             check = is_bounded_cost(self.cost, self.p)
@@ -289,13 +290,19 @@ def optimal_threshold(prob: DecoupledProblem) -> ThresholdPolicy:
     return _invert(prob.cost, prob.p, [prob.charge])[0]
 
 
+# ages the threshold search's index row may hold: 128 MiB of floats, though
+# building its last doubling peaks near 630 MB (linear cost, p = 1)
+MAX_INDEX_ROW = 1 << 24
+
+
 def _invert(f: CostFunction, p: float, charges) -> list:
     """Optimal thresholds at each charge, searched in one index row W(1..n)
     that is built once and doubled from n = 32 while no entry exceeds the
     charge. Bounded costs stop at their plateau start + 1, past which W is
     flat. Other rows stop first one age below max_representable_age (W(h)
     needs f(h+1)); only a charge that row cannot reach extends it further,
-    and so raises CostRangeError."""
+    and so raises CostRangeError. A row that would pass MAX_INDEX_ROW ages
+    raises CapacityError instead."""
     sup = _index_supremum(f, p)
     h_stop = f.plateau_start + 1 if f.is_bounded_function else None
     cap = costmod.max_representable_age(f)
@@ -317,6 +324,11 @@ def _invert(f: CostFunction, p: float, charges) -> list:
                 n = min(n, h_stop)
             elif cap is not None and len(row) < cap - 1:
                 n = min(n, cap - 1)
+            if n > MAX_INDEX_ROW:
+                raise CapacityError(
+                    f"no index up to age {len(row)} exceeds the charge {C}; the threshold"
+                    f" search stops at MAX_INDEX_ROW = {MAX_INDEX_ROW} ages"
+                )
             row = np.concatenate((row, whittle_index(f, p, np.arange(len(row) + 1, n + 1))))
             above = np.flatnonzero(row > C)
         out.append(ThresholdPolicy(int(above[0]) + 1 if above.size else NEVER))
@@ -358,7 +370,7 @@ def indexability_sweep(f: CostFunction, p: float, charges) -> list:
     every finite threshold; that property is the caller's to assert.
     """
     charges = list(charges)
-    if any(c < 0 for c in charges):
+    if not all(c >= 0 for c in charges):  # refuses nan too
         raise DomainError("charges must be non-negative")
     if any(b <= a for a, b in zip(charges, charges[1:])):
         raise DomainError("charges must be strictly increasing")

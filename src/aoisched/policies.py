@@ -17,7 +17,7 @@ adds only the length check of an age vector against its system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -99,17 +99,7 @@ class Whittle:
 
 @dataclass(frozen=True)
 class RoundRobin:
-    """Cycle through the sources in a fixed order, one per slot."""
-
-    order: Optional[tuple] = None
-
-    def resolved_order(self, n: int) -> tuple:
-        if self.order is None:
-            return tuple(range(n))
-        order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(n)):
-            raise DomainError(f"round-robin order must be a permutation of 0..{n - 1}")
-        return order
+    """Serve source t % N at slot t; FixedCycle serves any other order."""
 
 
 @dataclass(frozen=True)
@@ -156,8 +146,6 @@ class Tabular:
     fallback: object = field(default_factory=Whittle)
 
 
-Policy = Union[Whittle, RoundRobin, StationaryRandomized, MaxAge, FixedCycle, Tabular]
-
 DETERMINISTIC_KINDS = (Whittle, RoundRobin, MaxAge, FixedCycle, Tabular)
 
 
@@ -179,7 +167,7 @@ def time_period(policy, n_sources: int) -> int:
 # -- whittle index tables ------------------------------------------------------
 
 
-def whittle_index_table(spec: SystemSpec, a_max: int, tol: float = 1e-10) -> np.ndarray:
+def whittle_index_table(spec: SystemSpec, a_max: int) -> np.ndarray:
     """Per-source index values W_i(1..a_max) as an (N, a_max) array.
 
     Each row is non-decreasing; whittle decisions over ages <= a_max become
@@ -189,7 +177,7 @@ def whittle_index_table(spec: SystemSpec, a_max: int, tol: float = 1e-10) -> np.
     rows = []
     for i, s in enumerate(spec.sources):
         try:
-            rows.append(np.asarray(decoupled.whittle_index(s.cost, s.p, hs, tol=tol), dtype=float))
+            rows.append(np.asarray(decoupled.whittle_index(s.cost, s.p, hs), dtype=float))
         except AdmissibilityError as e:
             raise AdmissibilityError(f"source {i + 1}: {e}") from None
     return np.stack(rows)
@@ -229,7 +217,7 @@ def _decide_rows(policy, spec, ages, t, u=None, index_table=None) -> np.ndarray:
     if isinstance(policy, Whittle):
         return np.argmax(_whittle_values(spec, ages, index_table), axis=1)
     if isinstance(policy, RoundRobin):
-        return np.full(r, policy.resolved_order(n)[t % n])
+        return np.full(r, t % n)
     if isinstance(policy, FixedCycle):
         a = policy.actions[t % len(policy.actions)]
         if not 0 <= a < n:

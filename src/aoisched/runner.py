@@ -55,30 +55,12 @@ class ResultBundle:
     def csv_rows(self) -> list:
         rows = []
         if self.dp_solution is not None:
-            rows.append(
-                {
-                    "setting": self.config.name,
-                    "policy": "dp",
-                    "mean_cost": self.dp_solution.optimal_average_cost,
-                    "stderr": 0.0,
-                    "runs": 1,
-                    "horizon": self.dp_solution.horizon,
-                    "seed": self.config.seed,
-                }
-            )
+            sol = self.dp_solution
+            rows.append(("dp", sol.optimal_average_cost, 0.0, 1, sol.horizon, self.config.seed))
         for pr in self.policy_results:
-            rows.append(
-                {
-                    "setting": self.config.name,
-                    "policy": pr.label,
-                    "mean_cost": pr.result.mean_cost,
-                    "stderr": pr.result.stderr,
-                    "runs": pr.result.runs,
-                    "horizon": pr.result.horizon,
-                    "seed": pr.result.seed,
-                }
-            )
-        return rows
+            r = pr.result
+            rows.append((pr.label, r.mean_cost, r.stderr, r.runs, r.horizon, r.seed))
+        return [dict(zip(CSV_COLUMNS, (self.config.name, *row))) for row in rows]
 
     def to_json_dict(self) -> dict:
         out = {"name": self.config.name, "provenance": self.provenance, "policies": {}}
@@ -150,16 +132,13 @@ def run_experiment(
     dp_solution = None
     dp_cycle = None
     if config.dp.enabled:
+        budget = config.dp.memory_budget
         dp_solution = dpmod.finite_horizon_dp_auto(
             spec,
             config.horizon,
             a_max=config.dp.a_max,
             max_doublings=config.dp.auto_double,
-            **(
-                {"memory_budget": config.dp.memory_budget}
-                if config.dp.memory_budget is not None
-                else {}
-            ),
+            memory_budget=dpmod.DEFAULT_MEMORY_BUDGET if budget is None else budget,
         )
         if spec.reliable:
             dp_cycle = dpmod.extract_cycle_policy(dp_solution, spec)

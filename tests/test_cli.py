@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 import yaml
 
-from aoisched.cli import main
+from aoisched import decoupled
+from aoisched.cli import build_parser, main
 from aoisched.runner import run_experiment
 from aoisched.config import load_config
 
@@ -69,6 +71,24 @@ class TestRun:
         main(["run", "--config", str(small_config), "--out", str(out2), "--seed", "8"])
         assert (out1 / "smoke.csv").read_bytes() != (out2 / "smoke.csv").read_bytes()
 
+    def test_seed_override_writes_the_bytes_of_a_config_with_that_seed(self, small_config, tmp_path):
+        data = yaml.safe_load(small_config.read_text())
+        data["seed"] = 5
+        seeded = tmp_path / "seeded.yaml"
+        seeded.write_text(yaml.safe_dump(data))
+        out1, out2 = tmp_path / "flag", tmp_path / "file"
+        assert main(["run", "--config", str(small_config), "--out", str(out1), "--seed", "5"]) == 0
+        assert main(["run", "--config", str(seeded), "--out", str(out2)]) == 0
+        assert (out1 / "smoke.csv").read_bytes() == (out2 / "smoke.csv").read_bytes()
+        assert (out1 / "smoke.json").read_bytes() == (out2 / "smoke.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(-(2**64))])
+    def test_seed_override_outside_64_bits_is_usage_error(self, small_config, tmp_path, capsys, seed):
+        out = tmp_path / "big"
+        assert main(["run", "--config", str(small_config), "--out", str(out), "--seed", seed]) == 1
+        assert "seed: must be an integer fitting in 64 bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_output_dir(self, small_config, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("AOISCHED_OUT", str(target))
@@ -129,6 +149,20 @@ class TestIndexAndThreshold:
 
     def test_bad_cost_spec_is_usage_error(self, capsys):
         assert main(["threshold", "--cost", "{kind: banana}", "--charge", "1"]) == 1
+
+    def test_nan_charge_is_usage_error(self, capsys):
+        assert main(["threshold", "--cost", "{kind: linear, weight: 1}", "--charge", "nan"]) == 1
+        assert "charge must be non-negative" in capsys.readouterr().err
+
+    def test_charge_past_the_row_limit_is_capacity_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(decoupled, "MAX_INDEX_ROW", 1 << 12)
+        assert main(["threshold", "--cost", "{kind: linear, weight: 1}", "--charge", "1e20"]) == 3
+        assert "MAX_INDEX_ROW" in capsys.readouterr().err
+
+    def test_large_charge_within_the_row_limit(self, capsys):
+        # the threshold lies at age 1414214, in a row of 2**21 ages
+        assert main(["threshold", "--cost", "{kind: linear, weight: 1}", "--charge", "1e12"]) == 0
+        assert capsys.readouterr().out.strip() == "1414214"
 
 
 class TestDpCommand:
@@ -207,6 +241,22 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["thresholds"] == sorted(report["thresholds"])
 
+    def test_indexability_non_numeric_charge_is_usage_error(self, capsys):
+        args = ["verify", "indexability", "--cost", "{kind: linear, weight: 1}"]
+        assert main([*args, "--charges", "1,abc"]) == 1
+        assert "charges arguments must be numbers, got '1,abc'" in capsys.readouterr().err
+
+    def test_strong_switch_missing_pairs_file_is_usage_error(self, tmp_path, capsys):
+        assert main(["verify", "strong-switch", "--pairs", str(tmp_path / "nope.json")]) == 1
+        assert "cannot read pairs file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{states: [[1, 2]]", "", "\xff"])
+    def test_strong_switch_malformed_pairs_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "pairs.json"
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["verify", "strong-switch", "--pairs", str(path)]) == 1
+        assert "unparseable JSON" in capsys.readouterr().err
+
 
 class TestTables:
     def test_subset_runs_and_renders(self, tmp_path, capsys):
@@ -225,6 +275,22 @@ class TestTables:
         captured = capsys.readouterr()
         assert "--workers must be at least 1, got 0" in captured.err
         assert "finished" not in captured.err
+
+
+def _subcommands(parser):
+    """name -> parser of each subcommand of `parser` (empty if it has none)."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: p for a in subs for name, p in a.choices.items()}
+
+
+def test_every_command_and_verify_mode_has_a_handler():
+    commands = _subcommands(build_parser())
+    assert set(commands) == {"run", "index", "threshold", "dp", "verify", "tables"}
+    modes = _subcommands(commands.pop("verify"))
+    assert set(modes) == {"strong-switch", "theorem3", "indexability"}
+    assert all(_subcommands(p) == {} for p in (*commands.values(), *modes.values()))
+    for name, p in {**commands, **modes}.items():
+        assert callable(p.get_default("handler")), name
 
 
 def test_run_experiment_library_roundtrip(small_config):

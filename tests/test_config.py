@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aoisched.config import (
+    _PLAIN,
     bundled_config,
     bundled_config_names,
     parse_config,
@@ -67,6 +70,21 @@ class TestParsing:
             parse_config(minimal_config(seed="abc"))
 
 
+@st.composite
+def _grammar_strings(draw):
+    """(spec, n_sources) for each form parse_policy_spec turns into a policy."""
+    n = draw(st.integers(1, 5))
+    form = draw(st.sampled_from((*_PLAIN, "randomized", "cycle")))
+    if form == "randomized":
+        weights = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n).filter(any))
+        args = [repr(w / sum(weights)) for w in weights]
+    elif form == "cycle":
+        args = [str(i) for i in draw(st.lists(st.integers(1, n), min_size=1, max_size=6))]
+    else:
+        return form, n
+    return f"{form}({', '.join(args)})", n
+
+
 class TestPolicyGrammar:
     def test_simple_names(self):
         assert isinstance(parse_policy_spec("whittle", 2), Whittle)
@@ -94,10 +112,17 @@ class TestPolicyGrammar:
         with pytest.raises(ConfigError):
             parse_policy_spec("greedy", 2)
 
-    def test_labels_round_trip(self):
-        for spec in ("whittle", "round_robin", "max_age", "randomized(0.5,0.5)", "cycle(1,2)"):
-            pol = parse_policy_spec(spec, 2)
-            assert parse_policy_spec(policy_label(pol), 2) == pol
+    @given(_grammar_strings())
+    @example(("randomized(0.5,0.5)", 2))
+    @example(("cycle(1,2)", 2))
+    def test_labels_round_trip(self, case):
+        spec, n = case
+        pol = parse_policy_spec(spec, n)
+        label = policy_label(pol)
+        assert parse_policy_spec(label, n) == pol
+        assert policy_label(parse_policy_spec(label, n)) == label
+        if spec in _PLAIN:
+            assert type(pol) is _PLAIN[spec] and label == spec
 
 
 class TestRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoisched import cost
+from aoisched import cost, decoupled
 from aoisched.decoupled import (
     NEVER,
     DecoupledProblem,
@@ -22,7 +22,13 @@ from aoisched.decoupled import (
     whittle_reliable,
     whittle_unreliable,
 )
-from aoisched.errors import AdmissibilityError, ConsistencyError, CostRangeError, DomainError
+from aoisched.errors import (
+    AdmissibilityError,
+    CapacityError,
+    ConsistencyError,
+    CostRangeError,
+    DomainError,
+)
 
 from conftest import random_cost, random_cost_and_p
 
@@ -498,3 +504,33 @@ def test_the_batched_guard_rejects_one_threshold_off_by_one(p):
         bad[j] += step
         with pytest.raises(ConsistencyError, match=f"threshold {bad[j]} fails"):
             _verify_thresholds(f, p, charges, bad)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_a_nan_charge_is_refused_before_any_search(p):
+    # nan exceeds no index entry, so a search would grow its row without end
+    with pytest.raises(DomainError, match="non-negative"):
+        DecoupledProblem(cost.linear(1), p, math.nan)
+    with pytest.raises(DomainError, match="non-negative"):
+        indexability_sweep(cost.linear(1), p, [1.0, math.nan])
+    with pytest.raises(DomainError, match="non-negative"):
+        indexability_sweep(cost.linear(1), p, [math.nan])
+
+
+def test_a_charge_past_the_row_limit_raises_capacity_error(monkeypatch):
+    # W(h) = h (h + 1) / 2 for linear(1): charge 1e20 puts the threshold near
+    # age 1.4e10, charge 1e6 at 1414
+    monkeypatch.setattr(decoupled, "MAX_INDEX_ROW", 1 << 12)
+    f = cost.linear(1)
+    assert optimal_threshold(DecoupledProblem(f, 1.0, 1e6)).threshold == 1414
+    with pytest.raises(CapacityError, match=r"age 4096 exceeds the charge 1e\+20"):
+        optimal_threshold(DecoupledProblem(f, 1.0, 1e20))
+    with pytest.raises(CapacityError, match="age 4096"):
+        indexability_sweep(f, 0.5, [1.0, 1e20])
+
+
+@pytest.mark.parametrize("f", [cost.linear(1), cost.table([1.0, 2.0])], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_an_infinite_charge_never_activates(f, p):
+    assert optimal_threshold(DecoupledProblem(f, p, math.inf)).is_never
+    assert indexability_sweep(f, p, [1.0, math.inf])[-1].is_never

@@ -108,8 +108,9 @@ class TestOtherPolicies:
         assert seen == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_round_robin_custom_order(self):
+        # round robin serves t % N; any other order is a FixedCycle
         spec = two_linear()
-        assert decide(RoundRobin(order=(1, 0)), spec, (1, 1), t=0) == 1
+        assert [decide(FixedCycle((1, 0)), spec, (1, 1), t=t) for t in range(4)] == [1, 0, 1, 0]
 
     def test_fixed_cycle(self):
         spec = two_linear()
@@ -202,7 +203,7 @@ def _scalar_decide(policy, spec, ages, t=0, rng=None, index_table=None):
             )
         return int(np.argmax(vals))
     if isinstance(policy, RoundRobin):
-        return policy.resolved_order(n)[t % n]
+        return t % n
     if isinstance(policy, FixedCycle):
         a = policy.actions[t % len(policy.actions)]
         if not 0 <= a < n:
@@ -259,9 +260,9 @@ _SIMPLE = ("whittle", "round_robin", "fixed_cycle", "max_age", "randomized")
 def _policy_for(draw, n, kind, ages):
     if kind == "whittle":
         return Whittle()
-    if kind == "round_robin":
+    if kind == "round_robin":  # other orders are fixed cycles of a permutation
         order = draw(st.none() | st.permutations(range(n)).map(tuple))
-        return RoundRobin(order)
+        return RoundRobin() if order is None else FixedCycle(order)
     if kind == "fixed_cycle":  # n is one past the range
         return FixedCycle(tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=5))))
     if kind == "max_age":
