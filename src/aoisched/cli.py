@@ -28,7 +28,7 @@ from .decoupled import (
     whittle_reliable,
 )
 from .errors import AoiSchedError, CapacityError, ConfigError, ConvergenceError
-from .runner import _dp_dict, render_cost_table, run_experiment, write_bundle
+from .runner import _dp_dict, render_cost_table, run_experiment, solve_dp, write_bundle
 from .structure import certify_theorem3, check_strong_switch
 
 USAGE_EXIT, VERIFY_EXIT, CAPACITY_EXIT = 1, 2, 3
@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dp = sub.add_parser("dp", help="solve the finite-horizon DP for a config's sources")
     p_dp.add_argument("--config", required=True)
-    p_dp.add_argument("--horizon", type=int)
-    p_dp.add_argument("--a-max", type=int)
-    p_dp.add_argument("--memory-budget", type=int, help="bytes")
+    p_dp.add_argument("--horizon", type=int, help="override the config's horizon")
+    p_dp.add_argument("--a-max", type=int, help="override the config's dp.a_max")
+    p_dp.add_argument("--memory-budget", type=int, help="override the config's dp.memory_budget (bytes)")
     p_dp.add_argument("--cycle", action="store_true", help="also emit the recurrent cycle")
     p_dp.set_defaults(handler=_cmd_dp)
 
@@ -194,20 +194,17 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_dp(args) -> int:
-    config = load_config(args.config)
-    spec = config.system
-    horizon = config.horizon if args.horizon is None else args.horizon
-    a_max = config.dp.a_max if args.a_max is None else args.a_max
-    box = None if a_max is None else dpmod.TruncatedBox(a_max, spec.n_sources)
-    budget = config.dp.memory_budget if args.memory_budget is None else args.memory_budget
-    if budget is None:
-        budget = dpmod.DEFAULT_MEMORY_BUDGET
-    sol = dpmod.finite_horizon_dp(spec, horizon, box=box, memory_budget=budget)
-    cyc = None
-    if args.cycle:
-        if not spec.reliable:
-            raise ConfigError("--cycle needs reliable channels")
-        cyc = dpmod.extract_cycle_policy(sol, spec)
+    data = load_config(args.config).to_dict()
+    if args.horizon is not None:
+        data["horizon"] = args.horizon
+    for name in ("a_max", "memory_budget"):
+        if getattr(args, name) is not None:
+            data["dp"][name] = getattr(args, name)
+    config = parse_config(data)
+    if args.cycle and not config.system.reliable:
+        raise ConfigError("--cycle needs reliable channels")
+    sol = solve_dp(config)
+    cyc = dpmod.extract_cycle_policy(sol, config.system) if args.cycle else None
     out = {"setting": config.name, **_dp_dict(sol, cyc)}
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0

@@ -92,20 +92,20 @@ class CostFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown cost-function kind {self.kind!r}")
-        if self.kind != "table" and self.weight <= 0:
-            raise DomainError("weight must be positive")
-        if self.kind == "power" and self.exponent <= 0:
-            raise DomainError("exponent must be positive")
-        if self.kind in ("exponential", "logarithmic") and self.base <= 1:
-            raise DomainError("base must exceed 1")
+        if self.kind != "table" and not 0 < self.weight < math.inf:
+            raise DomainError(f"weight must be positive and finite, got {self.weight!r}")
+        if self.kind == "power" and not 0 < self.exponent < math.inf:
+            raise DomainError(f"exponent must be positive and finite, got {self.exponent!r}")
+        if self.kind in ("exponential", "logarithmic") and not 1 < self.base < math.inf:
+            raise DomainError(f"base must exceed 1 and be finite, got {self.base!r}")
         if self.kind == "indicator":
             object.__setattr__(self, "threshold", validate_count("threshold", self.threshold))
         if self.kind == "table":
             vals = tuple(float(v) for v in self.values)
             if not vals:
                 raise DomainError("table needs at least one value")
-            if any(v < 0 for v in vals):
-                raise DomainError("table values must be non-negative")
+            if not all(0 <= v < math.inf for v in vals):
+                raise DomainError("table values must be non-negative and finite")
             if any(b < a for a, b in zip(vals, vals[1:])):
                 raise DomainError("table values must be non-decreasing")
             object.__setattr__(self, "values", vals)

@@ -592,7 +592,8 @@ def finite_horizon_dp_auto(
     horizon: int,
     a_max: Optional[int] = None,
     max_doublings: int = 2,
-    **kwargs,
+    initial=None,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> DpSolution:
     """finite_horizon_dp with the box doubled until the truncation report is
     clean, the doubling budget runs out, or the next doubling would blow the
@@ -606,9 +607,8 @@ def finite_horizon_dp_auto(
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "truncation report", RuntimeWarning)
-                best = finite_horizon_dp(
-                    spec, horizon, TruncatedBox(a_max, spec.n_sources), **kwargs
-                )
+                box = TruncatedBox(a_max, spec.n_sources)
+                best = finite_horizon_dp(spec, horizon, box, initial, memory_budget)
         except CapacityError:
             if best is None:
                 raise

@@ -107,6 +107,18 @@ def _cycle_dict(cycle: Cycle) -> dict:
     }
 
 
+def solve_dp(config: ExperimentConfig) -> dpmod.DpSolution:
+    """The config's DP solution, as `run_experiment` and `aoisched dp` solve it."""
+    budget = config.dp.memory_budget
+    return dpmod.finite_horizon_dp_auto(
+        config.system,
+        config.horizon,
+        a_max=config.dp.a_max,
+        max_doublings=config.dp.auto_double,
+        memory_budget=dpmod.DEFAULT_MEMORY_BUDGET if budget is None else budget,
+    )
+
+
 def run_experiment(
     config: ExperimentConfig,
     out_dir=None,
@@ -129,19 +141,10 @@ def run_experiment(
                 f"{config.name}: {e}; pass allow_divergent to simulate regardless"
             ) from None
 
-    dp_solution = None
+    dp_solution = solve_dp(config) if config.dp.enabled else None
     dp_cycle = None
-    if config.dp.enabled:
-        budget = config.dp.memory_budget
-        dp_solution = dpmod.finite_horizon_dp_auto(
-            spec,
-            config.horizon,
-            a_max=config.dp.a_max,
-            max_doublings=config.dp.auto_double,
-            memory_budget=dpmod.DEFAULT_MEMORY_BUDGET if budget is None else budget,
-        )
-        if spec.reliable:
-            dp_cycle = dpmod.extract_cycle_policy(dp_solution, spec)
+    if dp_solution is not None and spec.reliable:
+        dp_cycle = dpmod.extract_cycle_policy(dp_solution, spec)
 
     results = []
     for label, policy in config.policies:

@@ -228,7 +228,7 @@ def certify_theorem3(
     the other source's (with the lowest-index tie rule).
     """
     spec = SystemSpec((Source(f1, 1.0), Source(f2, 1.0)))
-    box = dpmod.TruncatedBox(dpmod.default_a_max(2) if a_max is None else a_max, 2)
+    box = None if a_max is None else dpmod.TruncatedBox(a_max, 2)
     wc = detect_cycle(spec, Whittle())
     best = best_two_source_cycle(f1, f2, k_max=k_max)
     sol = dpmod.finite_horizon_dp(spec, horizon, box=box)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from aoisched import (
     power,
     table,
 )
+from aoisched.config import bundled_config
+from aoisched.dp import TruncatedBox, finite_horizon_dp
+from aoisched.runner import solve_dp
 
 # the twelve benchmark settings: sources, per-source p, reference (dp, whittle)
 TABLE_SETTINGS = {
@@ -62,6 +66,39 @@ def system_for(name: str) -> SystemSpec:
 
 def references_for(name: str):
     return TABLE_SETTINGS[name][1]
+
+
+# DP solutions shared by the whole session, keyed by (setting, a_max, horizon)
+_DP_SOLVES = {}
+# setting -> the key of the box its bundled config's solve settled on
+_BUNDLED_KEYS = {}
+
+
+def dp_box(name, a_max, horizon=500):
+    """finite_horizon_dp of setting `name` on an a_max box, solved once per
+    session. A truncation note stays on the solution's `warnings` instead of
+    warning, so a test that asserts the warning solves for itself."""
+    key = (name, a_max, horizon)
+    if key not in _DP_SOLVES:
+        spec = system_for(name)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "truncation report", RuntimeWarning)
+            box = TruncatedBox(a_max, spec.n_sources)
+            _DP_SOLVES[key] = finite_horizon_dp(spec, horizon, box=box)
+    return _DP_SOLVES[key]
+
+
+def dp_bundled(name):
+    """runner.solve_dp on setting `name`'s bundled config, solved once per
+    session and filed under the box it settles on, where dp_box finds it."""
+    if name not in _BUNDLED_KEYS:
+        config = bundled_config(f"table{1 if name[0] in 'ABC' else 2}_{name}")
+        assert config.system == system_for(name)
+        sol = solve_dp(config)
+        key = (name, sol.box.a_max, sol.horizon)
+        _DP_SOLVES.setdefault(key, sol)
+        _BUNDLED_KEYS[name] = key
+    return _DP_SOLVES[_BUNDLED_KEYS[name]]
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ rest on exact computations rather than on a printed number:
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -34,30 +33,16 @@ from aoisched.decoupled import (
     whittle_reliable,
     whittle_unreliable,
 )
-from aoisched.dp import (
-    TruncatedBox,
-    extract_cycle_policy,
-    finite_horizon_dp,
-    finite_horizon_dp_auto,
-)
+from aoisched.dp import extract_cycle_policy
 from aoisched.policies import Source, StationaryRandomized, SystemSpec, Whittle
 from aoisched.runner import run_experiment
 from aoisched.sim import detect_cycle, divergence_probe, per_slot_costs, simulate
 from aoisched.structure import best_two_source_cycle, certify_theorem3, check_strong_switch
 
-from conftest import TABLE_SETTINGS, references_for, system_for
+from conftest import TABLE_SETTINGS, dp_bundled, dp_box, references_for, system_for
 
 SEED = 20250117
-_dp_cache = {}
 _sim_cache = {}
-
-
-def dp_for(name):
-    if name not in _dp_cache:
-        spec = system_for(name)
-        a_max = {2: 30, 3: 20, 4: 15}[spec.n_sources]
-        _dp_cache[name] = finite_horizon_dp_auto(spec, 500, a_max=a_max, max_doublings=2)
-    return _dp_cache[name]
 
 
 def sim_for(name):
@@ -80,7 +65,7 @@ def test_c01_table1_reliable_dp_and_whittle_cycles():
     parts = []
     for name in ("A1", "B1", "C1"):
         ref_dp, _ = references_for(name)
-        dp_cost = dp_for(name).optimal_average_cost
+        dp_cost = dp_bundled(name).optimal_average_cost
         cyc = detect_cycle(system_for(name), Whittle())
         ok = within(dp_cost, ref_dp, 0.01) and within(cyc.average_cost, ref_dp, 0.01)
         parts.append((name, ok, f"dp={dp_cost:.4f} cycle={cyc.average_cost:.4f} ref={ref_dp}"))
@@ -101,7 +86,7 @@ def test_c02_table1_unreliable_monte_carlo():
     parts = []
     for name in ("A2", "B2", "C2"):
         ref_dp, ref_w = references_for(name)
-        dp_cost = dp_for(name).optimal_average_cost
+        dp_cost = dp_bundled(name).optimal_average_cost
         res = sim_for(name)
         w_tol = max(0.02 * ref_w, 3 * res.stderr)
         dp_ok = within(dp_cost, ref_dp, 0.02)
@@ -128,11 +113,9 @@ def _e2_certificate():
     below L cannot be reproduced from these parameters.
     """
     ref_dp, ref_w = references_for("E2")
-    sol = dp_for("E2")
+    sol = dp_bundled("E2")
     lower, upper = sol.optimal_average_cost, sol.upper_bound
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the half box touches its cap
-        half = finite_horizon_dp(system_for("E2"), 500, box=TruncatedBox(sol.box.a_max // 2, 4))
+    half = dp_box("E2", sol.box.a_max // 2)  # touches its cap, noted on half.warnings
     res = sim_for("E2")
     checks = {
         "L <= U": lower <= upper,
@@ -155,13 +138,13 @@ def test_c03_table2_all_settings_and_f1_gap():
     parts = []
     for name in ("D1", "E1", "F1"):
         ref_dp, ref_w = references_for(name)
-        dp_cost = dp_for(name).optimal_average_cost
+        dp_cost = dp_bundled(name).optimal_average_cost
         res = sim_for(name)
         ok = within(dp_cost, ref_dp, 0.01) and within(res.mean_cost, ref_w, 0.01)
         parts.append((name, ok, f"dp={dp_cost:.3f}/{ref_dp} whittle={res.mean_cost:.3f}/{ref_w}"))
     for name in ("D2", "F2"):
         ref_dp, ref_w = references_for(name)
-        dp_cost = dp_for(name).optimal_average_cost
+        dp_cost = dp_bundled(name).optimal_average_cost
         res = sim_for(name)
         dp_ok = within(dp_cost, ref_dp, 0.02)
         w_ok = abs(res.mean_cost - ref_w) <= max(0.02 * ref_w, 3 * res.stderr)
@@ -173,7 +156,7 @@ def test_c03_table2_all_settings_and_f1_gap():
             )
         )
     parts.append(_e2_certificate())
-    gap = sim_for("F1").mean_cost - dp_for("F1").optimal_average_cost
+    gap = sim_for("F1").mean_cost - dp_bundled("F1").optimal_average_cost
     parts.append(("F1-gap", gap > 0, f"whittle-dp gap {gap:+.4f} strictly positive"))
     ok = all(p[1] for p in parts)
     report("C3", ok, "; ".join(f"{n} {'ok' if o else 'FAIL'} ({d})" for n, o, d in parts))
@@ -329,7 +312,7 @@ def test_c08_strong_switch_suite():
         violations = check_strong_switch(list(zip(cyc.states, cyc.actions)))
         checked.append((f"whittle-{name}", violations))
     for name in ("D1", "E1", "F1"):
-        cyc = extract_cycle_policy(dp_for(name), system_for(name))
+        cyc = extract_cycle_policy(dp_bundled(name), system_for(name))
         violations = check_strong_switch(list(zip(cyc.states, cyc.actions)))
         checked.append((f"dp-{name}", violations))
     clean = all(not v for _, v in checked)

@@ -92,6 +92,16 @@ BAD_INPUTS = {
     "evaluate at age nan": lambda: cost.evaluate(F, np.nan),
     "whittle_index at age inf": lambda: whittle_index(F, 1.0, np.inf),
     "decide at ages (inf, 1)": lambda: decide(MaxAge(), SPEC, (np.inf, 1)),
+    "linear weight nan": lambda: cost.linear(np.nan),
+    "linear weight inf": lambda: cost.linear(np.inf),
+    "power exponent nan": lambda: cost.power(1, np.nan),
+    "power exponent inf": lambda: cost.power(1, np.inf),
+    "exponential weight nan": lambda: cost.exponential(2, weight=np.nan),
+    "exponential base nan": lambda: cost.exponential(np.nan),
+    "indicator weight inf": lambda: cost.indicator(3, np.inf),
+    "logarithmic base inf": lambda: cost.logarithmic(1, base=np.inf),
+    "table with a nan": lambda: cost.table([0, np.nan]),
+    "table with an inf": lambda: cost.table([0, np.inf]),
 }
 
 
@@ -139,8 +149,10 @@ def config_path(tmp_path):
     ["--horizon", "0"], ["--a-max", "0"], ["--a-max", "1"], ["--memory-budget", "0"],
 ])
 def test_cli_dp_passes_zero_sizes_to_the_library(config_path, flags, capsys):
+    # each flag overrides a config field and is refused as that field
+    field = {"--horizon": "horizon", "--a-max": "dp.a_max", "--memory-budget": "dp.memory_budget"}
     assert main(["dp", "--config", str(config_path), *flags]) == 1
-    assert "error" in capsys.readouterr().err
+    assert f"config error: {field[flags[0]]}: " in capsys.readouterr().err
 
 
 def test_cli_dp_still_reads_sizes_from_the_config(config_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from aoisched import decoupled
+from aoisched import dp as dpmod
 from aoisched.cli import build_parser, main
 from aoisched.runner import run_experiment
 from aoisched.config import load_config
@@ -183,6 +184,30 @@ class TestDpCommand:
         assert out["setting"] == "smoke"
         assert out["initial_state"] == [1, 1]
         assert out["cycle"]["length"] == len(out["cycle"]["states"])
+
+    def test_prints_the_run_sidecar_dp_block(self, small_config, tmp_path, capsys):
+        # the a_max 4 box leaks, so the config's doublings decide the box
+        data = yaml.safe_load(small_config.read_text())
+        data["dp"]["a_max"] = 4
+        path = tmp_path / "leaky.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "smoke.json").read_text())["dp"]
+        capsys.readouterr()
+        assert main(["dp", "--config", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.pop("setting") == "smoke"
+        assert printed == sidecar
+        assert sidecar["a_max"] == 16
+
+    def test_cycle_on_a_lossy_config_is_refused_before_solving(self, small_config, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before refusing --cycle")
+
+        monkeypatch.setattr(dpmod, "finite_horizon_dp", solve)
+        assert main(["dp", "--config", str(small_config), "--cycle"]) == 1
+        assert "--cycle needs reliable channels" in capsys.readouterr().err
 
     def test_capacity_exit_code(self, small_config, capsys):
         rc = main(

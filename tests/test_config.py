@@ -1,4 +1,5 @@
 import pytest
+import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -57,6 +58,13 @@ class TestParsing:
         data = minimal_config()
         data["sources"][0]["cost"] = {"kind": "banana"}
         with pytest.raises(ConfigError, match=r"sources\[0\].cost"):
+            parse_config(data)
+
+    def test_nan_cost_parameter_is_a_config_error_naming_the_cost(self):
+        # nan passed every `<=` check and died later converting a cost cap
+        data = minimal_config()
+        data["sources"][1]["cost"] = yaml.safe_load("{kind: linear, weight: .nan}")
+        with pytest.raises(ConfigError, match=r"sources\[1\]\.cost: weight must be positive"):
             parse_config(data)
 
     def test_unknown_fields_rejected(self):

@@ -30,7 +30,7 @@ from aoisched.errors import CapacityError, DomainError, NonCyclicError
 from aoisched.policies import MaxAge, RoundRobin, Source, SystemSpec, Whittle
 from aoisched.sim import _first_cycle, simulate
 
-from conftest import overflow_at_four, references_for, system_for
+from conftest import dp_box, overflow_at_four, references_for, system_for
 
 
 def _stage_tables(spec, horizon, box):
@@ -72,19 +72,18 @@ class TestBasics:
 
 class TestTableSettings:
     def test_a1_value(self):
-        sol = finite_horizon_dp(system_for("A1"), 500, box=TruncatedBox(30, 2))
+        sol = dp_box("A1", 30)
         ref, _ = references_for("A1")
         assert sol.optimal_average_cost == pytest.approx(ref, rel=0.01)
         assert sol.truncation_report == 0.0
 
     def test_b1_value(self):
-        sol = finite_horizon_dp(system_for("B1"), 500, box=TruncatedBox(30, 2))
+        sol = dp_box("B1", 30)
         assert sol.optimal_average_cost == pytest.approx(8.48, rel=0.01)
 
     def test_a1_extracted_cycle_consistent(self):
-        spec = system_for("A1")
-        sol = finite_horizon_dp(spec, 500, box=TruncatedBox(30, 2))
-        cyc = extract_cycle_policy(sol, spec)
+        sol = dp_box("A1", 30)
+        cyc = extract_cycle_policy(sol, system_for("A1"))
         # the steady cycle average and the transient-bearing horizon average
         # agree to the horizon tolerance
         assert cyc.average_cost == pytest.approx(sol.optimal_average_cost, rel=0.01)
@@ -92,7 +91,7 @@ class TestTableSettings:
 
     def test_horizon_stability_last_hundred_slots(self):
         for name in ("A1", "B1", "C1"):
-            sol = finite_horizon_dp(system_for(name), 500, box=TruncatedBox(30, 2))
+            sol = dp_box(name, 30)
             tail = float(np.mean(sol.stage_costs[-100:]))
             assert tail == pytest.approx(sol.optimal_average_cost, rel=0.01)
 
@@ -101,14 +100,14 @@ class TestDpOptimality:
     def test_reliable_dp_beats_heuristics(self):
         for name in ("A1", "B1", "C1"):
             spec = system_for(name)
-            sol = finite_horizon_dp(spec, 500, box=TruncatedBox(30, 2))
+            sol = dp_box(name, 30)
             for policy in (Whittle(), RoundRobin(), MaxAge()):
                 res = simulate(spec, policy, horizon=500, runs=1, seed=0)
                 assert sol.optimal_average_cost <= res.mean_cost + 1e-9
 
     def test_unreliable_dp_beats_heuristics_within_noise(self):
         spec = system_for("A2")
-        sol = finite_horizon_dp(spec, 500, box=TruncatedBox(30, 2))
+        sol = dp_box("A2", 30)
         for policy in (Whittle(), RoundRobin(), MaxAge()):
             res = simulate(spec, policy, horizon=500, runs=200, seed=11)
             assert sol.optimal_average_cost <= res.mean_cost + 3 * res.stderr
@@ -122,10 +121,8 @@ class TestTruncationInertness:
                                             ("A2", 30), ("B2", 30), ("C2", 30),
                                             ("D1", 20), ("D2", 40)])
     def test_doubling_changes_nothing_small_systems(self, name, a_max):
-        spec = system_for(name)
-        n = spec.n_sources
-        base = finite_horizon_dp(spec, 500, box=TruncatedBox(a_max, n))
-        doubled = finite_horizon_dp(spec, 500, box=TruncatedBox(2 * a_max, n))
+        base = dp_box(name, a_max)
+        doubled = dp_box(name, 2 * a_max)
         rel = abs(doubled.optimal_average_cost - base.optimal_average_cost) / abs(
             base.optimal_average_cost
         )
@@ -133,9 +130,8 @@ class TestTruncationInertness:
 
     @pytest.mark.parametrize("name", ["E1", "F1"])
     def test_doubling_changes_nothing_reliable_four_sources(self, name):
-        spec = system_for(name)
-        base = finite_horizon_dp(spec, 500, box=TruncatedBox(15, 4))
-        doubled = finite_horizon_dp(spec, 500, box=TruncatedBox(30, 4))
+        base = dp_box(name, 15)
+        doubled = dp_box(name, 30)
         rel = abs(doubled.optimal_average_cost - base.optimal_average_cost) / abs(
             base.optimal_average_cost
         )
@@ -145,9 +141,8 @@ class TestTruncationInertness:
     def test_unreliable_four_sources_cost_plateaus(self, name):
         # the literal 30 -> 60 doubling exceeds the default memory budget, so
         # the plateau is checked between the two largest feasible boxes
-        spec = system_for(name)
-        near = finite_horizon_dp(spec, 500, box=TruncatedBox(22, 4))
-        big = finite_horizon_dp(spec, 500, box=TruncatedBox(30, 4))
+        near = dp_box(name, 22)
+        big = dp_box(name, 30)
         rel = abs(big.optimal_average_cost - near.optimal_average_cost) / abs(
             big.optimal_average_cost
         )
@@ -189,10 +184,8 @@ class TestCertifiedInterval:
     @pytest.mark.parametrize("name,small,big", [("A2", 6, 30), ("B2", 6, 30),
                                                 ("C2", 6, 30), ("D1", 4, 20)])
     def test_small_box_brackets_a_large_box(self, name, small, big):
-        spec = system_for(name)
-        n = spec.n_sources
-        lo = finite_horizon_dp(spec, 500, box=TruncatedBox(small, n))
-        hi = finite_horizon_dp(spec, 500, box=TruncatedBox(big, n))
+        lo = dp_box(name, small)
+        hi = dp_box(name, big)
         assert lo.truncation_report > 0.5
         assert lo.optimal_average_cost <= hi.optimal_average_cost <= lo.upper_bound
         assert hi.optimal_average_cost <= hi.upper_bound <= lo.upper_bound
@@ -744,13 +737,12 @@ _TABLE_PINS = {
 
 
 @pytest.mark.parametrize("name", sorted(_TABLE_PINS))
-@pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
 def test_table_setting_dp_pinned(name):
     a_max, lower, upper, report, digest = _TABLE_PINS[name]
     spec = system_for(name)
     # default_a_max for N <= 3; 10 for N = 4 keeps Tier-1 fast
     assert a_max == (default_a_max(spec.n_sources) if spec.n_sources <= 3 else 10)
-    sol = finite_horizon_dp(spec, 500, box=TruncatedBox(a_max, spec.n_sources))
+    sol = dp_box(name, a_max)
     assert sol.optimal_average_cost.hex() == lower
     assert sol.upper_bound.hex() == upper
     assert sol.truncation_report.hex() == report
@@ -773,9 +765,8 @@ _CYCLE_PINS = {
 @pytest.mark.parametrize("name", sorted(_CYCLE_PINS))
 def test_table_setting_dp_cycle_pinned(name):
     actions, average = _CYCLE_PINS[name]
-    spec = system_for(name)
-    sol = finite_horizon_dp(spec, 500, box=TruncatedBox(_TABLE_PINS[name][0], spec.n_sources))
-    cyc = extract_cycle_policy(sol, spec)
+    sol = dp_box(name, _TABLE_PINS[name][0])
+    cyc = extract_cycle_policy(sol, system_for(name))
     assert cyc.actions == actions
     assert cyc.average_cost.hex() == average
 
@@ -814,11 +805,10 @@ class TestTrajectory:
     @pytest.mark.parametrize("name", ["A1", "B1", "C1", "D1", "E1", "F1"])
     def test_reliable_settings_match_the_clamped_stepper(self, name):
         spec = system_for(name)
-        box = TruncatedBox(_TABLE_PINS[name][0], spec.n_sources)
-        sol = finite_horizon_dp(spec, 500, box=box)
+        sol = dp_box(name, _TABLE_PINS[name][0])
         assert sol.truncation_report == 0.0
-        tables = _stage_tables(spec, 500, box)
-        assert sol.trajectory == _clamped_trajectory(box, tables, sol.initial_state)
+        tables = _stage_tables(spec, 500, sol.box)
+        assert sol.trajectory == _clamped_trajectory(sol.box, tables, sol.initial_state)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_dp_case())
