@@ -191,11 +191,8 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
             f = costmod.from_config(rec["cost"])
         except DomainError as e:
             raise ConfigError(f"{path}.cost: {e}") from None
-        p = rec.get("p", 1.0)
-        try:
-            sources.append(Source(f, float(costmod.validate_probability(p))))
-        except DomainError as e:
-            raise ConfigError(f"{path}.p: {e}") from None
+        p = _checked(costmod.validate_probability, rec.get("p", 1.0), f"{path}.p")
+        sources.append(Source(f, float(p)))
 
     raw_policies = data.get("policies")
     if not isinstance(raw_policies, list) or not raw_policies:
@@ -208,13 +205,11 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
         except ConfigError as e:
             raise ConfigError(f"policies[{j}]: {e}") from None
 
-    horizon = _count(data.get("horizon", DEFAULT_HORIZON), "horizon")
+    horizon = _checked(costmod.validate_count, "horizon", data.get("horizon", DEFAULT_HORIZON))
     any_unreliable = any(s.p < 1 for s in sources)
     default_runs = DEFAULT_RUNS_UNRELIABLE if any_unreliable else 1
-    runs = _count(data.get("runs", default_runs), "runs")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed.bit_length() > 64:
-        raise ConfigError("seed: must be an integer fitting in 64 bits")
+    runs = _checked(costmod.validate_count, "runs", data.get("runs", default_runs))
+    seed = _checked(costmod.validate_seed, data.get("seed", 0))
 
     dp_raw = data.get("dp", {})
     if not isinstance(dp_raw, dict):
@@ -227,11 +222,12 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
         raise ConfigError("dp.enabled: must be a boolean")
     a_max = dp_raw.get("a_max")
     if a_max is not None:
-        a_max = _count(a_max, "dp.a_max", 2)
+        a_max = _checked(costmod.validate_count, "dp.a_max", a_max, 2)
     budget = dp_raw.get("memory_budget")
     if budget is not None:
-        budget = _count(budget, "dp.memory_budget")
-    auto_double = _count(dp_raw.get("auto_double", 2), "dp.auto_double", 0)
+        budget = _checked(costmod.validate_count, "dp.memory_budget", budget)
+    auto_double = dp_raw.get("auto_double", 2)
+    auto_double = _checked(costmod.validate_count, "dp.auto_double", auto_double, 0)
 
     return ExperimentConfig(
         name=name,
@@ -244,12 +240,13 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
     )
 
 
-def _count(value, path, least=1):
-    """cost.validate_count, refusing with a ConfigError naming the field."""
+def _checked(check, *args):
+    """check(*args), refusing with a ConfigError of the check's own message;
+    callers pass the field path as the check's name, so it names the field."""
     try:
-        return costmod.validate_count(path, value, least)
+        return check(*args)
     except DomainError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        raise ConfigError(str(e)) from None
 
 
 def load_config(path) -> ExperimentConfig:

@@ -17,9 +17,11 @@ round a 0-d power differently from an array one). :func:`row` gives f(1..n)
 as one evaluation. Evaluations that would exceed ``OVERFLOW_LIMIT`` raise
 :class:`CostRangeError` instead of returning infinity.
 
-Every module imports this one, so the package's argument checks live here:
-:func:`validate_count` for sizes, :func:`positive_ages` for ages and
-:func:`validate_probability` for channel success probabilities.
+Every module imports this one, so the package's argument checks live here,
+one per kind: :func:`validate_count` (sizes), :func:`positive_ages` (ages),
+:func:`validate_probability` (success probabilities), :func:`validate_tolerance`
+(stopping tolerances), :func:`validate_seed` (seeds) and :func:`require_bounded`
+(the bounded-cost condition of a cost on its channel).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CostRangeError, DomainError
+from .errors import AdmissibilityError, CostRangeError, DomainError
 
 OVERFLOW_LIMIT = 1e300
 
@@ -72,6 +74,21 @@ def validate_probability(p, name: str = "p"):
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 < p <= 1:
         raise DomainError(f"{name} must be a real number in (0, 1], got {p!r}")
     return p
+
+
+def validate_tolerance(tol, name: str = "tol"):
+    """`tol` unchanged, or DomainError naming `name` unless 0 < tol < inf (no bools)."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise DomainError(f"{name} must be a real number in (0, inf), got {tol!r}")
+    return tol
+
+
+def validate_seed(seed, name: str = "seed") -> int:
+    """`seed` as an int, or DomainError naming `name` unless it is an
+    integer (a bool is refused) with |seed| < 2**64."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or abs(int(seed)) >= 2**64:
+        raise DomainError(f"{name} must be an integer with |{name}| < 2**64, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -343,3 +360,10 @@ def is_bounded_cost(f: CostFunction, p: float) -> BoundedCost:
             return BoundedCost(True, ratio, f"geometric ratio base*(1-p) = {ratio:.6g} < 1")
         return BoundedCost(False, ratio, f"geometric ratio base*(1-p) = {ratio:.6g} >= 1")
     return BoundedCost(True, q, f"sub-exponential cost, geometric factor (1-p) = {q:.6g} < 1")
+
+
+def require_bounded(f: CostFunction, p: float, name: str = "cost") -> None:
+    """AdmissibilityError naming `name` unless sum_h f(h) (1-p)^h is finite."""
+    check = is_bounded_cost(f, p)
+    if not check:
+        raise AdmissibilityError(f"{name} fails the bounded-cost condition at p={p}: {check.reason}")

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cost as costmod
-from .cost import CostFunction, is_bounded_cost, prefix_array, prefix_sum
+from .cost import CostFunction, prefix_array, prefix_sum
 from .errors import (
-    AdmissibilityError,
     CapacityError,
     ConsistencyError,
     ConvergenceError,
@@ -86,15 +85,9 @@ class DecoupledProblem:
     charge: float = 0.0
 
     def __post_init__(self):
-        costmod.validate_probability(self.p)
+        costmod.require_bounded(self.cost, self.p)
         if not self.charge >= 0:  # refuses nan too
             raise DomainError(f"charge must be non-negative, got {self.charge}")
-        if self.p < 1:
-            check = is_bounded_cost(self.cost, self.p)
-            if not check:
-                raise AdmissibilityError(
-                    f"cost function fails the bounded-cost condition at p={self.p}: {check.reason}"
-                )
 
 
 @dataclass(frozen=True)
@@ -123,16 +116,6 @@ def whittle_reliable(f: CostFunction, h):
     return whittle_index(f, 1.0, h)
 
 
-def _check_series(f: CostFunction, p: float, tol: float) -> None:
-    """Reject a p outside (0, 1], a non-positive tol and a divergent series."""
-    costmod.validate_probability(p)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    check = is_bounded_cost(f, p)
-    if not check:
-        raise AdmissibilityError(f"series diverges: {check.reason}")
-
-
 def _start_bound(f: CostFunction) -> int:
     """First age from which f.growth_ratio_bound holds (past any zero-valued
     or pre-plateau prefix); ages below it must simply be summed over."""
@@ -146,7 +129,8 @@ def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> fl
     the remainder drops below tol * max(1, partial sum); one age of
     _discounted_tails.
     """
-    _check_series(f, p, tol)
+    costmod.validate_tolerance(tol)
+    costmod.require_bounded(f, p)
     h = _one_age(h)
     if p == 1.0:
         return costmod.evaluate(f, h + 1)
@@ -252,7 +236,8 @@ def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
     on a lossy one the tails come from one vectorised pass, each with the
     bits it has alone, and the prefix sums from one cumsum.
     """
-    _check_series(f, p, tol)
+    costmod.validate_tolerance(tol)
+    costmod.require_bounded(f, p)
     scalar = np.isscalar(h)
     hs = np.atleast_1d(costmod.positive_ages(h, "h")).astype(np.int64)
     if not hs.size:
@@ -392,6 +377,7 @@ def threshold_policy_average_cost(
         p < 1:  (p (sum f(1..H) + sum_{k>=1} f(k+H)(1-p)^k) + C) / (1 + p(H-1))
     """
     H = costmod.validate_count("H", H)
+    costmod.validate_tolerance(tol)
     if p == 1.0:
         return (prefix_sum(f, H) + charge) / H
     tail = (1.0 - p) * discounted_tail(f, p, H, tol=tol)
@@ -453,8 +439,7 @@ def decoupled_value_iteration(
     the whole solve is re-run with a doubled a_max whenever the greedy
     threshold lands within 10% of the truncation.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    costmod.validate_tolerance(tol)
     costmod.validate_count("max_iters", max_iters)
     a_max = costmod.validate_count("a_max", default_a_max(prob) if a_max is None else a_max, 2)
 

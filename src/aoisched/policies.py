@@ -10,8 +10,8 @@ its current age, with ties broken toward the lowest source index. Because the
 per-source index functions are non-decreasing, any such policy is
 strong-switch-type by construction (see the structure module's checker).
 
-Counts, ages and probabilities are checked in `cost`; :func:`validate_ages`
-adds only the length check of an age vector against its system.
+Every kind of argument is checked in `cost`; :func:`validate_ages` adds
+only the length check of an age vector against its system.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import decoupled
-from .cost import CostFunction, is_bounded_cost, positive_ages, validate_count, validate_probability
-from .errors import AdmissibilityError, DomainError, MissingStateError
+from .cost import CostFunction, positive_ages, require_bounded, validate_count, validate_probability
+from .errors import DomainError, MissingStateError
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,10 @@ class SystemSpec:
         ages = np.asarray(ages)
         return float(sum(float(s.cost(int(a))) for s, a in zip(self.sources, ages)))
 
-    def check_bounded(self) -> list:
-        """Bounded-cost diagnostics, one per source."""
-        return [is_bounded_cost(s.cost, s.p) for s in self.sources]
-
     def require_bounded(self):
         """Raise AdmissibilityError naming the first offending source."""
-        for i, chk in enumerate(self.check_bounded()):
-            if not chk:
-                raise AdmissibilityError(f"source {i + 1} fails bounded cost: {chk.reason}")
+        for i, s in enumerate(self.sources):
+            require_bounded(s.cost, s.p, f"source {i + 1}")
 
 
 def validate_ages(spec: SystemSpec, ages) -> np.ndarray:
@@ -110,8 +105,8 @@ class StationaryRandomized:
 
     def __post_init__(self):
         probs = tuple(float(q) for q in self.probs)
-        if any(q < 0 for q in probs) or abs(sum(probs) - 1.0) > 1e-9:
-            raise DomainError("randomized policy needs non-negative probs summing to 1")
+        if not all(0 <= q < np.inf for q in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            raise DomainError("randomized policy needs finite non-negative probs summing to 1")
         object.__setattr__(self, "probs", probs)
 
 
@@ -149,14 +144,20 @@ class Tabular:
 DETERMINISTIC_KINDS = (Whittle, RoundRobin, MaxAge, FixedCycle, Tabular)
 
 
+def _chain_end(policy):
+    """The end of a Tabular's fallback chain, or its last Tabular if that has none."""
+    while isinstance(policy, Tabular) and policy.fallback is not None:
+        policy = policy.fallback
+    return policy
+
+
 def is_deterministic(policy) -> bool:
-    if isinstance(policy, Tabular):
-        return policy.fallback is None or is_deterministic(policy.fallback)
-    return isinstance(policy, DETERMINISTIC_KINDS)
+    return isinstance(_chain_end(policy), DETERMINISTIC_KINDS)
 
 
 def time_period(policy, n_sources: int) -> int:
     """Period of the policy's explicit time dependence (1 when stationary)."""
+    policy = _chain_end(policy)
     if isinstance(policy, RoundRobin):
         return n_sources
     if isinstance(policy, FixedCycle):
@@ -174,13 +175,8 @@ def whittle_index_table(spec: SystemSpec, a_max: int) -> np.ndarray:
     pure table lookups.
     """
     hs = np.arange(1, validate_count("a_max", a_max) + 1)
-    rows = []
-    for i, s in enumerate(spec.sources):
-        try:
-            rows.append(np.asarray(decoupled.whittle_index(s.cost, s.p, hs), dtype=float))
-        except AdmissibilityError as e:
-            raise AdmissibilityError(f"source {i + 1}: {e}") from None
-    return np.stack(rows)
+    spec.require_bounded()
+    return np.stack([decoupled.whittle_index(s.cost, s.p, hs) for s in spec.sources])
 
 
 # -- the decision rule ---------------------------------------------------------

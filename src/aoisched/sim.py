@@ -32,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cost as costmod
-from .cost import OVERFLOW_LIMIT, validate_count
+from .cost import OVERFLOW_LIMIT, validate_count, validate_seed
 from .errors import CostRangeError, DomainError, NonCyclicError
 from .policies import (
     StationaryRandomized,
     SystemSpec,
-    Tabular,
     Whittle,
+    _chain_end,
     _decide_rows,
     decide,
     is_deterministic,
@@ -54,9 +54,7 @@ def _index_table(spec: SystemSpec, policy, wanted: int, caps=None):
     (None for the others), as wide as the cost functions can represent,
     capped at `wanted`. The index at age h needs f(h+1), hence the -1.
     `caps` are the sources' max_representable_age, when already known."""
-    while isinstance(policy, Tabular):
-        policy = policy.fallback
-    if not isinstance(policy, Whittle):
+    if not isinstance(_chain_end(policy), Whittle):
         return None
     if caps is None:
         caps = [costmod.max_representable_age(s.cost) for s in spec.sources]
@@ -199,14 +197,16 @@ def simulate(
 
     Returns the mean and standard error (over runs) of the per-slot average
     cost, plus the per-source breakdown of the mean. `horizon`, `runs` and
-    `workers` must be integers >= 1 (not bools), else DomainError. The runs
-    are split into `workers` blocks simulated one after another (no
-    threads), which bounds the memory of the uniform arrays; identical
-    (seed, config) inputs give bit-identical results at any block count.
+    `workers` must be integers >= 1, `seed` one with |seed| < 2**64 (no
+    bools), else DomainError. The runs are split into `workers` blocks
+    simulated one after another (no threads), which bounds the memory of
+    the uniform arrays; identical (seed, config) inputs give bit-identical
+    results at any block count.
     """
     horizon = validate_count("horizon", horizon)
     runs = validate_count("runs", runs)
     workers = validate_count("workers", workers)
+    seed = validate_seed(seed)
     (acc,) = _run_slots(spec, policy, runs, seed, [horizon], blocks=workers)
     totals = acc.sum(axis=1) / horizon
     mean = float(totals.mean())
@@ -412,6 +412,7 @@ def divergence_probe(
     if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise DomainError("horizons must be a non-empty, strictly increasing sequence")
     n_seeds = validate_count("n_seeds", n_seeds)
+    seed = validate_seed(seed)
     # the decision rule checks the policy against the system
     _decide_rows(policy, spec, np.ones((1, spec.n_sources), dtype=np.int64), 0, np.zeros(1))
     if aggregate == "expectation":

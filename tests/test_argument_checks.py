@@ -1,10 +1,14 @@
-"""Counts, ages and probabilities are checked by one function each in `cost`.
+"""Counts, ages, probabilities, tolerances, seeds and the bounded-cost
+condition are checked by one function each in `cost`; a randomized
+policy's probability vector by `StationaryRandomized`.
 
-Every input below was once accepted silently, truncated, or refused with a
-bare TypeError; each must now raise DomainError from the library, a
-ConfigError when a config is parsed, or exit code 1 at the command line.
+Nearly every input below was once accepted silently, truncated, refused
+with a bare TypeError, or left a solver spinning; each must now raise
+DomainError from the library, a ConfigError when a config is parsed, or
+exit code 1 at the command line.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -35,7 +39,7 @@ from aoisched.policies import (
     decide,
     whittle_index_table,
 )
-from aoisched.sim import detect_cycle, divergence_probe
+from aoisched.sim import detect_cycle, divergence_probe, simulate
 from aoisched.structure import (
     best_two_source_cycle,
     certify_theorem3,
@@ -102,7 +106,30 @@ BAD_INPUTS = {
     "logarithmic base inf": lambda: cost.logarithmic(1, base=np.inf),
     "table with a nan": lambda: cost.table([0, np.nan]),
     "table with an inf": lambda: cost.table([0, np.inf]),
+    "randomized probs (nan, 1)": lambda: StationaryRandomized((np.nan, 1.0)),
+    "randomized probs (inf, -inf)": lambda: StationaryRandomized((np.inf, -np.inf)),
 }
+# every entry point that takes a stopping tolerance, at each bad tolerance
+TOL_ENTRY_POINTS = {
+    "whittle_index": lambda tol: whittle_index(F, 0.5, 3, tol=tol),
+    "whittle_unreliable": lambda tol: whittle_unreliable(F, 0.5, 3, tol=tol),
+    "discounted_tail": lambda tol: discounted_tail(F, 0.5, 3, tol=tol),
+    "threshold cost p 1": lambda tol: threshold_policy_average_cost(F, 1.0, 3, 1.0, tol=tol),
+    "threshold cost p 0.5": lambda tol: threshold_policy_average_cost(F, 0.5, 3, 1.0, tol=tol),
+    "rvi": lambda tol: decoupled_value_iteration(PROB, a_max=20, tol=tol),
+}
+# every entry point that takes a seed, at each bad seed
+SEED_ENTRY_POINTS = {
+    "simulate": lambda seed: simulate(LOSSY, COIN, 10, runs=2, seed=seed),
+    "probe": lambda seed: divergence_probe(LOSSY, COIN, [10, 20], n_seeds=2, seed=seed),
+}
+BAD_SEEDS = {"1.5": 1.5, "True": True, "'3'": "3", "2**64": 2**64, "-2**64": -(2**64)}
+for _name, _call in TOL_ENTRY_POINTS.items():
+    for _tol in ("nan", "inf", "0", "-1"):
+        BAD_INPUTS[f"{_name} tol {_tol}"] = functools.partial(_call, float(_tol))
+for _name, _call in SEED_ENTRY_POINTS.items():
+    for _label, _seed in BAD_SEEDS.items():
+        BAD_INPUTS[f"{_name} seed {_label}"] = functools.partial(_call, _seed)
 
 
 @pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -149,10 +176,12 @@ def config_path(tmp_path):
     ["--horizon", "0"], ["--a-max", "0"], ["--a-max", "1"], ["--memory-budget", "0"],
 ])
 def test_cli_dp_passes_zero_sizes_to_the_library(config_path, flags, capsys):
-    # each flag overrides a config field and is refused as that field
-    field = {"--horizon": "horizon", "--a-max": "dp.a_max", "--memory-budget": "dp.memory_budget"}
+    # each flag overrides a config field and is refused naming that field once
+    field, least = {
+        "--horizon": ("horizon", 1), "--a-max": ("dp.a_max", 2), "--memory-budget": ("dp.memory_budget", 1),
+    }[flags[0]]
     assert main(["dp", "--config", str(config_path), *flags]) == 1
-    assert f"config error: {field[flags[0]]}: " in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {field} must be an integer >= {least}, got {flags[1]}\n"
 
 
 def test_cli_dp_still_reads_sizes_from_the_config(config_path, capsys):
@@ -203,6 +232,12 @@ def test_numpy_integer_counts_are_accepted():
     assert ThresholdPolicy(np.int64(3)).threshold == 3
     assert type(cost.indicator(np.int64(4)).threshold) is int
     assert detect_cycle(SPEC, RoundRobin(), max_steps=np.int64(10)).length == 2
+    assert simulate(LOSSY, COIN, 10, seed=np.int64(7)) == simulate(LOSSY, COIN, 10, seed=7)
+    assert parse_config({**_config(), "seed": np.int64(7)}).seed == 7
+    for seed in (2**64 - 1, -(2**64 - 1)):
+        assert parse_config({**_config(), "seed": seed}).seed == seed
+        assert simulate(LOSSY, COIN, 10, seed=seed).seed == seed
+        assert divergence_probe(LOSSY, COIN, [10, 20], n_seeds=2, seed=seed).shape == (2,)
 
 
 def test_probability_one_as_an_int():

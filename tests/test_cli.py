@@ -87,7 +87,7 @@ class TestRun:
     def test_seed_override_outside_64_bits_is_usage_error(self, small_config, tmp_path, capsys, seed):
         out = tmp_path / "big"
         assert main(["run", "--config", str(small_config), "--out", str(out), "--seed", seed]) == 1
-        assert "seed: must be an integer fitting in 64 bits" in capsys.readouterr().err
+        assert "seed must be an integer with |seed| < 2**64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_var_output_dir(self, small_config, tmp_path, monkeypatch):

@@ -59,6 +59,8 @@ class TestParsing:
         data["sources"][0]["cost"] = {"kind": "banana"}
         with pytest.raises(ConfigError, match=r"sources\[0\].cost"):
             parse_config(data)
+        with pytest.raises(ConfigError, match=r"^policies\[0\]: .*finite non-negative probs"):
+            parse_config(minimal_config(policies=["randomized(nan, 1)"]))
 
     def test_nan_cost_parameter_is_a_config_error_naming_the_cost(self):
         # nan passed every `<=` check and died later converting a cost cap

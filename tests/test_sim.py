@@ -344,6 +344,16 @@ class TestTabularChains:
         assert math.isfinite(res.mean_cost) and res.stderr > 0
         assert res == simulate(spec, policy, horizon=80, runs=6, seed=5, workers=3)
 
+    def test_time_cyclic_fallback_sets_the_cycle_period(self):
+        # an empty table defers every state to the 5-slot cycle, whose
+        # states alone recur after 3 slots
+        spec = SystemSpec(tuple(Source(cost.linear(w)) for w in (1, 2, 3)))
+        bare = FixedCycle((0, 1, 2, 0, 1))
+        wrapped = detect_cycle(spec, Tabular({}, fallback=bare))
+        expected = detect_cycle(spec, bare)
+        assert (wrapped.states, wrapped.actions) == (expected.states, expected.actions)
+        assert wrapped.average_cost == expected.average_cost == pytest.approx(14.4)
+
 
 class TestOverflowMessages:
     def test_whittle_decision_overflow_names_the_slot(self):
