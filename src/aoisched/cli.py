@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        if hasattr(args, "workers"):
+            costmod.validate_count("--workers", args.workers)
         return args.handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -204,7 +204,7 @@ def _cmd_dp(args) -> int:
     if args.cycle and not config.system.reliable:
         raise ConfigError("--cycle needs reliable channels")
     sol = solve_dp(config)
-    cyc = dpmod.extract_cycle_policy(sol, config.system) if args.cycle else None
+    cyc = dpmod.extract_cycle_policy(sol) if args.cycle else None
     out = {"setting": config.name, **_dp_dict(sol, cyc)}
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
@@ -235,7 +235,7 @@ def _verify_strong_switch(args) -> int:
                 "action": v.action_a + 1,
                 "dominating_state": list(v.state_b),
                 "its_action": v.action_b + 1,
-                "implied_action": v.implied_action + 1,
+                "implied_action": v.action_a + 1,
             }
             for v in violations
         ],

@@ -20,7 +20,8 @@ as one evaluation. Evaluations that would exceed ``OVERFLOW_LIMIT`` raise
 Every module imports this one, so the package's argument checks live here,
 one per kind: :func:`validate_count` (sizes), :func:`positive_ages` (ages),
 :func:`validate_probability` (success probabilities), :func:`validate_tolerance`
-(stopping tolerances), :func:`validate_seed` (seeds) and :func:`require_bounded`
+(stopping tolerances), :func:`validate_charge` (activation charges),
+:func:`validate_seed` (seeds) and :func:`require_bounded`
 (the bounded-cost condition of a cost on its channel).
 """
 
@@ -81,6 +82,14 @@ def validate_tolerance(tol, name: str = "tol"):
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise DomainError(f"{name} must be a real number in (0, inf), got {tol!r}")
     return tol
+
+
+def validate_charge(charge, name: str = "charge"):
+    """`charge` unchanged, or DomainError naming `name` unless it is a real
+    number >= 0 (no bools, no nan); inf, a charge no index reaches, passes."""
+    if isinstance(charge, bool) or not isinstance(charge, numbers.Real) or not charge >= 0:
+        raise DomainError(f"{name} must be non-negative (a real number, not nan), got {charge!r}")
+    return charge
 
 
 def validate_seed(seed, name: str = "seed") -> int:

@@ -86,8 +86,7 @@ class DecoupledProblem:
 
     def __post_init__(self):
         costmod.require_bounded(self.cost, self.p)
-        if not self.charge >= 0:  # refuses nan too
-            raise DomainError(f"charge must be non-negative, got {self.charge}")
+        costmod.validate_charge(self.charge)
 
 
 @dataclass(frozen=True)
@@ -354,9 +353,7 @@ def indexability_sweep(f: CostFunction, p: float, charges) -> list:
     Indexability makes the result non-decreasing, with NEVER ordered above
     every finite threshold; that property is the caller's to assert.
     """
-    charges = list(charges)
-    if not all(c >= 0 for c in charges):  # refuses nan too
-        raise DomainError("charges must be non-negative")
+    charges = [costmod.validate_charge(c, "charges") for c in charges]
     if any(b <= a for a, b in zip(charges, charges[1:])):
         raise DomainError("charges must be strictly increasing")
     if charges:
@@ -376,7 +373,9 @@ def threshold_policy_average_cost(
         p = 1:  (sum f(1..H) + C) / H
         p < 1:  (p (sum f(1..H) + sum_{k>=1} f(k+H)(1-p)^k) + C) / (1 + p(H-1))
     """
+    costmod.validate_probability(p)
     H = costmod.validate_count("H", H)
+    costmod.validate_charge(charge)
     costmod.validate_tolerance(tol)
     if p == 1.0:
         return (prefix_sum(f, H) + charge) / H

@@ -137,6 +137,7 @@ class DpSolution:
     optimal_average_cost: float
     horizon: int
     initial_state: tuple
+    spec: SystemSpec  # the system solved, which `action` and cycle extraction read
     box: TruncatedBox
     stage1_actions: np.ndarray  # int8 greedy action per state at stage 1, read-only
     truncation_report: float
@@ -147,7 +148,7 @@ class DpSolution:
 
     def action(self, ages) -> int:
         """Stage-1 greedy action at an in-box age vector."""
-        arr = validate_ages(self.box, ages)
+        arr = validate_ages(self.spec, ages)
         if not self.box.contains(arr):
             raise DomainError(f"ages {tuple(arr.tolist())} outside the solved box")
         return int(self.stage1_actions[self.box.state_index(arr)])
@@ -205,16 +206,18 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
 def finite_horizon_dp(
     spec: SystemSpec,
     horizon: int,
-    box: Optional[TruncatedBox] = None,
+    a_max: Optional[int] = None,
     initial=None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> DpSolution:
     """Backward induction over `horizon` slots from `initial` (all ones by
-    default); `horizon` and `memory_budget` must be integers >= 1, else
-    DomainError. The value is exact for the clamped box and a lower bound L
-    on the unclamped optimum; `upper_bound` is the exact cost U of the box
-    policy with its fixed-schedule fallback at the cap, so the unclamped
-    optimum lies in [L, U] (U = L when the truncation report is 0). Raises
+    default) in the box of per-source age cap `a_max` (`default_a_max` of
+    the source count by default); `horizon` and `memory_budget` must be
+    integers >= 1 and `a_max` one >= 2, else DomainError. The value is exact
+    for the clamped box and a lower bound L on the unclamped optimum;
+    `upper_bound` is the exact cost U of the box policy with its
+    fixed-schedule fallback at the cap, so the unclamped optimum lies in
+    [L, U] (U = L when the truncation report is 0). Raises
     CapacityError before allocating anything if the memory estimate exceeds
     `memory_budget`; attaches a warning to the solution when the truncation
     report exceeds 1e-6.
@@ -222,10 +225,7 @@ def finite_horizon_dp(
     horizon = costmod.validate_count("horizon", horizon)
     costmod.validate_count("memory_budget", memory_budget)
     n = spec.n_sources
-    if box is None:
-        box = TruncatedBox(default_a_max(n), n)
-    if box.n_sources != n:
-        raise DomainError("box source count does not match the spec")
+    box = TruncatedBox(default_a_max(n) if a_max is None else a_max, n)
     if initial is None:
         initial = (1,) * n
     initial = tuple(int(a) for a in validate_ages(spec, initial))
@@ -273,6 +273,7 @@ def finite_horizon_dp(
         optimal_average_cost=lower,
         horizon=horizon,
         initial_state=initial,
+        spec=spec,
         box=box,
         stage1_actions=actions[0],
         truncation_report=touched,
@@ -592,7 +593,6 @@ def finite_horizon_dp_auto(
     horizon: int,
     a_max: Optional[int] = None,
     max_doublings: int = 2,
-    initial=None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> DpSolution:
     """finite_horizon_dp with the box doubled until the truncation report is
@@ -600,28 +600,25 @@ def finite_horizon_dp_auto(
     memory budget; the best solution obtained is returned, and its note, if
     it has one, is the one truncation warning raised."""
     costmod.validate_count("max_doublings", max_doublings, 0)
-    if a_max is None:
-        a_max = default_a_max(spec.n_sources)
     best = None
     for _ in range(max_doublings + 1):
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "truncation report", RuntimeWarning)
-                box = TruncatedBox(a_max, spec.n_sources)
-                best = finite_horizon_dp(spec, horizon, box, initial, memory_budget)
+                best = finite_horizon_dp(spec, horizon, a_max, memory_budget=memory_budget)
         except CapacityError:
             if best is None:
                 raise
             break
         if best.truncation_report <= TRUNCATION_WARN_LEVEL:
             break
-        a_max *= 2
+        a_max = 2 * best.box.a_max
     for note in best.warnings:
         warnings.warn(note, RuntimeWarning, stacklevel=2)
     return best
 
 
-def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
+def extract_cycle_policy(sol: DpSolution):
     """The recurrent cycle realized by the optimal policy; reliable only.
 
     Takes the (state, action) pairs between the first two equal pairs of the
@@ -634,12 +631,8 @@ def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
     a clean run of min(max(2d, 8), n - d) pairs. The exact cycle average
     cost is independent of the discarded transient.
     """
-    if not spec.reliable:
+    if sol.trajectory is None:  # only a reliable solve records one
         raise DomainError("cycle extraction requires all channels reliable")
-    if spec.n_sources != sol.box.n_sources:
-        raise DomainError("solution was computed for a different source count")
-    if sol.trajectory is None:
-        raise DomainError("solution carries no realized trajectory (unreliable solve?)")
 
     horizon = len(sol.trajectory)
     lo = min(horizon // 4, 50)
@@ -654,7 +647,7 @@ def extract_cycle_policy(sol: DpSolution, spec: SystemSpec):
         clean = min(max(2 * d, 8), n - d)
         return d <= n // 3 and window[j : j + clean] == window[s : s + clean]
 
-    cycle = _first_cycle(spec, window, lambda step, pair: pair, repeats)
+    cycle = _first_cycle(sol.spec, window, lambda step, pair: pair, repeats)
     if cycle is None:
         raise NonCyclicError(
             f"optimal trajectory shows no period within the {n}-slot window; "

@@ -76,8 +76,7 @@ class SystemSpec:
 
 def validate_ages(spec: SystemSpec, ages) -> np.ndarray:
     """The ages as an int64 vector, or DomainError unless they are positive
-    integers, one per source. Only `spec.n_sources` is read, so a DP box
-    serves as well."""
+    integers, one per source."""
     arr = np.asarray(ages)
     if arr.shape != (spec.n_sources,):
         raise DomainError(f"age vector must have length {spec.n_sources}, got shape {arr.shape}")

@@ -144,7 +144,7 @@ def run_experiment(
     dp_solution = solve_dp(config) if config.dp.enabled else None
     dp_cycle = None
     if dp_solution is not None and spec.reliable:
-        dp_cycle = dpmod.extract_cycle_policy(dp_solution, spec)
+        dp_cycle = dpmod.extract_cycle_policy(dp_solution)
 
     results = []
     for label, policy in config.policies:

@@ -40,7 +40,6 @@ class SwitchViolation:
     action_a: int
     state_b: tuple
     action_b: int
-    implied_action: int
 
 
 def check_strong_switch(pairs) -> list:
@@ -83,7 +82,6 @@ def check_strong_switch(pairs) -> list:
                     action_a=int(i),
                     state_b=tuple(int(v) for v in states[k]),
                     action_b=int(actions[k]),
-                    implied_action=int(i),
                 )
             )
     return violations
@@ -228,10 +226,9 @@ def certify_theorem3(
     the other source's (with the lowest-index tie rule).
     """
     spec = SystemSpec((Source(f1, 1.0), Source(f2, 1.0)))
-    box = None if a_max is None else dpmod.TruncatedBox(a_max, 2)
     wc = detect_cycle(spec, Whittle())
     best = best_two_source_cycle(f1, f2, k_max=k_max)
-    sol = dpmod.finite_horizon_dp(spec, horizon, box=box)
+    sol = dpmod.finite_horizon_dp(spec, horizon, a_max)
 
     checks = []
     try:

@@ -15,7 +15,7 @@ from aoisched import (
     table,
 )
 from aoisched.config import bundled_config
-from aoisched.dp import TruncatedBox, finite_horizon_dp
+from aoisched.dp import finite_horizon_dp
 from aoisched.runner import solve_dp
 
 # the twelve benchmark settings: sources, per-source p, reference (dp, whittle)
@@ -83,8 +83,7 @@ def dp_box(name, a_max, horizon=500):
         spec = system_for(name)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "truncation report", RuntimeWarning)
-            box = TruncatedBox(a_max, spec.n_sources)
-            _DP_SOLVES[key] = finite_horizon_dp(spec, horizon, box=box)
+            _DP_SOLVES[key] = finite_horizon_dp(spec, horizon, a_max)
     return _DP_SOLVES[key]
 
 

@@ -312,12 +312,12 @@ def test_c08_strong_switch_suite():
         violations = check_strong_switch(list(zip(cyc.states, cyc.actions)))
         checked.append((f"whittle-{name}", violations))
     for name in ("D1", "E1", "F1"):
-        cyc = extract_cycle_policy(dp_bundled(name), system_for(name))
+        cyc = extract_cycle_policy(dp_bundled(name))
         violations = check_strong_switch(list(zip(cyc.states, cyc.actions)))
         checked.append((f"dp-{name}", violations))
     clean = all(not v for _, v in checked)
     witness = check_strong_switch([((1, 4), 0), ((2, 3), 1)])
-    witness_ok = len(witness) == 1 and witness[0].implied_action == 0
+    witness_ok = len(witness) == 1 and witness[0].action_a == 0
     ok = clean and witness_ok
     report(
         "C8",

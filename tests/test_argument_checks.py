@@ -1,5 +1,5 @@
-"""Counts, ages, probabilities, tolerances, seeds and the bounded-cost
-condition are checked by one function each in `cost`; a randomized
+"""Counts, ages, probabilities, tolerances, charges, seeds and the
+bounded-cost condition are checked by one function each in `cost`; a randomized
 policy's probability vector by `StationaryRandomized`.
 
 Nearly every input below was once accepted silently, truncated, refused
@@ -24,6 +24,7 @@ from aoisched.decoupled import (
     ThresholdPolicy,
     decoupled_value_iteration,
     discounted_tail,
+    indexability_sweep,
     threshold_policy_average_cost,
     whittle_index,
     whittle_unreliable,
@@ -69,6 +70,9 @@ BAD_INPUTS = {
     "cycle cost k True": lambda: two_source_cycle_cost(F, F, k=True),
     "threshold cost H True": lambda: threshold_policy_average_cost(F, 0.5, True, 1.0),
     "threshold cost H 2.5": lambda: threshold_policy_average_cost(F, 0.5, 2.5, 1.0),
+    "threshold cost p True": lambda: threshold_policy_average_cost(F, True, 3, 1.0),
+    "threshold cost charge nan": lambda: threshold_policy_average_cost(F, 1.0, 3, float("nan")),
+    "sweep charges ['1']": lambda: indexability_sweep(F, 0.5, ["1"]),
     "ThresholdPolicy(True)": lambda: ThresholdPolicy(True),
     "ThresholdPolicy(2.0)": lambda: ThresholdPolicy(2.0),
     "rvi a_max 20.5": lambda: decoupled_value_iteration(PROB, a_max=20.5),
@@ -124,12 +128,21 @@ SEED_ENTRY_POINTS = {
     "probe": lambda seed: divergence_probe(LOSSY, COIN, [10, 20], n_seeds=2, seed=seed),
 }
 BAD_SEEDS = {"1.5": 1.5, "True": True, "'3'": "3", "2**64": 2**64, "-2**64": -(2**64)}
+# every entry point that takes an activation charge, at each bad charge
+CHARGE_ENTRY_POINTS = {
+    "DecoupledProblem": lambda charge: DecoupledProblem(F, 0.5, charge),
+    "sweep": lambda charge: indexability_sweep(F, 0.5, [charge]),
+    "threshold cost": lambda charge: threshold_policy_average_cost(F, 1.0, 3, charge),
+}
 for _name, _call in TOL_ENTRY_POINTS.items():
     for _tol in ("nan", "inf", "0", "-1"):
         BAD_INPUTS[f"{_name} tol {_tol}"] = functools.partial(_call, float(_tol))
 for _name, _call in SEED_ENTRY_POINTS.items():
     for _label, _seed in BAD_SEEDS.items():
         BAD_INPUTS[f"{_name} seed {_label}"] = functools.partial(_call, _seed)
+for _name, _call in CHARGE_ENTRY_POINTS.items():
+    for _label, _charge in {"'3'": "3", "True": True}.items():
+        BAD_INPUTS[f"{_name} charge {_label}"] = functools.partial(_call, _charge)
 
 
 @pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())

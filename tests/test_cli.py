@@ -63,7 +63,7 @@ class TestRun:
             out = tmp_path / f"w{bad}"
             rc = main(["run", "--config", str(small_config), "--out", str(out), "--workers", bad])
             assert rc == 1
-            assert f"--workers must be at least 1, got {bad}" in capsys.readouterr().err
+            assert f"error: --workers must be an integer >= 1, got {bad}" in capsys.readouterr().err
             assert not out.exists()
 
     def test_seed_override_changes_results(self, small_config, tmp_path):
@@ -298,7 +298,7 @@ class TestTables:
     def test_workers_below_one_is_usage_error(self, capsys):
         assert main(["tables", "--only", "table1_A1", "--workers", "0"]) == 1
         captured = capsys.readouterr()
-        assert "--workers must be at least 1, got 0" in captured.err
+        assert "error: --workers must be an integer >= 1, got 0" in captured.err
         assert "finished" not in captured.err
 
 

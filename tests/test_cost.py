@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from aoisched import Source, SystemSpec, cost
 from aoisched.decoupled import DecoupledProblem, optimal_threshold
-from aoisched.dp import TruncatedBox, finite_horizon_dp
+from aoisched.dp import finite_horizon_dp
 from aoisched.errors import CostRangeError, DomainError
 from aoisched.policies import RoundRobin
 from aoisched.sim import simulate
@@ -261,7 +261,7 @@ class TestMaxRepresentableAge:
         f = cost.power(1, 0.5)
         spec = SystemSpec((Source(f, 0.8), Source(cost.linear(1), 0.9)))
         assert simulate(spec, RoundRobin(), horizon=20, runs=2).mean_cost > 0
-        sol = finite_horizon_dp(spec, 10, TruncatedBox(6, 2))
+        sol = finite_horizon_dp(spec, 10, 6)
         assert 0 < sol.optimal_average_cost <= sol.upper_bound
         assert not optimal_threshold(DecoupledProblem(f, 0.5, 1.0)).is_never
         assert certify_theorem3(f, cost.linear(1), horizon=40, a_max=8, k_max=50).dp_cost > 0

@@ -41,14 +41,14 @@ def _stage_tables(spec, horizon, box):
 class TestBasics:
     def test_single_source_always_scheduled(self):
         spec = SystemSpec((Source(cost.linear(1)),))
-        sol = finite_horizon_dp(spec, 10, box=TruncatedBox(10, 1))
+        sol = finite_horizon_dp(spec, 10, a_max=10)
         assert sol.optimal_average_cost == pytest.approx(1.0)
         assert sol.truncation_report == 0.0
 
     def test_identical_sources_alternate(self):
         spec = SystemSpec((Source(cost.linear(1)), Source(cost.linear(1))))
-        sol = finite_horizon_dp(spec, 200, box=TruncatedBox(10, 2))
-        cyc = extract_cycle_policy(sol, spec)
+        sol = finite_horizon_dp(spec, 200, a_max=10)
+        cyc = extract_cycle_policy(sol)
         assert cyc.length == 2
         assert cyc.average_cost == pytest.approx(3.0)
         assert sorted(cyc.actions) == [0, 1]
@@ -56,12 +56,12 @@ class TestBasics:
     def test_initial_state_must_be_inside_box(self):
         spec = SystemSpec((Source(cost.linear(1)),))
         with pytest.raises(DomainError):
-            finite_horizon_dp(spec, 5, box=TruncatedBox(4, 1), initial=(9,))
+            finite_horizon_dp(spec, 5, a_max=4, initial=(9,))
 
     def test_capacity_error_before_allocation(self):
         spec = system_for("E1")
         with pytest.raises(CapacityError):
-            finite_horizon_dp(spec, 500, box=TruncatedBox(40, 4), memory_budget=10**6)
+            finite_horizon_dp(spec, 500, a_max=40, memory_budget=10**6)
 
     def test_default_a_max_by_source_count(self):
         assert default_a_max(1) == 30
@@ -83,11 +83,17 @@ class TestTableSettings:
 
     def test_a1_extracted_cycle_consistent(self):
         sol = dp_box("A1", 30)
-        cyc = extract_cycle_policy(sol, system_for("A1"))
+        cyc = extract_cycle_policy(sol)
         # the steady cycle average and the transient-bearing horizon average
         # agree to the horizon tolerance
         assert cyc.average_cost == pytest.approx(sol.optimal_average_cost, rel=0.01)
         assert cyc.average_cost == pytest.approx(22.0, abs=1e-9)
+
+    def test_a1_cycle_is_costed_on_the_solved_spec(self):
+        sol = dp_box("A1", 30)
+        cyc = extract_cycle_policy(sol)
+        assert cyc.average_cost == 22.0
+        assert cyc.average_cost == math.fsum(sol.spec.state_cost(s) for s in cyc.states) / cyc.length
 
     def test_horizon_stability_last_hundred_slots(self):
         for name in ("A1", "B1", "C1"):
@@ -193,7 +199,7 @@ class TestCertifiedInterval:
     @pytest.mark.parametrize("name", ["A1", "B1", "C1", "D1"])
     def test_clean_report_gives_a_point(self, name):
         spec = system_for(name)
-        sol = finite_horizon_dp(spec, 500, box=TruncatedBox(6, spec.n_sources))
+        sol = finite_horizon_dp(spec, 500, a_max=6)
         assert sol.truncation_report == 0.0
         assert sol.upper_bound == sol.optimal_average_cost
 
@@ -207,7 +213,7 @@ class TestCertifiedInterval:
     def test_upper_bound_is_the_cheapest_switched_policy(self, sources, a_max, horizon):
         spec = SystemSpec(sources)
         box = TruncatedBox(a_max, spec.n_sources)
-        sol = finite_horizon_dp(spec, horizon, box=box)
+        sol = finite_horizon_dp(spec, horizon, a_max)
         tables = _stage_tables(spec, horizon, box)
         assert sol.truncation_report > 0.5
         exact = min(
@@ -223,7 +229,7 @@ class TestCertifiedInterval:
         # mass that grows past it costs inf, which keeps U an upper bound
         f = overflow_at_four()
         spec = SystemSpec((Source(f, 0.5), Source(f, 0.5)))
-        sol = finite_horizon_dp(spec, 10, box=TruncatedBox(3, 2))
+        sol = finite_horizon_dp(spec, 10, a_max=3)
         assert sol.truncation_report > 0.5
         assert sol.upper_bound == math.inf
 
@@ -232,7 +238,7 @@ class TestAutoDoubling:
     def test_small_box_warns_and_attaches_note(self):
         spec = system_for("D2")
         with pytest.warns(RuntimeWarning, match="truncation report"):
-            sol = finite_horizon_dp(spec, 500, box=TruncatedBox(20, 3))
+            sol = finite_horizon_dp(spec, 500, a_max=20)
         assert sol.warnings and "truncation report" in sol.warnings[0]
 
     def test_warns_and_grows_when_mass_touches_cap(self):
@@ -274,25 +280,16 @@ class TestAutoDoubling:
 
 
 class TestExtractCycleRefusals:
-    def test_lossy_spec(self):
-        sol = finite_horizon_dp(system_for("A1"), 50, box=TruncatedBox(10, 2))
-        with pytest.raises(DomainError, match="reliable"):
-            extract_cycle_policy(sol, system_for("A2"))
-
-    def test_other_source_count(self):
-        sol = finite_horizon_dp(system_for("A1"), 50, box=TruncatedBox(10, 2))
-        with pytest.raises(DomainError, match="source count"):
-            extract_cycle_policy(sol, system_for("D1"))
-
     def test_solution_without_a_trajectory(self):
-        sol = finite_horizon_dp(system_for("A2"), 50, box=TruncatedBox(10, 2))
-        with pytest.raises(DomainError, match="trajectory"):
-            extract_cycle_policy(sol, system_for("A1"))
+        sol = finite_horizon_dp(system_for("A2"), 50, a_max=10)
+        assert sol.trajectory is None
+        with pytest.raises(DomainError, match="requires all channels reliable"):
+            extract_cycle_policy(sol)
 
     def test_horizon_too_short_for_a_window(self):
-        sol = finite_horizon_dp(system_for("A1"), 4, box=TruncatedBox(10, 2))
+        sol = finite_horizon_dp(system_for("A1"), 4, a_max=10)
         with pytest.raises(NonCyclicError, match="no mid-horizon window"):
-            extract_cycle_policy(sol, system_for("A1"))
+            extract_cycle_policy(sol)
 
 
 class TestMemoryEstimate:
@@ -319,7 +316,7 @@ class TestMemoryEstimate:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            finite_horizon_dp(spec, horizon, box=box)
+            finite_horizon_dp(spec, horizon, a_max)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -335,7 +332,7 @@ class TestMemoryEstimate:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            finite_horizon_dp(spec, 500, box=box)
+            finite_horizon_dp(spec, 500, a_max=box.a_max)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -475,7 +472,7 @@ def _assert_matches_reference(spec, horizon, box, initial):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        sol = finite_horizon_dp(spec, horizon, box=box, initial=initial)
+        sol = finite_horizon_dp(spec, horizon, box.a_max, initial)
     tables = _stage_tables(spec, horizon, box)
     lower = total / horizon
     upper = lower
@@ -602,7 +599,7 @@ class TestReliableWalk:
         # last marginal row, so U goes through a fallback that costs nothing
         spec = SystemSpec(sources)
         box = TruncatedBox(a_max, len(sources))
-        sol = finite_horizon_dp(spec, horizon, box=box)
+        sol = finite_horizon_dp(spec, horizon, a_max)
         assert all(max(ages) < a_max for ages, _ in sol.trajectory)
         _, touched, per_stage, entering = _reliable_audit(
             box, _stage_tables(spec, horizon, box), _stage_cost(spec, box), sol.initial_state
@@ -623,13 +620,13 @@ class TestReliableWalk:
         )
         for name in ("A1", "D1", "E1"):
             spec = system_for(name)
-            finite_horizon_dp(spec, 100, box=TruncatedBox(6, spec.n_sources))
-        finite_horizon_dp(system_for("A1"), 40, box=TruncatedBox(3, 2))  # touches the cap
+            finite_horizon_dp(spec, 100, a_max=6)
+        finite_horizon_dp(system_for("A1"), 40, a_max=3)  # touches the cap
         assert calls == []
-        finite_horizon_dp(system_for("A2"), 100, box=TruncatedBox(6, 2))
+        finite_horizon_dp(system_for("A2"), 100, a_max=6)
         assert len(calls) == 1
         mixed = SystemSpec((Source(cost.linear(1)), Source(cost.linear(2), 0.5)))
-        finite_horizon_dp(mixed, 100, box=TruncatedBox(6, 2))
+        finite_horizon_dp(mixed, 100, a_max=6)
         assert len(calls) == 2
 
 
@@ -668,10 +665,10 @@ class TestStoredTables:
         # of different content apart
         spec = system_for(name)
         box = TruncatedBox(a_max, spec.n_sources)
-        sol = finite_horizon_dp(spec, 200, box=box)
+        sol = finite_horizon_dp(spec, 200, a_max)
         tables = _stage_tables(spec, 200, box)
         monkeypatch.setattr(dpmod.zlib, "crc32", lambda data: 0)
-        collided = finite_horizon_dp(spec, 200, box=box)
+        collided = finite_horizon_dp(spec, 200, a_max)
         assert np.stack(_stage_tables(spec, 200, box)).tobytes() == np.stack(tables).tobytes()
         assert collided.optimal_average_cost == sol.optimal_average_cost
 
@@ -697,23 +694,28 @@ class TestInputChecks:
     @pytest.mark.parametrize("horizon", [0, -1, 2.5, 3.0, True, "3", None])
     def test_horizon_must_be_a_positive_integer(self, horizon):
         with pytest.raises(DomainError, match="horizon"):
-            finite_horizon_dp(system_for("A1"), horizon, box=TruncatedBox(4, 2))
+            finite_horizon_dp(system_for("A1"), horizon, a_max=4)
+
+    @pytest.mark.parametrize("a_max", [1, 2.5, True, "3"])
+    def test_a_max_must_be_an_integer_of_at_least_two(self, a_max):
+        with pytest.raises(DomainError, match="a_max"):
+            finite_horizon_dp(system_for("A1"), 10, a_max=a_max)
 
     def test_numpy_integer_sizes_are_accepted(self):
-        sol = finite_horizon_dp(system_for("A1"), np.int64(10), box=TruncatedBox(np.int64(6), 2))
+        sol = finite_horizon_dp(system_for("A1"), np.int64(10), a_max=np.int64(6))
         assert type(sol.horizon) is int
         assert sol.optimal_average_cost == finite_horizon_dp(
-            system_for("A1"), 10, box=TruncatedBox(6, 2)
+            system_for("A1"), 10, a_max=6
         ).optimal_average_cost
 
     @pytest.mark.parametrize("ages", [(1.5, 2), (1, 2, 3), (1,), (0, 1), (7, 1)])
     def test_action_rejects_bad_age_vectors(self, ages):
-        sol = finite_horizon_dp(system_for("A1"), 10, box=TruncatedBox(6, 2))
+        sol = finite_horizon_dp(system_for("A1"), 10, a_max=6)
         with pytest.raises(DomainError):
             sol.action(ages)
 
     def test_action_accepts_integral_floats(self):
-        sol = finite_horizon_dp(system_for("A1"), 10, box=TruncatedBox(6, 2))
+        sol = finite_horizon_dp(system_for("A1"), 10, a_max=6)
         assert sol.action((2.0, 3.0)) == sol.action((2, 3))
 
 
@@ -766,7 +768,7 @@ _CYCLE_PINS = {
 def test_table_setting_dp_cycle_pinned(name):
     actions, average = _CYCLE_PINS[name]
     sol = dp_box(name, _TABLE_PINS[name][0])
-    cyc = extract_cycle_policy(sol, system_for(name))
+    cyc = extract_cycle_policy(sol)
     assert cyc.actions == actions
     assert cyc.average_cost.hex() == average
 
@@ -778,10 +780,10 @@ def test_extracted_cycle_is_a_loop_the_trajectory_repeats():
     spec = SystemSpec(
         (Source(cost.exponential(math.e)), Source(cost.logarithmic(10)), Source(cost.power(0.5, 3)))
     )
-    sol = finite_horizon_dp(spec, 60, box=TruncatedBox(10, 3))
+    sol = finite_horizon_dp(spec, 60, a_max=10)
     window = sol.trajectory[15:58]  # extract_cycle_policy's window at horizon 60
     assert _first_cycle(spec, window, lambda step, pair: pair).actions == (2, 0, 1)
-    cyc = extract_cycle_policy(sol, spec)
+    cyc = extract_cycle_policy(sol)
     assert cyc.actions == (2, 0, 2, 1, 0, 2, 0, 1)
     assert cyc.average_cost.hex() == (21.819270529437915).hex()
 
@@ -817,7 +819,7 @@ class TestTrajectory:
         spec = SystemSpec(tuple(Source(s.cost) for s in spec.sources))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            sol = finite_horizon_dp(spec, horizon, box=box, initial=initial)
+            sol = finite_horizon_dp(spec, horizon, box.a_max, initial)
         oracle = _clamped_trajectory(box, _stage_tables(spec, horizon, box), initial)
         if sol.truncation_report == 0.0:
             assert sol.trajectory == oracle
@@ -832,17 +834,17 @@ class TestTrajectory:
         # a_max 4 its age would stall at 4 and fake a one-state cycle
         spec = SystemSpec((Source(cost.table([0.0])), Source(cost.linear(1))))
         box = TruncatedBox(4, 2)
-        sol = finite_horizon_dp(spec, 200, box=box)
+        sol = finite_horizon_dp(spec, 200, a_max=box.a_max)
         assert _clamped_trajectory(box, _stage_tables(spec, 200, box), (1, 1))[100] == ((4, 1), 1)
         assert sol.trajectory[100] == ((101, 1), 1)
         with pytest.raises(NonCyclicError):
-            extract_cycle_policy(sol, spec)
+            extract_cycle_policy(sol)
 
 
 class TestPolicyTable:
     def test_action_lookup_and_tabular_export(self):
         spec = system_for("A1")
-        sol = finite_horizon_dp(spec, 500, box=TruncatedBox(12, 2))
+        sol = finite_horizon_dp(spec, 500, a_max=12)
         a = sol.action((1, 1))
         assert a in (0, 1)
         pol = sol.as_tabular_policy()
@@ -854,8 +856,8 @@ class TestPolicyTable:
 
     def test_stage_one_table_matches_whittle_on_cycle_states(self):
         spec = system_for("B1")
-        sol = finite_horizon_dp(spec, 500, box=TruncatedBox(30, 2))
-        cyc = extract_cycle_policy(sol, spec)
+        sol = finite_horizon_dp(spec, 500, a_max=30)
+        cyc = extract_cycle_policy(sol)
         from aoisched.policies import decide
 
         for s, a in zip(cyc.states, cyc.actions):

