@@ -16,8 +16,6 @@ from aoisched.decoupled import (
     indexability_sweep,
     optimal_threshold,
     whittle_index,
-    whittle_reliable,
-    whittle_unreliable,
 )
 
 f = cost.power(1, 2)
@@ -26,8 +24,8 @@ print("Index of the x^2 source, reliable vs lossy channel")
 print(f"{'age':>4} {'W (p=1)':>10} {'W (p=0.7)':>10} {'W (p=0.4)':>10}")
 for h in range(1, 9):
     print(
-        f"{h:>4} {whittle_reliable(f, h):>10.3f} "
-        f"{whittle_unreliable(f, 0.7, h):>10.3f} {whittle_unreliable(f, 0.4, h):>10.3f}"
+        f"{h:>4} {whittle_index(f, 1.0, h):>10.3f} "
+        f"{whittle_index(f, 0.7, h):>10.3f} {whittle_index(f, 0.4, h):>10.3f}"
     )
 print("  (losses discount the index: a transmission only sometimes pays off)")
 

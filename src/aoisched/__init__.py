@@ -28,8 +28,7 @@ from .decoupled import (  # noqa: F401
     decoupled_value_iteration,
     indexability_sweep,
     optimal_threshold,
-    whittle_reliable,
-    whittle_unreliable,
+    whittle_index,
 )
 from .policies import (  # noqa: F401
     FixedCycle,

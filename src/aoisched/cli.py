@@ -25,7 +25,6 @@ from .decoupled import (
     indexability_sweep,
     optimal_threshold,
     whittle_index,
-    whittle_reliable,
 )
 from .errors import AoiSchedError, CapacityError, ConfigError, ConvergenceError
 from .runner import _dp_dict, render_cost_table, run_experiment, solve_dp, write_bundle
@@ -178,10 +177,9 @@ def _cmd_index(args) -> int:
     if args.h_max < args.h_min:
         raise ConfigError("need h-min <= h-max")
     hs = np.arange(args.h_min, args.h_max + 1)
-    w_rel = whittle_reliable(f, hs)
-    w_unrel = whittle_index(f, args.p, hs)
+    rows = zip(hs, whittle_index(f, 1.0, hs), whittle_index(f, args.p, hs))
     print("h,W_reliable,W_unreliable")
-    for h, wr, wu in zip(hs, np.atleast_1d(w_rel), np.atleast_1d(w_unrel)):
+    for h, wr, wu in rows:
         print(f"{h},{float(wr)!r},{float(wu)!r}")
     return 0
 

@@ -108,14 +108,10 @@ def parse_policy_spec(spec: str, n_sources: int):
     if not m:
         raise ConfigError(f"unparseable policy spec {spec!r}")
     head, args = m.group(1), m.group(2)
-    if head == "dp":
-        if args is not None:
-            raise ConfigError("dp takes no arguments")
-        return "dp"
-    if head in _PLAIN:
-        if args:
+    if head == "dp" or head in _PLAIN:
+        if args is not None:  # an empty "()" counts as arguments
             raise ConfigError(f"{head} takes no arguments")
-        return _PLAIN[head]()
+        return "dp" if head == "dp" else _PLAIN[head]()
     try:
         if head == "randomized":
             probs = _float_args(head, args)
@@ -128,7 +124,7 @@ def parse_policy_spec(spec: str, n_sources: int):
             idx = _float_args(head, args)
             acts = []
             for v in idx:
-                if v != int(v) or not 1 <= v <= n_sources:
+                if not v.is_integer() or not 1 <= v <= n_sources:
                     raise ConfigError(f"cycle index {v} out of range 1..{n_sources}")
                 acts.append(int(v) - 1)
             return FixedCycle(tuple(acts))

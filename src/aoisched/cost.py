@@ -21,8 +21,8 @@ Every module imports this one, so the package's argument checks live here,
 one per kind: :func:`validate_count` (sizes), :func:`positive_ages` (ages),
 :func:`validate_probability` (success probabilities), :func:`validate_tolerance`
 (stopping tolerances), :func:`validate_charge` (activation charges),
-:func:`validate_seed` (seeds) and :func:`require_bounded`
-(the bounded-cost condition of a cost on its channel).
+:func:`validate_real` (cost parameters), :func:`validate_seed` (seeds) and
+:func:`require_bounded` (the bounded-cost condition of a cost on its channel).
 """
 
 from __future__ import annotations
@@ -92,6 +92,17 @@ def validate_charge(charge, name: str = "charge"):
     return charge
 
 
+def validate_real(value, name: str) -> float:
+    """`value` as a float, or DomainError naming `name` unless it is a real
+    number (bools and strings refused); an int past the float range reads inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def validate_seed(seed, name: str = "seed") -> int:
     """`seed` as an int, or DomainError naming `name` unless it is an
     integer (a bool is refused) with |seed| < 2**64."""
@@ -118,6 +129,8 @@ class CostFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown cost-function kind {self.kind!r}")
+        for name in ("weight", "exponent", "base"):
+            object.__setattr__(self, name, validate_real(getattr(self, name), name))
         if self.kind != "table" and not 0 < self.weight < math.inf:
             raise DomainError(f"weight must be positive and finite, got {self.weight!r}")
         if self.kind == "power" and not 0 < self.exponent < math.inf:
@@ -127,7 +140,10 @@ class CostFunction:
         if self.kind == "indicator":
             object.__setattr__(self, "threshold", validate_count("threshold", self.threshold))
         if self.kind == "table":
-            vals = tuple(float(v) for v in self.values)
+            try:
+                vals = tuple(validate_real(v, "table value") for v in self.values)
+            except TypeError:  # not iterable
+                raise DomainError(f"table values must be a list, got {self.values!r}") from None
             if not vals:
                 raise DomainError("table needs at least one value")
             if not all(0 <= v < math.inf for v in vals):
@@ -200,27 +216,27 @@ class CostFunction:
 
 
 def linear(weight: float) -> CostFunction:
-    return CostFunction("linear", weight=float(weight))
+    return CostFunction("linear", weight=weight)
 
 
 def power(weight: float, exponent: float) -> CostFunction:
-    return CostFunction("power", weight=float(weight), exponent=float(exponent))
+    return CostFunction("power", weight=weight, exponent=exponent)
 
 
 def exponential(base: float, weight: float = 1.0) -> CostFunction:
-    return CostFunction("exponential", base=float(base), weight=float(weight))
+    return CostFunction("exponential", base=base, weight=weight)
 
 
 def logarithmic(weight: float, base: float = math.e) -> CostFunction:
-    return CostFunction("logarithmic", weight=float(weight), base=float(base))
+    return CostFunction("logarithmic", weight=weight, base=base)
 
 
 def indicator(threshold: int, weight: float = 1.0) -> CostFunction:
-    return CostFunction("indicator", threshold=threshold, weight=float(weight))
+    return CostFunction("indicator", threshold=threshold, weight=weight)
 
 
 def table(values) -> CostFunction:
-    return CostFunction("table", values=tuple(values))
+    return CostFunction("table", values=values)
 
 
 # each kind's factory, whose keyword arguments are the kind's fields

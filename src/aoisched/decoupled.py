@@ -15,13 +15,13 @@ set of ages where pulling is optimal shrinks monotonically as C grows. This
 module computes the indices, inverts them into optimal thresholds, and checks
 everything against an independent relative-value-iteration solver.
 
-Both are computed by `whittle_index` for a row of ages: one cumsum of
-prefix sums and, on a lossy channel, one vectorised pass of the series
-(`_discounted_tails`). Each age gets the same bits whatever the other ages
-are, so a single index is a row of one age. A threshold is the first age
-of such a row, built once and doubled as needed, whose index exceeds the
-charge; all thresholds found are rechecked against W(H-1) <= C <= W(H)
-together in one more row.
+`whittle_index(f, p, h)` is the one entry point for both channel kinds,
+at one age or a row of ages: one cumsum of prefix sums and, on a lossy
+channel, one vectorised pass of the series (`_discounted_tails`). Each age
+gets the same bits whatever the other ages are, so a single index is a row
+of one age. A threshold is the first age of such a row, built once and
+doubled as needed, whose index exceeds the charge; all thresholds found
+are rechecked against W(H-1) <= C <= W(H) together in one more row.
 
 Only the Definition-form index above is used anywhere. The shifted auxiliary
 form W~(h) = W(h-1) that appears in threshold interval arguments is never
@@ -108,11 +108,6 @@ def _one_age(h) -> int:
     if np.ndim(h) != 0:
         raise DomainError(f"h must be a single age, got {h!r}")
     return int(costmod.positive_ages(h, "h"))
-
-
-def whittle_reliable(f: CostFunction, h):
-    """Definition-form index h*f(h+1) - sum f(1..h); scalar or array in h."""
-    return whittle_index(f, 1.0, h)
 
 
 def _start_bound(f: CostFunction) -> int:
@@ -215,16 +210,6 @@ def _geometric_tails(term: np.ndarray, r: float, tol: float) -> np.ndarray:
             done[c : c + len(idx)] = hit
         live = live[~done]
     return out
-
-
-def whittle_unreliable(f: CostFunction, p: float, h: int, tol: float = 1e-10) -> float:
-    """Unreliable-channel index p^2 h sum f(k+h)(1-p)^{k-1} - p sum f(1..h)
-    at a single age.
-
-    At p = 1 the series collapses to f(h+1) and the value equals
-    whittle_reliable(f, h) exactly.
-    """
-    return whittle_index(f, p, _one_age(h), tol=tol)
 
 
 def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
@@ -389,6 +374,7 @@ def threshold_policy_average_cost(
 RVI_MIN_A_MAX = 256  # the smallest RVI box
 RVI_A_MAX_FACTOR = 64  # RVI box per unit of the threshold estimate
 RVI_DAMPING = 0.5  # weight of the new Bellman iterate in each RVI step
+RVI_MAX_ITERS = 10**6  # RVI steps on one box before ConvergenceError
 
 
 def default_a_max(prob: DecoupledProblem) -> int:
@@ -426,25 +412,24 @@ def decoupled_value_iteration(
     prob: DecoupledProblem,
     a_max: int | None = None,
     tol: float = 1e-9,
-    max_iters: int = 10**6,
 ) -> DecoupledSolution:
     """Relative value iteration on the age chain truncated at a_max.
 
     Ages clamp at a_max (state a_max transitions to itself when not reset).
     Iterates the Bellman operator damped by RVI_DAMPING until the span of
-    successive differential-cost updates falls below tol; the damping makes
-    the underlying periodic reset cycle aperiodic so the span converges. The
+    successive differential-cost updates falls below tol, within
+    RVI_MAX_ITERS steps or ConvergenceError; the damping makes the
+    underlying periodic reset cycle aperiodic so the span converges. The
     greedy policy is checked to be a threshold policy before returning, and
     the whole solve is re-run with a doubled a_max whenever the greedy
     threshold lands within 10% of the truncation.
     """
     costmod.validate_tolerance(tol)
-    costmod.validate_count("max_iters", max_iters)
     a_max = costmod.validate_count("a_max", default_a_max(prob) if a_max is None else a_max, 2)
 
     f, p, C = prob.cost, prob.p, prob.charge
     for _attempt in range(12):
-        sol = _rvi_once(f, p, C, a_max, tol, max_iters, RVI_DAMPING)
+        sol = _rvi_once(f, p, C, a_max, tol, RVI_DAMPING)
         thr = sol.policy.threshold
         if thr is NEVER or thr < 0.9 * a_max:
             return sol
@@ -454,7 +439,7 @@ def decoupled_value_iteration(
     )
 
 
-def _rvi_once(f, p, C, a_max, tol, max_iters, tau):
+def _rvi_once(f, p, C, a_max, tol, tau):
     ages = np.arange(1, a_max + 1)
     stage = costmod.evaluate(f, ages)
     # the span cannot settle below the float64 quantum of the largest values
@@ -464,7 +449,7 @@ def _rvi_once(f, p, C, a_max, tol, max_iters, tau):
     nxt = np.minimum(np.arange(1, a_max + 1), a_max - 1)  # 0-based successor
     V = np.zeros(a_max)
     span = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, RVI_MAX_ITERS + 1):
         Vn = V[nxt]
         q_pass = stage + Vn
         q_act = stage + C + (1.0 - p) * Vn + p * V[0]
@@ -480,7 +465,7 @@ def _rvi_once(f, p, C, a_max, tol, max_iters, tau):
             _check_monotone(V, slack=slack)
             return DecoupledSolution(policy, lam, V, a_max, it)
     raise ConvergenceError(
-        f"value iteration did not converge within {max_iters} iterations", span=span
+        f"value iteration did not converge within {RVI_MAX_ITERS} iterations (span {span!r})"
     )
 
 

@@ -153,17 +153,10 @@ class DpSolution:
             raise DomainError(f"ages {tuple(arr.tolist())} outside the solved box")
         return int(self.stage1_actions[self.box.state_index(arr)])
 
-    def as_tabular_policy(self, fallback=None) -> Tabular:
-        """The stage-1 greedy table as a simulatable policy."""
-        table = {
-            self.box.ages_of(s): int(a)
-            for s, a in enumerate(self.stage1_actions)
-        }
-        if fallback is None:
-            from .policies import Whittle
-
-            fallback = Whittle()
-        return Tabular(table=table, fallback=fallback)
+    def as_tabular_policy(self) -> Tabular:
+        """The stage-1 greedy table as a simulatable policy; states outside
+        the box defer to Tabular's default whittle fallback."""
+        return Tabular({self.box.ages_of(s): int(a) for s, a in enumerate(self.stage1_actions)})
 
 
 def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:

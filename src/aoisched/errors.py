@@ -24,10 +24,6 @@ class AdmissibilityError(AoiSchedError, ValueError):
 class ConvergenceError(AoiSchedError, RuntimeError):
     """An iterative solver did not converge within its iteration budget."""
 
-    def __init__(self, message, span=None):
-        super().__init__(message)
-        self.span = span
-
 
 class CapacityError(AoiSchedError, MemoryError):
     """A solve would exceed the configured memory budget."""

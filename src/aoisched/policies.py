@@ -247,17 +247,13 @@ def _decide_rows(policy, spec, ages, t, u=None, index_table=None) -> np.ndarray:
 
 
 def _whittle_values(spec, ages, index_table):
-    """Index values at a block of ages: table lookups, except that a row
-    with any age past the table computes its whole row from the series."""
+    """Index values at a block of ages: table lookups while every age is in
+    the table, else one `decoupled.whittle_index` call per source over its
+    column of ages. Each age gets the same bits whatever else is in its
+    row, so the columns equal the table's values."""
     width = 0 if index_table is None else index_table.shape[1]
-    # W_i(a) is entry a + offsets[i] of the table read in C order
-    offsets = np.arange(spec.n_sources) * width - 1
     if ages.max() <= width:
-        return index_table.take(ages + offsets)
-    vals = np.empty(ages.shape)
-    for j, row in enumerate(ages):
-        if row.max() <= width:
-            vals[j] = index_table.take(row + offsets)
-        else:
-            vals[j] = [decoupled.whittle_index(s.cost, s.p, int(a)) for s, a in zip(spec.sources, row)]
-    return vals
+        # W_i(a) is entry a + i * width - 1 of the table read in C order
+        return index_table.take(ages + (np.arange(spec.n_sources) * width - 1))
+    cols = [decoupled.whittle_index(s.cost, s.p, col) for s, col in zip(spec.sources, ages.T)]
+    return np.column_stack(cols)

@@ -22,7 +22,7 @@ import numpy as np
 from . import cost as costmod
 from . import dp as dpmod
 from .cost import CostFunction, positive_ages, validate_count
-from .decoupled import whittle_reliable
+from .decoupled import whittle_index
 from .errors import DomainError, InconclusiveError
 from .policies import Source, SystemSpec, Whittle
 from .sim import Cycle, detect_cycle
@@ -200,6 +200,10 @@ class Theorem3Certificate:
         return [c for c in self.checks if not c.ok]
 
 
+CYCLE_TOL = 1e-6  # relative: whittle cycle against the best cycle
+DP_REL_TOL = 0.01  # relative: whittle cycle against the DP optimum
+
+
 def _decision_certified(w_chosen, w_other, chosen, other) -> bool:
     """argmax with lowest-index tie-break picks `chosen` over `other`."""
     if w_chosen > w_other:
@@ -213,13 +217,11 @@ def certify_theorem3(
     horizon: int = 500,
     a_max: Optional[int] = None,
     k_max: int = 1000,
-    cycle_tol: float = 1e-6,
-    dp_rel_tol: float = 0.01,
 ) -> Theorem3Certificate:
     """Certify whittle-cycle = best-cycle = DP-cost for two reliable sources.
 
-    Cycle-versus-cycle equality is held to `cycle_tol` (both are exact
-    arithmetic); the DP comparison gets `dp_rel_tol` because the finite
+    Cycle-versus-cycle equality is held to CYCLE_TOL (both are exact
+    arithmetic); the DP comparison gets DP_REL_TOL because the finite
     horizon average retains a transient. The whittle cycle must additionally
     have the leader-then-follower shape and satisfy the realized index
     inequalities: at every cycle state, the scheduled source's index beats
@@ -242,7 +244,7 @@ def certify_theorem3(
     checks.append(
         CertCheck(
             "whittle_equals_best_cycle",
-            gap <= cycle_tol * max(1.0, abs(best.cost)),
+            gap <= CYCLE_TOL * max(1.0, abs(best.cost)),
             f"whittle {wc.average_cost!r} vs best {best.cost!r} (leader {best.leader}, k={best.k})",
         )
     )
@@ -250,7 +252,7 @@ def certify_theorem3(
     checks.append(
         CertCheck(
             "whittle_matches_dp",
-            rel <= dp_rel_tol,
+            rel <= DP_REL_TOL,
             f"whittle cycle {wc.average_cost:.6f} vs dp {sol.optimal_average_cost:.6f} ({100 * rel:.3f}%)",
         )
     )
@@ -259,8 +261,8 @@ def certify_theorem3(
     bad = []
     for s, a in zip(wc.states, wc.actions):
         other = 1 - a
-        wa = whittle_reliable(fs[a], int(s[a]))
-        wo = whittle_reliable(fs[other], int(s[other]))
+        wa = whittle_index(fs[a], 1.0, int(s[a]))
+        wo = whittle_index(fs[other], 1.0, int(s[other]))
         if not _decision_certified(wa, wo, a, other):
             bad.append(f"state {s}: W_{a}({s[a]})={wa!r} does not beat W_{other}({s[other]})={wo!r}")
     checks.append(
@@ -272,9 +274,9 @@ def certify_theorem3(
     )
     if form is not None and form.k >= 2:
         lead_f, fol_f = fs[form.leader], fs[form.follower]
-        w_l1 = whittle_reliable(lead_f, 1)
-        w_fk = whittle_reliable(fol_f, form.k)
-        w_fk1 = whittle_reliable(fol_f, form.k + 1)
+        w_l1 = whittle_index(lead_f, 1.0, 1)
+        w_fk = whittle_index(fol_f, 1.0, form.k)
+        w_fk1 = whittle_index(fol_f, 1.0, form.k + 1)
         ok = w_l1 >= w_fk and w_fk1 >= w_l1
         checks.append(
             CertCheck(

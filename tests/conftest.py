@@ -14,6 +14,7 @@ from aoisched import (
     power,
     table,
 )
+from aoisched import dp as dpmod
 from aoisched.config import bundled_config
 from aoisched.dp import finite_horizon_dp
 from aoisched.runner import solve_dp
@@ -89,14 +90,24 @@ def dp_box(name, a_max, horizon=500):
 
 def dp_bundled(name):
     """runner.solve_dp on setting `name`'s bundled config, solved once per
-    session and filed under the box it settles on, where dp_box finds it."""
+    session. Every box its doubling solves is filed where dp_box finds it,
+    and the setting's bundled key names the box the doubling settles on."""
     if name not in _BUNDLED_KEYS:
         config = bundled_config(f"table{1 if name[0] in 'ABC' else 2}_{name}")
         assert config.system == system_for(name)
-        sol = solve_dp(config)
-        key = (name, sol.box.a_max, sol.horizon)
-        _DP_SOLVES.setdefault(key, sol)
-        _BUNDLED_KEYS[name] = key
+        solve = dpmod.finite_horizon_dp
+
+        def filed(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            _DP_SOLVES.setdefault((name, sol.box.a_max, sol.horizon), sol)
+            return sol
+
+        dpmod.finite_horizon_dp = filed  # only for this one solve_dp call
+        try:
+            sol = solve_dp(config)
+        finally:
+            dpmod.finite_horizon_dp = solve
+        _BUNDLED_KEYS[name] = (name, sol.box.a_max, sol.horizon)
     return _DP_SOLVES[_BUNDLED_KEYS[name]]
 
 

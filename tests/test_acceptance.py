@@ -30,8 +30,6 @@ from aoisched.decoupled import (
     indexability_sweep,
     threshold_policy_average_cost,
     whittle_index,
-    whittle_reliable,
-    whittle_unreliable,
 )
 from aoisched.dp import extract_cycle_policy
 from aoisched.policies import Source, StationaryRandomized, SystemSpec, Whittle
@@ -200,7 +198,7 @@ def test_c04_theorem3_certification():
     n_random = 50
     for i in range(n_random):
         f1, f2 = _random_reliable_pair(rng)
-        cert = certify_theorem3(f1, f2, cycle_tol=1e-6, dp_rel_tol=0.01)
+        cert = certify_theorem3(f1, f2)
         if not cert.ok:
             failures.append((f"random[{i}] {f1} vs {f2}", cert.failures))
     ok = not failures
@@ -287,18 +285,18 @@ def test_c07_closed_form_linear_indices():
     hs = np.arange(1, 1001)
     worst_rel = 0.0
     for w in (0.5, 1.0, 13.0):
-        got = whittle_reliable(cost.linear(w), hs)
+        got = whittle_index(cost.linear(w), 1.0, hs)
         want = w * (hs.astype(float) ** 2 + hs) / 2
         worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / np.abs(want))))
     for p in np.arange(0.1, 0.95, 0.1):
         w = 2.0
-        got = np.array([whittle_unreliable(cost.linear(w), p, int(h)) for h in hs])
+        got = np.array([whittle_index(cost.linear(w), p, int(h)) for h in hs])
         want = w * p * hs * (hs + (2 - p) / p) / 2
         worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / np.abs(want))))
     limit_worst = 0.0
     for h in range(1, 101):
-        w1 = whittle_unreliable(cost.linear(2), 1 - 1e-9, h)
-        w0 = whittle_reliable(cost.linear(2), h)
+        w1 = whittle_index(cost.linear(2), 1 - 1e-9, h)
+        w0 = whittle_index(cost.linear(2), 1.0, h)
         limit_worst = max(limit_worst, abs(w1 - w0) / (1 + abs(w0)))
     ok = worst_rel <= 1e-9 and limit_worst <= 1e-5
     report("C7", ok, f"worst closed-form rel err {worst_rel:.2e} <= 1e-9; p->1 limit err {limit_worst:.2e} <= 1e-5")

@@ -27,7 +27,6 @@ from aoisched.decoupled import (
     indexability_sweep,
     threshold_policy_average_cost,
     whittle_index,
-    whittle_unreliable,
 )
 from aoisched.errors import ConfigError, DomainError
 from aoisched.policies import (
@@ -77,8 +76,7 @@ BAD_INPUTS = {
     "ThresholdPolicy(2.0)": lambda: ThresholdPolicy(2.0),
     "rvi a_max 20.5": lambda: decoupled_value_iteration(PROB, a_max=20.5),
     "rvi a_max 1": lambda: decoupled_value_iteration(PROB, a_max=1),
-    "rvi max_iters 2.5": lambda: decoupled_value_iteration(PROB, a_max=20, max_iters=2.5),
-    "whittle_unreliable of two ages": lambda: whittle_unreliable(F, 0.5, [3, 4]),
+    "discounted_tail of two ages": lambda: discounted_tail(F, 0.5, [3, 4]),
     "discounted_tail at age 0": lambda: discounted_tail(F, 0.5, 0),
     "discounted_tail at age 0, p 1": lambda: discounted_tail(F, 1.0, 0),
     "indicator(2.5)": lambda: cost.indicator(2.5),
@@ -110,13 +108,20 @@ BAD_INPUTS = {
     "logarithmic base inf": lambda: cost.logarithmic(1, base=np.inf),
     "table with a nan": lambda: cost.table([0, np.nan]),
     "table with an inf": lambda: cost.table([0, np.inf]),
+    "linear weight 'x'": lambda: cost.linear("x"),
+    "linear weight [1]": lambda: cost.linear([1]),
+    "linear weight True": lambda: cost.linear(True),
+    "linear weight 10**400": lambda: cost.linear(10**400),
+    "power exponent '2'": lambda: cost.power(1, "2"),
+    "logarithmic base None": lambda: cost.logarithmic(1, base=None),
+    "table values 5": lambda: cost.table(5),
+    "table values (True, 2)": lambda: cost.table([True, 2]),
     "randomized probs (nan, 1)": lambda: StationaryRandomized((np.nan, 1.0)),
     "randomized probs (inf, -inf)": lambda: StationaryRandomized((np.inf, -np.inf)),
 }
 # every entry point that takes a stopping tolerance, at each bad tolerance
 TOL_ENTRY_POINTS = {
     "whittle_index": lambda tol: whittle_index(F, 0.5, 3, tol=tol),
-    "whittle_unreliable": lambda tol: whittle_unreliable(F, 0.5, 3, tol=tol),
     "discounted_tail": lambda tol: discounted_tail(F, 0.5, 3, tol=tol),
     "threshold cost p 1": lambda tol: threshold_policy_average_cost(F, 1.0, 3, 1.0, tol=tol),
     "threshold cost p 0.5": lambda tol: threshold_policy_average_cost(F, 0.5, 3, 1.0, tol=tol),
@@ -176,6 +181,55 @@ def test_bad_probability_is_a_config_error_naming_the_field(p):
     data["sources"] = [{"cost": {"kind": "linear", "weight": 1}, "p": p}]
     with pytest.raises(ConfigError, match=r"sources\[0\]\.p"):
         parse_config(data)
+
+
+BAD_COST_RECORDS = [
+    "{kind: linear, weight: x}", "{kind: linear, weight: [1]}", "{kind: linear, weight: true}",
+    "{kind: power, weight: 1, exponent: '2'}", "{kind: logarithmic, weight: 1, base: null}",
+    "{kind: table, values: 5}", "{kind: table, values: [true, 2]}",
+]
+
+
+@pytest.mark.parametrize("record", BAD_COST_RECORDS)
+def test_bad_cost_parameter_is_a_config_error_naming_the_source(record):
+    data = _config()
+    data["sources"] = [{"cost": yaml.safe_load(record)}]
+    with pytest.raises(ConfigError, match=r"^sources\[0\]\.cost: .* must be a"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("record", BAD_COST_RECORDS)
+def test_cli_index_refuses_a_bad_cost_parameter_in_one_line(record, capsys):
+    assert main(["index", "--cost", record, "--h-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["cycle(inf)", "cycle(nan)", "cycle(1e400)", "cycle(1, -inf)"])
+def test_non_finite_cycle_index_is_a_config_error(spec):
+    data = _config()
+    data["policies"] = [spec]
+    with pytest.raises(ConfigError, match=r"policies\[0\]: cycle index"):
+        parse_config(data)
+
+
+def test_every_head_without_arguments_refuses_empty_parentheses():
+    for head in ("whittle", "round_robin", "max_age", "dp"):
+        data = _config()
+        data["policies"] = [f"{head}()"]
+        with pytest.raises(ConfigError, match=rf"policies\[0\]: {head} takes no arguments"):
+            parse_config(data)
+
+
+def test_cli_run_refuses_an_infinite_cycle_index(tmp_path, capsys):
+    data = _config()
+    data["policies"] = ["cycle(inf)"]
+    path = tmp_path / "inf.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture

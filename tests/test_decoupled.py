@@ -19,13 +19,12 @@ from aoisched.decoupled import (
     optimal_threshold,
     threshold_policy_average_cost,
     whittle_index,
-    whittle_reliable,
-    whittle_unreliable,
 )
 from aoisched.errors import (
     AdmissibilityError,
     CapacityError,
     ConsistencyError,
+    ConvergenceError,
     CostRangeError,
     DomainError,
 )
@@ -36,20 +35,20 @@ from conftest import random_cost, random_cost_and_p
 class TestReliableIndex:
     def test_linear_closed_form_value(self):
         # w (h^2 + h) / 2 at h = 3
-        assert whittle_reliable(cost.linear(1), 3) == 6.0
+        assert whittle_index(cost.linear(1), 1.0, 3) == 6.0
 
     def test_constant_cost_index_is_zero(self):
         f = cost.table([4.0])
         for h in (1, 2, 10, 500):
-            assert whittle_reliable(f, h) == 0.0
+            assert whittle_index(f, 1.0, h) == 0.0
 
     def test_square_cost_at_two(self):
-        assert whittle_reliable(cost.power(1, 2), 2) == 13.0
+        assert whittle_index(cost.power(1, 2), 1.0, 2) == 13.0
 
     def test_square_indifference_oracle(self):
         # charging exactly W(2) makes thresholds 2 and 3 equally good
         f = cost.power(1, 2)
-        C = whittle_reliable(f, 2)
+        C = whittle_index(f, 1.0, 2)
         sol = decoupled_value_iteration(DecoupledProblem(f, 1.0, C), a_max=128)
         assert sol.policy.threshold in (2, 3)
         lam2 = threshold_policy_average_cost(f, 1.0, 2, C)
@@ -74,20 +73,21 @@ class TestReliableIndex:
             f, _ = random_cost_and_p(rng)
             cap = cost.max_representable_age(f)
             top = 1001 if cap is None else min(1001, cap - 1)
-            w = whittle_reliable(f, np.arange(1, top))
+            w = whittle_index(f, 1.0, np.arange(1, top))
             assert np.all(np.diff(w) >= -1e-9 * np.maximum(1, np.abs(w[:-1])))
 
 
 class TestUnreliableIndex:
     def test_linear_closed_form_value(self):
         # w p h (h + (2-p)/p) / 2 at w=1, p=0.5, h=2
-        assert whittle_unreliable(cost.linear(1), 0.5, 2) == pytest.approx(2.5, abs=1e-12)
+        assert whittle_index(cost.linear(1), 0.5, 2) == pytest.approx(2.5, abs=1e-12)
 
     def test_p_one_collapses_exactly(self, rng):
         for _ in range(20):
             f, _ = random_cost_and_p(rng)
             h = int(rng.integers(1, 60))
-            assert whittle_unreliable(f, 1.0, h) == whittle_reliable(f, h)
+            # the series collapses to f(h+1): h f(h+1) - sum f(1..h)
+            assert whittle_index(f, 1.0, h) == h * discounted_tail(f, 1.0, h) - cost.prefix_array(f, h)[-1]
 
     def test_series_against_independent_oracle(self):
         f, p, h = cost.power(1, 2), 0.8, 3
@@ -95,20 +95,20 @@ class TestUnreliableIndex:
         oracle = math.fsum(cost.evaluate(f, ks + h) * (1 - p) ** (ks - 1.0))
         got = discounted_tail(f, p, h, tol=1e-12)
         assert got == pytest.approx(oracle, rel=1e-10)
-        w = whittle_unreliable(f, p, h)
+        w = whittle_index(f, p, h)
         assert w == pytest.approx(p * p * h * oracle - p * 14.0, rel=1e-10)
 
     def test_bounded_cost_enforced(self):
         with pytest.raises(AdmissibilityError):
-            whittle_unreliable(cost.exponential(3), 0.5, 1)
+            whittle_index(cost.exponential(3), 0.5, 1)
 
     def test_limit_consistency_near_one(self, rng):
         p = 1 - 1e-9
         for _ in range(10):
             f, _ = random_cost_and_p(rng)
             for h in (1, 7, 40, 100):
-                w1 = whittle_unreliable(f, p, h)
-                w0 = whittle_reliable(f, h)
+                w1 = whittle_index(f, p, h)
+                w0 = whittle_index(f, 1.0, h)
                 assert abs(w1 - w0) <= 1e-5 * (1 + abs(w0))
 
     def test_monotone_in_h(self, rng):
@@ -120,7 +120,7 @@ class TestUnreliableIndex:
 
     def test_bad_tol(self):
         with pytest.raises(DomainError):
-            whittle_unreliable(cost.linear(1), 0.5, 2, tol=0.0)
+            whittle_index(cost.linear(1), 0.5, 2, tol=0.0)
 
 
 class TestOptimalThreshold:
@@ -245,7 +245,7 @@ def test_index_increments_match_cost_increments(seed, h):
     # W(h+1) - W(h) = (h+1) (f(h+2) - f(h+1)) >= 0 for reliable channels
     rng = np.random.default_rng(seed)
     f, _ = random_cost_and_p(rng)
-    lhs = whittle_reliable(f, h + 1) - whittle_reliable(f, h)
+    lhs = whittle_index(f, 1.0, h + 1) - whittle_index(f, 1.0, h)
     rhs = (h + 1) * (cost.evaluate(f, h + 2) - cost.evaluate(f, h + 1))
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
@@ -527,6 +527,12 @@ def test_a_charge_past_the_row_limit_raises_capacity_error(monkeypatch):
         optimal_threshold(DecoupledProblem(f, 1.0, 1e20))
     with pytest.raises(CapacityError, match="age 4096"):
         indexability_sweep(f, 0.5, [1.0, 1e20])
+
+
+def test_rvi_past_its_iteration_budget_names_the_span(monkeypatch):
+    monkeypatch.setattr(decoupled, "RVI_MAX_ITERS", 2)
+    with pytest.raises(ConvergenceError, match=r"within 2 iterations \(span \d"):
+        decoupled_value_iteration(DecoupledProblem(cost.linear(1), 0.5, 3.0), a_max=20)
 
 
 @pytest.mark.parametrize("f", [cost.linear(1), cost.table([1.0, 2.0])], ids=["unbounded", "bounded"])

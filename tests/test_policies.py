@@ -15,6 +15,7 @@ from aoisched.policies import (
     Tabular,
     Whittle,
     _decide_rows,
+    _whittle_values,
     decide,
     validate_ages,
     whittle_index_table,
@@ -57,10 +58,10 @@ class TestWhittleDecisions:
     def test_equal_index_values_prefer_first_source(self):
         # both indices equal 13 at ages (1, 2) for the 13x / x^2 pair
         spec = setting_a1()
-        from aoisched.decoupled import whittle_reliable
+        from aoisched.decoupled import whittle_index
 
-        assert whittle_reliable(cost.linear(13), 1) == 13.0
-        assert whittle_reliable(cost.power(1, 2), 2) == 13.0
+        assert whittle_index(cost.linear(13), 1.0, 1) == 13.0
+        assert whittle_index(cost.power(1, 2), 1.0, 2) == 13.0
         assert decide(Whittle(), spec, (1, 2)) == 0
 
     def test_unreliable_uses_channel_probability(self):
@@ -250,8 +251,8 @@ _SPECS = (
         )
     ),
 )
-# the index tables stop at age 8 while ages reach 12, so some rows fall back
-# to the per-age series
+# the index tables stop at age 8 while ages reach 12, so some blocks fall
+# back to one whittle_index call per source
 _TABLES = {id(spec): whittle_index_table(spec, 8) for spec in _SPECS}
 _SIMPLE = ("whittle", "round_robin", "fixed_cycle", "max_age", "randomized")
 
@@ -349,6 +350,28 @@ def test_edge_cases_match_scalar_oracle(policy, ages, t):
     spec = _SPECS[2]
     ages = np.array(ages, dtype=np.int64)
     _check_agreement(spec, policy, ages, t, list(range(len(ages))), _TABLES[id(spec)])
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=[f"{s.n_sources} sources #{i}" for i, s in enumerate(_SPECS)])
+def test_block_past_a_narrow_table_matches_a_full_table_bit_for_bit(spec, monkeypatch):
+    # the first rows lie inside the 4-wide table, the others pass it
+    n = spec.n_sources
+    rng = np.random.default_rng(n)
+    ages = np.vstack((rng.integers(1, 5, (3, n)), rng.integers(1, 31, (5, n))))
+    ages[-1, -1] = 30
+    narrow, full = whittle_index_table(spec, 4), whittle_index_table(spec, 30)
+    want = full[np.arange(n), ages - 1]
+    calls, real = [], decoupled.whittle_index
+
+    def counted(f, p, h, tol=1e-10):
+        calls.append(np.ndim(h))
+        return real(f, p, h, tol=tol)
+
+    monkeypatch.setattr(decoupled, "whittle_index", counted)
+    got = _whittle_values(spec, ages, narrow)
+    assert got.tobytes() == want.tobytes()
+    assert calls == [1] * n  # one call per source, over its column of ages
+    assert _decide_rows(Whittle(), spec, ages, 0, None, narrow).tolist() == np.argmax(want, axis=1).tolist()
 
 
 def test_randomized_rule_draws_right_of_each_cumulative_step():
