@@ -25,8 +25,15 @@ for the box size and carries the mass the upper bound follows.
 Both passes read successors as slices of the age box, not through gathered
 index arrays. The backward pass keeps its values in a buffer one entry
 longer on every axis, the extra entry repeating the cap, and picks actions
-by a running compare-select that keeps ties at the lowest source index; the
-forward pass moves all failure mass with one shifted slice.
+by a running compare-select that keeps ties at the lowest source index. It
+walks each stage in ascending slabs of axis-0 rows of about `SLAB_STATES`
+states, each with its own cache-sized buffers: a slab writes only rows
+that no later slab reads, except row 0, which source 0's success term
+reads in every slab, so that term is saved before the first slab. A box of
+up to `SLAB_STATES` states (each bundled reliable box, E2's at a_max 15,
+and A2's to C2's at 30 and 60) is one slab and runs the same sequence.
+The forward pass moves all failure mass with one shifted slice and zeroes
+the cap face by face.
 
 The greedy actions are stored by content: a stage refers to the stage
 after it when their tables are equal, and otherwise to an earlier stored
@@ -67,6 +74,7 @@ from .sim import _first_cycle, _reliable_path
 
 TRUNCATION_WARN_LEVEL = 1e-6
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes
+SLAB_STATES = 1 << 16  # states per backward-pass slab: two axis-0 rows at E2's a_max 30
 
 
 def default_a_max(n_sources: int) -> int:
@@ -172,8 +180,12 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     `finite_horizon_dp_auto` at E2's a_max 30: a_max 60 exceeds the
     default budget.
 
-    The forward audit's cached index is charged at every below-cap state,
-    since the support it covers can be any set of them.
+    The backward pass's working buffers span one slab of axis-0 rows, not
+    the box (see `_backward_pass`), so they are charged per slab, with the
+    saved success row and the box-sized compare of a stage with the stored
+    table. The forward audit's cached index is charged at every below-cap
+    state, since the support it covers can be any set of them; that phase
+    leads on every box large enough to be refused.
     """
     m, n, a_max = box.state_count, box.n_sources, box.a_max
     below = (a_max - 1) ** n  # states that can carry mass in the forward pass
@@ -182,8 +194,10 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     held += 8 * (m + (a_max + 1) ** n)  # stage cost; values with a repeated top face
     held += 8 * horizon * (n * a_max + 1)  # cap-entry marginals, per-slot costs
     held += 200 * horizon + (1 << 18)  # realized trajectory; ufunc buffers, objects
-    # best, q, compare mask and the stage compare; success terms
-    backward = 18 * m + 8 * n * m // a_max
+    # a slab's best, q, failure copy and compare mask; the stage compare;
+    # the saved success row and the success terms
+    slab = _slab_rows(box) * m // a_max
+    backward = 25 * slab + m + 8 * (n + 1) * m // a_max
     # distributions, failure factors, the cap mask and the two support
     # masks; cap indices and ages, per-source orders and siphoned mass; the
     # cached index over at most every below-cap state (state, action,
@@ -294,6 +308,12 @@ def _axis_slices(n, axis, own, rest) -> tuple:
     return tuple(own if j == axis else rest for j in range(n))
 
 
+def _slab_rows(box) -> int:
+    """Axis-0 rows per backward-pass slab: as many as fit in SLAB_STATES
+    states, at least one and at most the whole box."""
+    return min(box.a_max, max(1, SLAB_STATES * box.a_max // box.state_count))
+
+
 def _backward_pass(box, probs, stage_cost, horizon):
     """Stage values and the greedy action table of every stage.
 
@@ -304,6 +324,18 @@ def _backward_pass(box, probs, stage_cost, horizon):
     broadcast along it. q_i = p_i S_i + (1 - p_i) V_fail; the action is
     picked by a running compare-select in which a source replaces the best
     only where strictly cheaper, so ties go to the lowest source index.
+
+    A stage walks the box in slabs of `_slab_rows` axis-0 rows, in
+    ascending order, and runs that sequence on each slab with slab-sized
+    buffers, so a slab's working set stays in cache. Slab [r0, r1) reads
+    the failure rows r0 + 1 to r1, copied once into a contiguous buffer
+    when some source is lossy, and writes the values of rows r0 to r1 - 1,
+    so no later slab reads a row already written. Source 0's success term
+    reads row 0 in every slab; the first slab overwrites it, so that term,
+    p_0 times the row, is saved before the first slab. The top faces are
+    copied after the last. Every entry gets the same operations as in one
+    whole-box pass, so the bits do not depend on the slab size, and a box
+    of one slab runs the same sequence as any other.
 
     Each stage's actions are built in one reused buffer. A stage equal to
     the stage after it refers to that stage's table. Otherwise it looks up
@@ -317,36 +349,55 @@ def _backward_pass(box, probs, stage_cost, horizon):
     n, a_max = box.n_sources, box.a_max
     every = slice(1, None)
     ext = np.zeros((a_max + 1,) * n)
-    value = ext[(slice(0, a_max),) * n]
-    fail = ext[(every,) * n]
-    succ = [ext[_axis_slices(n, i, slice(0, 1), every)] for i in range(n)]
     top = [(_axis_slices(n, i, a_max, slice(None)), _axis_slices(n, i, a_max - 1, slice(None)))
            for i in range(n)]
+    row0 = ext[_axis_slices(n, 0, slice(0, 1), every)]  # source 0's success values
+    held = np.empty(row0.shape)  # p_0 times row 0, saved each stage
+    lossy = any(p != 1.0 for p in probs)  # only a lossy source reads the failure values
+    rows = _slab_rows(box)
+    best = np.empty((rows,) + box.shape[1:])
+    q = np.empty_like(best)
+    cheaper = np.empty(best.shape, dtype=bool)
+    fail_rows = np.empty_like(best) if lossy else None
+    slabs = []  # each slab's axis-0 rows, views and buffers
+    for r0 in range(0, a_max, rows):
+        k = min(rows, a_max - r0)
+        own, next_rows = slice(r0, r0 + k), slice(r0 + 1, r0 + k + 1)
+        succ = [held]
+        succ += [ext[(next_rows,) + _axis_slices(n - 1, i, slice(0, 1), every)] for i in range(n - 1)]
+        slabs.append((
+            own, ext[(own,) + (slice(0, a_max),) * (n - 1)],  # the slab's values
+            ext[(next_rows,) + (every,) * (n - 1)],  # the slab's failure values,
+            fail_rows[:k] if lossy else None,  # copied here once a stage
+            succ, stage_cost[own], best[:k], q[:k], cheaper[:k],
+        ))
     actions = [None] * horizon
     stored = None
     by_digest = {}  # CRC-32 of a stored table's bytes -> that table
     buf = np.empty(box.state_count, dtype=np.int8)
-    best = np.empty(box.shape)
-    q = np.empty(box.shape)
-    cheaper = np.empty(box.shape, dtype=bool)
     for t in range(horizon - 1, -1, -1):
         act = buf.reshape(box.shape)
-        act.fill(0)
-        for i, p in enumerate(probs):
-            if p == 1.0:
-                qi = succ[i]  # broadcast view, compared without a copy
-            else:
-                qi = best if i == 0 else q
-                np.multiply(fail, 1.0 - p, out=qi)
-                qi += p * succ[i]
-            if i == 0:
-                if qi is not best:
-                    best[...] = qi
-            else:
-                np.less(qi, best, out=cheaper)
-                np.copyto(act, i, where=cheaper)
-                np.copyto(best, qi, where=cheaper)
-        np.add(stage_cost, best, out=value)
+        np.multiply(row0, probs[0], out=held)  # every slab reads row 0, which the first overwrites
+        for own, value, fail_src, fail, succ, cost_rows, best_s, q_s, cheaper_s in slabs:
+            if lossy:
+                np.copyto(fail, fail_src)
+            act_s = act[own]
+            act_s.fill(0)
+            for i, p in enumerate(probs):
+                if p == 1.0:
+                    qi = succ[i]  # broadcast view, compared without a copy
+                else:
+                    qi = best_s if i == 0 else q_s
+                    np.multiply(fail, 1.0 - p, out=qi)
+                    qi += held if i == 0 else p * succ[i]
+                if i == 0:
+                    if qi is not best_s:
+                        best_s[...] = qi
+                else:
+                    np.less(qi, best_s, out=cheaper_s)
+                    np.copyto(act_s, i, where=cheaper_s)
+                    np.copyto(best_s, qi, where=cheaper_s)
+            np.add(cost_rows, best_s, out=value)
         for dst, src in top:
             ext[dst] = ext[src]
         if stored is None or not (buf == stored).all():
@@ -357,7 +408,7 @@ def _backward_pass(box, probs, stage_cost, horizon):
                 stored.flags.writeable = False
                 by_digest[key] = stored
         actions[t] = stored
-    return value, tuple(actions)
+    return ext[(slice(0, a_max),) * n], tuple(actions)
 
 
 def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
@@ -416,11 +467,14 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
         empty = np.diff(starts, append=cap_idx.size) == 0
         runs.append((order, starts, empty))
     entering = np.zeros((horizon, n, a_max))
+    faces = [_axis_slices(n, i, a_max - 1, slice(None)) for i in range(n)]  # the cap, face by face
 
     def siphon(vec, t):
         w = vec[cap_idx]
         mass = float(w.sum())
-        vec[cap_idx] = 0.0
+        cube = vec.reshape(shape)
+        for face in faces:
+            cube[face] = 0.0
         if mass and t < horizon:
             for i, (order, starts, empty) in enumerate(runs):
                 entering[t, i] = np.add.reduceat(w[order], starts)

@@ -22,7 +22,14 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import decoupled
-from .cost import CostFunction, positive_ages, require_bounded, validate_count, validate_probability
+from .cost import (
+    CostFunction,
+    positive_ages,
+    require_bounded,
+    validate_count,
+    validate_probability,
+    validate_real,
+)
 from .errors import DomainError, MissingStateError
 
 
@@ -103,7 +110,7 @@ class StationaryRandomized:
     probs: tuple
 
     def __post_init__(self):
-        probs = tuple(float(q) for q in self.probs)
+        probs = tuple(validate_real(q, "randomized probability") for q in self.probs)
         if not all(0 <= q < np.inf for q in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise DomainError("randomized policy needs finite non-negative probs summing to 1")
         object.__setattr__(self, "probs", probs)

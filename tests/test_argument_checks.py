@@ -118,6 +118,9 @@ BAD_INPUTS = {
     "table values (True, 2)": lambda: cost.table([True, 2]),
     "randomized probs (nan, 1)": lambda: StationaryRandomized((np.nan, 1.0)),
     "randomized probs (inf, -inf)": lambda: StationaryRandomized((np.inf, -np.inf)),
+    "randomized probs (True, False)": lambda: StationaryRandomized((True, False)),
+    "randomized probs ('0.5', '0.5')": lambda: StationaryRandomized(("0.5", "0.5")),
+    "randomized probs ('x', 'y')": lambda: StationaryRandomized(("x", "y")),
 }
 # every entry point that takes a stopping tolerance, at each bad tolerance
 TOL_ENTRY_POINTS = {

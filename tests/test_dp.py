@@ -308,6 +308,7 @@ class TestMemoryEstimate:
         (system_for("E2").sources, 2, 1000),
         ((Source(cost.linear(2), 0.5),), 2, 2000),
         ((Source(cost.linear(2), 1.0),), 200, 5),
+        (system_for("E2").sources, 17, 60),  # two backward slabs
     ])
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
     def test_traced_peak_within_estimate(self, sources, a_max, horizon):
@@ -553,6 +554,16 @@ class TestKernelMatchesReference:
     def test_random_reliable_specs_bit_identical(self, case):
         _assert_matches_reference(*case)
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_dp_case())
+    def test_one_row_slabs_bit_identical(self, case):
+        # every box above fits one slab; one axis-0 row per slab runs the
+        # saved success row, the failure copies and the slab order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dpmod, "SLAB_STATES", 1)
+            assert dpmod._slab_rows(case[2]) == 1
+            _assert_matches_reference(*case)
+
     @pytest.mark.parametrize("sources,a_max,horizon,initial", [
         ((Source(cost.linear(2), 0.5),), 2, 30, (1,)),
         ((Source(cost.linear(2), 1.0),), 2, 10, (2,)),
@@ -581,6 +592,8 @@ class TestKernelMatchesReference:
         (system_for("E1").sources, 5, 30, (1, 5, 2, 1)),
         ((Source(cost.linear(2)),), 3, 20, (2,)),
         (system_for("B1").sources, 30, 1, (4, 7)),
+        # the backward pass in two slabs of axis-0 rows, 13 and 4
+        (system_for("E2").sources, 17, 30, (1, 1, 1, 1)),
     ])
     def test_edge_cases_bit_identical(self, sources, a_max, horizon, initial):
         _assert_matches_reference(SystemSpec(sources), horizon, TruncatedBox(a_max, len(sources)), initial)
