@@ -70,12 +70,6 @@ def _out_dir(args) -> str:
     return os.environ.get("AOISCHED_OUT", "results")
 
 
-_WORKERS_HELP = (
-    "split the Monte Carlo runs into K blocks, simulated in sequence without threads; "
-    "results are identical at any K"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aoisched", description=__doc__)
     parser.add_argument("--version", action="version", version=f"aoisched {__version__}")
@@ -85,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="YAML experiment config")
     p_run.add_argument("--out", help="output directory (default: AOISCHED_OUT or ./results)")
     p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--workers", type=int, default=1, metavar="K", help=_WORKERS_HELP)
     p_run.add_argument(
         "--allow-divergent",
         action="store_true",
@@ -134,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("tables", help="regenerate the benchmark tables from bundled configs")
     p_tab.add_argument("--out", help="also write per-setting CSV/JSON here")
     p_tab.add_argument("--only", help="comma-separated subset of bundled config names")
-    p_tab.add_argument("--workers", type=int, default=1, metavar="K", help=_WORKERS_HELP)
     p_tab.set_defaults(handler=_cmd_tables)
 
     return parser
@@ -143,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            costmod.validate_count("--workers", args.workers)
         return args.handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -161,12 +151,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = parse_config({**config.to_dict(), "seed": args.seed})
-    bundle = run_experiment(
-        config,
-        out_dir=_out_dir(args),
-        allow_divergent=args.allow_divergent,
-        workers=args.workers,
-    )
+    bundle = run_experiment(config, out_dir=_out_dir(args), allow_divergent=args.allow_divergent)
     for row in bundle.csv_rows():
         print(f"{row['setting']},{row['policy']},{row['mean_cost']!r},{row['stderr']!r}")
     return 0
@@ -233,7 +218,6 @@ def _verify_strong_switch(args) -> int:
                 "action": v.action_a + 1,
                 "dominating_state": list(v.state_b),
                 "its_action": v.action_b + 1,
-                "implied_action": v.action_a + 1,
             }
             for v in violations
         ],
@@ -287,11 +271,14 @@ def _cmd_tables(args) -> int:
         missing = sorted(set(wanted) - set(names))
         if missing:
             raise ConfigError(f"unknown bundled configs {missing}")
+        repeated = sorted({name for name in wanted if wanted.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"bundled configs named more than once in --only: {repeated}")
         names = wanted
     bundles = []
     for name in names:
         config = bundled_config(name)
-        bundle = run_experiment(config, workers=args.workers)
+        bundle = run_experiment(config)
         if args.out:
             write_bundle(bundle, args.out)
         bundles.append(bundle)

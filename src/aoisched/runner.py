@@ -128,9 +128,14 @@ def run_experiment(
     """Execute one experiment config end to end.
 
     A source that provably diverges (unbounded cost series for its channel)
-    aborts the run unless allow_divergent is set; the override exists for the
-    divergence demonstration, which needs randomized policies on settings no
-    sensible schedule should simulate.
+    aborts the run unless allow_divergent is set. The override skips that
+    check and runs the config as written: each policy's finite-horizon mean
+    is still computed (or an overflow raises CostRangeError), but it no
+    longer estimates a finite time-average cost.
+
+    `workers` is forwarded to `simulate`, which checks and ignores it; it
+    stays only so that callers that still pass it, perfbench's workloads
+    among them, keep binding.
     """
     spec = config.system
     if not allow_divergent:

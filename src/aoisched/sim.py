@@ -10,8 +10,10 @@ table of the sources' cost rows (`_cost_rows`).
 Randomness is fully reproducible: run r of a simulation seeded with s draws
 its channel uniforms from a counter-based Philox stream keyed by (s, r, 0)
 and its policy uniforms, when the policy is randomized, from (s, r, 1).
-Runs therefore commute: splitting the runs into K blocks, simulated one
-after another without threads, gives identical results at any K.
+Runs therefore commute. The slot loop simulates them in consecutive blocks
+of lockstep runs, one after another without threads, each as many runs as
+keep runs x horizon within `BLOCK_UNIFORMS` uniforms of each kind; the
+split only bounds the memory of the uniform arrays and never changes a bit.
 
 The key of stream (s, r, kind) is the one numpy's
 `SeedSequence(entropy=s mod 2**64, spawn_key=(r, kind))` generates, so the
@@ -47,6 +49,9 @@ from .policies import (
 )
 
 AGE_GUARD = 10**6
+# uniforms of one kind (channel or policy) per slot-loop block, 8 MiB of
+# floats: every bundled config, at most 500 runs x 500 slots, is one block
+BLOCK_UNIFORMS = 1 << 20
 
 
 def _index_table(spec: SystemSpec, policy, wanted: int, caps=None):
@@ -196,18 +201,19 @@ def simulate(
     """Simulate `runs` independent episodes of `horizon` slots.
 
     Returns the mean and standard error (over runs) of the per-slot average
-    cost, plus the per-source breakdown of the mean. `horizon`, `runs` and
-    `workers` must be integers >= 1, `seed` one with |seed| < 2**64 (no
-    bools), else DomainError. The runs are split into `workers` blocks
-    simulated one after another (no threads), which bounds the memory of
-    the uniform arrays; identical (seed, config) inputs give bit-identical
-    results at any block count.
+    cost, plus the per-source breakdown of the mean. `horizon` and `runs`
+    must be integers >= 1, `seed` one with |seed| < 2**64 (no bools), else
+    DomainError. Identical (seed, config) inputs give bit-identical results;
+    the slot loop splits the runs into blocks itself (`BLOCK_UNIFORMS`).
+    `workers` is checked as `runs` is and otherwise ignored: it stays only
+    so that callers that still pass it, perfbench's workloads among them,
+    keep binding.
     """
     horizon = validate_count("horizon", horizon)
     runs = validate_count("runs", runs)
-    workers = validate_count("workers", workers)
+    validate_count("workers", workers)
     seed = validate_seed(seed)
-    (acc,) = _run_slots(spec, policy, runs, seed, [horizon], blocks=workers)
+    (acc,) = _run_slots(spec, policy, runs, seed, [horizon])
     totals = acc.sum(axis=1) / horizon
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
@@ -221,9 +227,12 @@ def simulate(
     )
 
 
-def _run_blocks(runs, blocks):
-    bounds = np.linspace(0, runs, min(blocks, runs) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
+def _run_blocks(runs, slots):
+    """Consecutive blocks (lo, hi) of runs 0..runs-1, each as many runs as
+    keep runs x slots within BLOCK_UNIFORMS, at least one; the last block
+    takes what is left."""
+    per = max(1, BLOCK_UNIFORMS // slots)
+    return [(lo, min(lo + per, runs)) for lo in range(0, runs, per)]
 
 
 def _cost_rows(spec, width):
@@ -238,17 +247,20 @@ def _cost_rows(spec, width):
     return table, caps
 
 
-def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
-    """The slot loop: simulate runs 0..runs-1 in `blocks` consecutive blocks
-    of lockstep runs, and return the per-source cost each run accumulated up
-    to each checkpoint horizon, shape (len(checkpoints), runs, N).
+def _run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
+    """The slot loop: simulate runs 0..runs-1 in the consecutive blocks of
+    lockstep runs that `_run_blocks` sizes for the last checkpoint, and
+    return the per-source cost each run accumulated up to each checkpoint
+    horizon, shape (len(checkpoints), runs, N).
 
     Every slot's costs are one gather from `_cost_rows` laid end to end. An
     age past its source's last representable age reads OVERFLOW_LIMIT: with
     `saturate` that is its cost (callers cap the sums there), and otherwise,
     checked once some age can pass the smallest cap, `evaluate` raises
-    CostRangeError naming the slot and source. A served age is reset through
-    its flat cell index: run r's source i is cell r * N + i.
+    CostRangeError naming the slot and source. The first block to meet an
+    error raises it, so the slot and source it names depend on the split;
+    results never do. A served age is reset through its flat cell index:
+    run r's source i is cell r * N + i.
     """
     n = spec.n_sources
     tmax = checkpoints[-1]
@@ -261,7 +273,7 @@ def _run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
     smallest_cap = min((c for _, c in bound), default=tmax)
     randomized = not is_deterministic(policy)
     out = np.empty((len(checkpoints), runs, n))
-    for lo, hi in _run_blocks(runs, blocks):
+    for lo, hi in _run_blocks(runs, tmax):
         u_chan = None if spec.reliable else _uniforms(seed, lo, hi, 0, tmax)
         u_pol = _uniforms(seed, lo, hi, 1, tmax) if randomized else None
         ages = np.ones((hi - lo, n), dtype=np.int64)

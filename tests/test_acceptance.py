@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from aoisched import cost
+from aoisched import cost, sim
 from aoisched.config import bundled_config
 from aoisched.decoupled import (
     DecoupledProblem,
@@ -401,16 +401,17 @@ def test_c09_divergence_demo():
     )
 
 
-def test_c10_reproducibility(tmp_path):
+def test_c10_reproducibility(tmp_path, monkeypatch):
     import dataclasses
 
     config = bundled_config("table1_B2")
     config = dataclasses.replace(config, horizon=120, runs=40, name="repro")
     outs = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
+    for tag, per_block in (("a", 40), ("b", 40), ("c", 10)):
         out = tmp_path / tag
-        run_experiment(config, out_dir=out, workers=workers)
+        monkeypatch.setattr(sim, "BLOCK_UNIFORMS", per_block * config.horizon)
+        run_experiment(config, out_dir=out)
         outs.append(((out / "repro.csv").read_bytes(), (out / "repro.json").read_bytes()))
     ok = outs[0] == outs[1] == outs[2]
-    report("C10", ok, "repeat runs and 1-vs-4-worker runs byte-identical (CSV and JSON)")
+    report("C10", ok, "repeat runs and 1-vs-4-block runs byte-identical (CSV and JSON)")
     assert ok

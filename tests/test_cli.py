@@ -1,5 +1,7 @@
 import argparse
 import json
+import pathlib
+import re
 
 import pytest
 import yaml
@@ -9,6 +11,7 @@ from aoisched import dp as dpmod
 from aoisched.cli import build_parser, main
 from aoisched.runner import run_experiment
 from aoisched.config import load_config
+from aoisched.errors import DomainError
 
 
 @pytest.fixture
@@ -51,20 +54,12 @@ class TestRun:
         assert (out1 / "smoke.csv").read_bytes() == (out2 / "smoke.csv").read_bytes()
         assert (out1 / "smoke.json").read_bytes() == (out2 / "smoke.json").read_bytes()
 
-    def test_workers_do_not_change_bytes(self, small_config, tmp_path):
-        out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        main(["run", "--config", str(small_config), "--out", str(out1), "--workers", "1"])
-        main(["run", "--config", str(small_config), "--out", str(out2), "--workers", "4"])
-        assert (out1 / "smoke.csv").read_bytes() == (out2 / "smoke.csv").read_bytes()
-        assert (out1 / "smoke.json").read_bytes() == (out2 / "smoke.json").read_bytes()
-
-    def test_workers_below_one_is_usage_error(self, small_config, tmp_path, capsys):
-        for bad in ("0", "-3"):
-            out = tmp_path / f"w{bad}"
-            rc = main(["run", "--config", str(small_config), "--out", str(out), "--workers", bad])
-            assert rc == 1
-            assert f"error: --workers must be an integer >= 1, got {bad}" in capsys.readouterr().err
-            assert not out.exists()
+    def test_workers_flag_is_gone(self, small_config, tmp_path, capsys):
+        out = tmp_path / "w2"
+        _assert_unrecognized_workers(
+            ["run", "--config", str(small_config), "--out", str(out), "--workers", "2"], capsys
+        )
+        assert not out.exists()
 
     def test_seed_override_changes_results(self, small_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -225,7 +220,8 @@ class TestVerify:
         assert rc == 2
         report = json.loads(capsys.readouterr().out)
         assert not report["ok"]
-        assert report["violations"][0]["implied_action"] == 1
+        assert report["violations"][0]["action"] == 1
+        assert "implied_action" not in report["violations"][0]
 
     def test_strong_switch_clean_exits_zero(self, tmp_path, capsys):
         pairs = {"states": [[1, 4], [2, 3]], "actions": [2, 1]}
@@ -295,11 +291,37 @@ class TestTables:
     def test_unknown_subset_is_usage_error(self, capsys):
         assert main(["tables", "--only", "table9_Z1"]) == 1
 
-    def test_workers_below_one_is_usage_error(self, capsys):
-        assert main(["tables", "--only", "table1_A1", "--workers", "0"]) == 1
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        _assert_unrecognized_workers(
+            ["tables", "--only", "table1_A1", "--out", str(out), "--workers", "2"], capsys
+        )
+        assert not out.exists()
+
+    def test_repeated_subset_name_is_usage_error(self, capsys, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("ran a config before refusing --only")
+
+        monkeypatch.setattr("aoisched.cli.run_experiment", run)
+        assert main(["tables", "--only", "table1_A1,table1_B1,table1_A1"]) == 1
         captured = capsys.readouterr()
-        assert "error: --workers must be an integer >= 1, got 0" in captured.err
-        assert "finished" not in captured.err
+        assert "config error: bundled configs named more than once in --only: ['table1_A1']" in captured.err
+        assert captured.out == ""
+
+
+def _assert_unrecognized_workers(argv, capsys):
+    """`argv` exits 1 with argparse's refusal of `--workers`, and its
+    command's --help no longer lists the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "error: unrecognized arguments: --workers 2" in captured.err
+    assert "finished" not in captured.err and captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    assert "--workers" not in capsys.readouterr().out
 
 
 def _subcommands(parser):
@@ -316,6 +338,42 @@ def test_every_command_and_verify_mode_has_a_handler():
     assert all(_subcommands(p) == {} for p in (*commands.values(), *modes.values()))
     for name, p in {**commands, **modes}.items():
         assert callable(p.get_default("handler")), name
+
+
+def _readme_synopsis():
+    """command (or `verify MODE`) -> the flags its lines name in the
+    README's `## Command line` block."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    flags = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["aoisched"]:
+            command = " ".join(words[1:3] if words[1] == "verify" else words[1:2])
+        if words:
+            flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    return flags
+
+
+def test_readme_synopsis_names_every_flag_of_the_parser():
+    commands = _subcommands(build_parser())
+    modes = _subcommands(commands.pop("verify"))
+    parsers = {**commands, **{f"verify {mode}": p for mode, p in modes.items()}}
+    want = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in parsers.items()
+    }
+    assert _readme_synopsis() == want
+
+
+def test_run_experiment_checks_and_ignores_workers(small_config):
+    cfg = load_config(small_config)
+    one = run_experiment(cfg)
+    three = run_experiment(cfg, workers=3)
+    assert three.csv_rows() == one.csv_rows()
+    assert three.to_json_dict() == one.to_json_dict()
+    with pytest.raises(DomainError, match="workers"):
+        run_experiment(cfg, workers=0)
 
 
 def test_run_experiment_library_roundtrip(small_config):

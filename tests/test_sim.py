@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aoisched import cost, decoupled
+from aoisched import cost, decoupled, sim
 from aoisched.cost import OVERFLOW_LIMIT
 from aoisched.decoupled import whittle_index
 from aoisched.errors import CostRangeError, DomainError, MissingStateError, NonCyclicError
@@ -50,10 +50,27 @@ class TestSimulate:
         b = simulate(system_for("B2"), Whittle(), horizon=300, runs=40, seed=9)
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        one = simulate(system_for("C2"), Whittle(), horizon=200, runs=30, seed=5, workers=1)
-        four = simulate(system_for("C2"), Whittle(), horizon=200, runs=30, seed=5, workers=4)
-        assert one == four
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        # whittle and a uniform coin on lossy channels, a coin on reliable
+        # ones and the probe's saturating checkpoints, at one run a block
+        # and at blocks of 4 runs, the last shorter
+        coin = StationaryRandomized((0.5, 0.5))
+        calls = [
+            (30, 200, lambda: simulate(system_for("C2"), Whittle(), horizon=200, runs=30, seed=5)),
+            (11, 90, lambda: simulate(system_for("A2"), coin, horizon=90, runs=11, seed=4)),
+            (7, 100, lambda: simulate(system_for("B1"), coin, horizon=100, runs=7, seed=2)),
+            (11, 60, lambda: divergence_probe(two_exponential(), coin, [10, 40, 60], 11, seed=3)),
+        ]
+        one = [call() for _, _, call in calls]
+        for per_block in (1, 4):
+            split = []
+            with monkeypatch.context() as m:
+                for runs, slots, call in calls:
+                    m.setattr(sim, "BLOCK_UNIFORMS", per_block * slots)
+                    assert len(sim._run_blocks(runs, slots)) == -(-runs // per_block)
+                    split.append(call())
+            assert split[:3] == one[:3]
+            assert np.array_equal(split[3], one[3])
 
     def test_seed_changes_stochastic_results(self):
         a = simulate(system_for("A2"), Whittle(), horizon=200, runs=10, seed=1)
@@ -338,12 +355,13 @@ class TestTabularChains:
         with pytest.raises(MissingStateError):
             simulate(self.diverging(), Tabular({}, fallback=None), horizon=5)
 
-    def test_randomized_fallback_gets_policy_uniforms(self):
+    def test_randomized_fallback_gets_policy_uniforms(self, monkeypatch):
         spec = SystemSpec((Source(cost.linear(1), 0.5), Source(cost.linear(1), 0.5)))
         policy = Tabular({(1, 1): 0}, fallback=StationaryRandomized((0.5, 0.5)))
         res = simulate(spec, policy, horizon=80, runs=6, seed=5)
         assert math.isfinite(res.mean_cost) and res.stderr > 0
-        assert res == simulate(spec, policy, horizon=80, runs=6, seed=5, workers=3)
+        monkeypatch.setattr(sim, "BLOCK_UNIFORMS", 2 * 80)  # three blocks of two runs
+        assert res == simulate(spec, policy, horizon=80, runs=6, seed=5)
 
     def test_time_cyclic_fallback_sets_the_cycle_period(self):
         # an empty table defers every state to the 5-slot cycle, whose

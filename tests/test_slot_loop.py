@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoisched import cost, decoupled, policies, sim
+from aoisched.config import bundled_config, bundled_config_names
 from aoisched.cost import OVERFLOW_LIMIT
 from aoisched.errors import CostRangeError, DomainError, MissingStateError
 from aoisched.policies import (
@@ -63,13 +64,10 @@ def _reference_whittle_values(spec, ages, index_table):
     return vals
 
 
-def _reference_run_blocks(runs, blocks):
-    blocks = max(1, min(int(blocks), runs))
-    bounds = np.linspace(0, runs, blocks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
-def _reference_run_slots(spec, policy, runs, seed, checkpoints, blocks=1, saturate=False):
+def _reference_run_slots(spec, policy, runs, seed, checkpoints, saturate=False, per_block=None):
+    """Runs in consecutive blocks of `per_block` (default: one block); an
+    error stops the loop in the block that raises it, so its message
+    depends on the split."""
     n = spec.n_sources
     tmax = checkpoints[-1]
     probs = spec.probabilities
@@ -77,7 +75,9 @@ def _reference_run_slots(spec, policy, runs, seed, checkpoints, blocks=1, satura
     rows = [np.append(cost.row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
     randomized = isinstance(policy, StationaryRandomized)
     out = np.empty((len(checkpoints), runs, n))
-    for lo, hi in _reference_run_blocks(runs, blocks):
+    step = per_block or runs
+    for lo in range(0, runs, step):
+        hi = min(lo + step, runs)
         u_chan = _reference_uniforms(seed, lo, hi, 0, tmax)
         u_pol = _reference_uniforms(seed, lo, hi, 1, tmax) if randomized else None
         ages = np.ones((hi - lo, n), dtype=np.int64)
@@ -117,6 +117,11 @@ def _reference(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(policies, "_whittle_values", _reference_whittle_values)
         return _reference_run_slots(*args, **kwargs)
+
+
+def _runs_per_block(monkeypatch, runs, slots):
+    """Make the slot loop simulate `slots` slots in blocks of `runs` runs."""
+    monkeypatch.setattr(sim, "BLOCK_UNIFORMS", runs * slots)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -219,14 +224,16 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("blocks", [1, 3, 7])
+# 11 runs in blocks of 1, 3 (the last of 2) and 7 (then 4)
+@pytest.mark.parametrize("per_block", [1, 3, 7])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_slot_loop_matches_reference(monkeypatch, case, blocks):
+def test_slot_loop_matches_reference(monkeypatch, case, per_block):
     make_spec, make_policy, horizon = CASES[case]
     spec, policy = make_spec(), make_policy()
     checkpoints = [1, horizon // 3, horizon]
-    got = sim._run_slots(spec, policy, 11, 20250117, checkpoints, blocks=blocks)
-    want = _reference(monkeypatch, spec, policy, 11, 20250117, checkpoints, blocks=blocks)
+    want = _reference(monkeypatch, spec, policy, 11, 20250117, checkpoints)
+    _runs_per_block(monkeypatch, per_block, horizon)
+    got = sim._run_slots(spec, policy, 11, 20250117, checkpoints)
     assert np.array_equal(got, want)
 
 
@@ -237,8 +244,8 @@ def test_whittle_past_table_serves_the_starved_source_in_time():
     assert sim._run_slots(spec, Whittle(), 3, 0, [260])[0, :, 0].tolist() == [0.0] * 3
 
 
-@pytest.mark.parametrize("blocks", [1, 3, 7])
-def test_saturating_checkpoints_match_reference(monkeypatch, blocks):
+@pytest.mark.parametrize("per_block", [1, 3, 7])
+def test_saturating_checkpoints_match_reference(monkeypatch, per_block):
     # 10^(7x) passes the cost row from age 43 and 30^x from age 204
     spec = SystemSpec(
         (
@@ -249,14 +256,15 @@ def test_saturating_checkpoints_match_reference(monkeypatch, blocks):
     )
     policy = StationaryRandomized((0.9, 0.0, 0.1))
     checkpoints = [10, 42, 43, 100, 250]
-    got = sim._run_slots(spec, policy, 9, 3, checkpoints, blocks=blocks, saturate=True)
-    want = _reference(monkeypatch, spec, policy, 9, 3, checkpoints, blocks=blocks, saturate=True)
+    want = _reference(monkeypatch, spec, policy, 9, 3, checkpoints, saturate=True)
+    _runs_per_block(monkeypatch, per_block, checkpoints[-1])
+    got = sim._run_slots(spec, policy, 9, 3, checkpoints, saturate=True)
     assert np.array_equal(got, want)
     assert got[-1, :, 1].max() >= OVERFLOW_LIMIT
 
 
-@pytest.mark.parametrize("blocks", [1, 3])
-def test_errors_match_reference(monkeypatch, blocks):
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_errors_match_reference(monkeypatch, per_block):
     f = overflow_at_four()
     runs = [
         # an age past its cost row
@@ -265,11 +273,13 @@ def test_errors_match_reference(monkeypatch, blocks):
         (_lossy_pair(), Tabular({(1, 1): 0}, None), [20]),
     ]
     for spec, policy, checkpoints in runs:
-        got = _outcome(sim._run_slots, spec, policy, 5, 1, checkpoints, blocks=blocks)
-        want = _outcome(_reference, monkeypatch, spec, policy, 5, 1, checkpoints, blocks=blocks)
+        want = _outcome(_reference, monkeypatch, spec, policy, 5, 1, checkpoints, per_block=per_block)
+        _runs_per_block(monkeypatch, per_block, checkpoints[-1])
+        got = _outcome(sim._run_slots, spec, policy, 5, 1, checkpoints)
         assert isinstance(got, tuple) and got == want
+    _runs_per_block(monkeypatch, per_block, 50)
     reliable = SystemSpec((Source(f),) * 4)
-    msg = _outcome(sim._run_slots, reliable, RoundRobin(), 5, 1, [50], blocks=blocks)[1]
+    msg = _outcome(sim._run_slots, reliable, RoundRobin(), 5, 1, [50])[1]
     assert msg.startswith("slot 4, source 4: ") and msg.endswith("at age 4")
 
 
@@ -293,14 +303,18 @@ def constructions(monkeypatch):
     return counts
 
 
+# 40 runs of 20 slots in one block, or in blocks of 14, 14 and 12
 @pytest.mark.parametrize("blocks", [1, 3])
-def test_one_philox_per_block_and_no_seed_sequences(constructions, blocks):
-    sim.simulate(system_for("A2"), Whittle(), horizon=20, runs=40, seed=1, workers=blocks)
+def test_one_philox_per_block_and_no_seed_sequences(constructions, monkeypatch, blocks):
+    _runs_per_block(monkeypatch, -(-40 // blocks), 20)
+    assert len(sim._run_blocks(40, 20)) == blocks
+    sim.simulate(system_for("A2"), Whittle(), horizon=20, runs=40, seed=1)
     assert constructions == {"SeedSequence": 0, "Philox": blocks}
 
 
-def test_randomized_policy_adds_one_philox_per_block(constructions):
-    sim.simulate(system_for("A2"), StationaryRandomized((0.5, 0.5)), 20, runs=40, workers=3)
+def test_randomized_policy_adds_one_philox_per_block(constructions, monkeypatch):
+    _runs_per_block(monkeypatch, 14, 20)
+    sim.simulate(system_for("A2"), StationaryRandomized((0.5, 0.5)), 20, runs=40)
     assert constructions == {"SeedSequence": 0, "Philox": 6}
 
 
@@ -313,13 +327,24 @@ def test_reliable_runs_draw_no_channel_uniforms(constructions, monkeypatch):
         return uniforms(seed, lo, hi, kind, slots)
 
     monkeypatch.setattr(sim, "_uniforms", recording)
-    sim.simulate(system_for("B1"), Whittle(), horizon=30, runs=10, workers=2)
+    _runs_per_block(monkeypatch, 5, 30)
+    sim.simulate(system_for("B1"), Whittle(), horizon=30, runs=10)
     assert kinds == [] and constructions["Philox"] == 0
-    sim.simulate(system_for("B1"), StationaryRandomized((0.5, 0.5)), 30, runs=10, workers=2)
+    sim.simulate(system_for("B1"), StationaryRandomized((0.5, 0.5)), 30, runs=10)
     assert kinds == [1, 1]
 
 
-# -- workers -------------------------------------------------------------------------
+def test_bundled_configs_run_as_one_block(constructions):
+    # perfbench's simulations run these configs' runs and horizons as well
+    for name in bundled_config_names():
+        config = bundled_config(name)
+        assert sim._run_blocks(config.runs, config.horizon) == [(0, config.runs)], name
+    # the largest, 500 runs x 500 slots: one channel and one policy stream
+    sim.simulate(system_for("A2"), StationaryRandomized((0.5, 0.5)), 500, runs=500)
+    assert constructions == {"SeedSequence": 0, "Philox": 2}
+
+
+# -- workers: checked, then ignored ---------------------------------------------------
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True, None])
