@@ -42,6 +42,7 @@ from .errors import (
     CapacityError,
     ConsistencyError,
     ConvergenceError,
+    CostRangeError,
     DomainError,
 )
 
@@ -262,6 +263,9 @@ def optimal_threshold(prob: DecoupledProblem) -> ThresholdPolicy:
 # ages the threshold search's index row may hold: 128 MiB of floats, though
 # building its last doubling peaks near 630 MB (linear cost, p = 1)
 MAX_INDEX_ROW = 1 << 24
+# a row about to pass this many ages first bounds W(MAX_INDEX_ROW), a cost
+# of under a millisecond that rows this short never pay
+_REACH_CHECK_ROW = 1 << 16
 
 
 def _invert(f: CostFunction, p: float, charges) -> list:
@@ -271,10 +275,13 @@ def _invert(f: CostFunction, p: float, charges) -> list:
     flat. Other rows stop first one age below max_representable_age (W(h)
     needs f(h+1)); only a charge that row cannot reach extends it further,
     and so raises CostRangeError. A row that would pass MAX_INDEX_ROW ages
-    raises CapacityError instead."""
+    raises CapacityError instead, as does, at once, a charge above an upper
+    bound on W(MAX_INDEX_ROW) when the row can reach that far."""
     sup = _index_supremum(f, p)
     h_stop = f.plateau_start + 1 if f.is_bounded_function else None
     cap = costmod.max_representable_age(f)
+    # bound on W(MAX_INDEX_ROW), None until computed; inf for rows that stop short
+    reach = None if h_stop is None and (cap is None or cap > MAX_INDEX_ROW) else math.inf
     row = np.empty(0)
     out = []
     for C in charges:
@@ -293,10 +300,18 @@ def _invert(f: CostFunction, p: float, charges) -> list:
                 n = min(n, h_stop)
             elif cap is not None and len(row) < cap - 1:
                 n = min(n, cap - 1)
-            if n > MAX_INDEX_ROW:
+            if reach is None and n > _REACH_CHECK_ROW:
+                # W is non-decreasing, and W(h) <= p^2 h tail(h) (h f(h+1) at p = 1)
+                # since its prefix term is non-negative; an overflowing tail bounds nothing
+                try:
+                    reach = p * p * MAX_INDEX_ROW * discounted_tail(f, p, MAX_INDEX_ROW)
+                except CostRangeError:
+                    reach = math.inf
+            beyond = reach is not None and reach <= C
+            if n > MAX_INDEX_ROW or beyond:
                 raise CapacityError(
-                    f"no index up to age {len(row)} exceeds the charge {C}; the threshold"
-                    f" search stops at MAX_INDEX_ROW = {MAX_INDEX_ROW} ages"
+                    f"no index up to age {MAX_INDEX_ROW if beyond else len(row)} exceeds the charge"
+                    f" {C}; the threshold search stops at MAX_INDEX_ROW = {MAX_INDEX_ROW} ages"
                 )
             row = np.concatenate((row, whittle_index(f, p, np.arange(len(row) + 1, n + 1))))
             above = np.flatnonzero(row > C)

@@ -118,9 +118,6 @@ class TruncatedBox:
     def state_index(self, ages) -> int:
         return int(np.ravel_multi_index(tuple(np.asarray(ages) - 1), self.shape))
 
-    def ages_of(self, index: int) -> tuple:
-        return tuple(int(c) + 1 for c in np.unravel_index(index, self.shape))
-
 
 @dataclass
 class DpSolution:
@@ -162,9 +159,11 @@ class DpSolution:
         return int(self.stage1_actions[self.box.state_index(arr)])
 
     def as_tabular_policy(self) -> Tabular:
-        """The stage-1 greedy table as a simulatable policy; states outside
-        the box defer to Tabular's default whittle fallback."""
-        return Tabular({self.box.ages_of(s): int(a) for s, a in enumerate(self.stage1_actions)})
+        """The stage-1 greedy table as a simulatable policy, in state order;
+        states outside the box take the whittle decision."""
+        ages = np.unravel_index(np.arange(self.box.state_count), self.box.shape)
+        keys = zip(*((c + 1).tolist() for c in ages))
+        return Tabular(dict(zip(keys, self.stage1_actions.tolist())))
 
 
 def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:

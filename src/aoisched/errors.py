@@ -37,10 +37,6 @@ class ConsistencyError(AoiSchedError, RuntimeError):
     """An internal cross-check failed; indicates a bug, never expected."""
 
 
-class MissingStateError(AoiSchedError, KeyError):
-    """A tabular policy was queried for an unlisted state with no fallback."""
-
-
 class InconclusiveError(AoiSchedError, RuntimeError):
     """A search hit its boundary, so the reported optimum is not trusted."""
 

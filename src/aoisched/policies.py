@@ -9,6 +9,7 @@ The whittle policy schedules the source maximizing its single-arm index at
 its current age, with ties broken toward the lowest source index. Because the
 per-source index functions are non-decreasing, any such policy is
 strong-switch-type by construction (see the structure module's checker).
+A tabular policy takes the whittle decision at every state off its table.
 
 Every kind of argument is checked in `cost`; :func:`validate_ages` adds
 only the length check of an age vector against its system.
@@ -16,7 +17,7 @@ only the length check of an age vector against its system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ from .cost import (
     validate_probability,
     validate_real,
 )
-from .errors import DomainError, MissingStateError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -136,34 +137,27 @@ class FixedCycle:
 
 @dataclass(frozen=True)
 class Tabular:
-    """Explicit state -> action lookup with an optional fallback policy.
-
-    States absent from the table defer to the fallback (the whittle decision
-    by default), keeping truncated tables total. Disable the fallback to get
-    a MissingStateError on unlisted states instead.
-    """
+    """Explicit state -> action lookup; a state absent from the table takes
+    the whittle decision, so a truncated table stays total. Each action must
+    be a non-negative integer; its range against the system is checked when
+    it is read."""
 
     table: Mapping
-    fallback: object = field(default_factory=Whittle)
+
+    def __post_init__(self):
+        for a in self.table.values():
+            validate_count("tabular action", a, 0)
 
 
 DETERMINISTIC_KINDS = (Whittle, RoundRobin, MaxAge, FixedCycle, Tabular)
 
 
-def _chain_end(policy):
-    """The end of a Tabular's fallback chain, or its last Tabular if that has none."""
-    while isinstance(policy, Tabular) and policy.fallback is not None:
-        policy = policy.fallback
-    return policy
-
-
 def is_deterministic(policy) -> bool:
-    return isinstance(_chain_end(policy), DETERMINISTIC_KINDS)
+    return isinstance(policy, DETERMINISTIC_KINDS)
 
 
 def time_period(policy, n_sources: int) -> int:
     """Period of the policy's explicit time dependence (1 when stationary)."""
-    policy = _chain_end(policy)
     if isinstance(policy, RoundRobin):
         return n_sources
     if isinstance(policy, FixedCycle):
@@ -199,9 +193,9 @@ def decide(
     """Source (0-based) scheduled by `policy` at age vector `ages`, slot `t`.
 
     Deterministic variants ignore `rng`; the randomized variant requires it
-    and draws one uniform from it per call (also as a tabular fallback). An
-    `index_table` from :func:`whittle_index_table` avoids recomputing
-    whittle indices on every call.
+    and draws one uniform from it per call. An `index_table` from
+    :func:`whittle_index_table` avoids recomputing whittle indices on every
+    call.
     """
     arr = validate_ages(spec, ages)
     u = None if rng is None or is_deterministic(policy) else rng.random(1)
@@ -212,7 +206,8 @@ def _decide_rows(policy, spec, ages, t, u=None, index_table=None) -> np.ndarray:
     """Decisions for a (runs x N) block of ages at slot t, one per row.
 
     `u` holds one policy uniform per row; only the randomized variant reads
-    it. Ties go to the lowest source index.
+    it. Ties go to the lowest source index. A tabular policy's rows missing
+    from its table take the whittle decision.
     """
     n = spec.n_sources
     r = len(ages)
@@ -242,13 +237,10 @@ def _decide_rows(policy, spec, ages, t, u=None, index_table=None) -> np.ndarray:
                 if not 0 <= a < n:
                     raise DomainError(f"tabular action {a} out of range for {n} sources")
                 acts[j] = a
-            elif policy.fallback is None:
-                raise MissingStateError(f"state {key} not in table and fallback disabled")
             else:
                 miss[j] = True
         if miss.any():
-            sub_u = None if u is None else u[miss]
-            acts[miss] = _decide_rows(policy.fallback, spec, ages[miss], t, sub_u, index_table)
+            acts[miss] = _decide_rows(Whittle(), spec, ages[miss], t, None, index_table)
         return acts
     raise DomainError(f"unknown policy {policy!r}")
 

@@ -39,8 +39,8 @@ from .errors import CostRangeError, DomainError, NonCyclicError
 from .policies import (
     StationaryRandomized,
     SystemSpec,
+    Tabular,
     Whittle,
-    _chain_end,
     _decide_rows,
     decide,
     is_deterministic,
@@ -55,11 +55,11 @@ BLOCK_UNIFORMS = 1 << 20
 
 
 def _index_table(spec: SystemSpec, policy, wanted: int, caps=None):
-    """Whittle index table for a policy whose fallback chain ends at Whittle
-    (None for the others), as wide as the cost functions can represent,
-    capped at `wanted`. The index at age h needs f(h+1), hence the -1.
-    `caps` are the sources' max_representable_age, when already known."""
-    if not isinstance(_chain_end(policy), Whittle):
+    """Whittle index table for a whittle or tabular policy (None for the
+    others), as wide as the cost functions can represent, capped at
+    `wanted`. The index at age h needs f(h+1), hence the -1. `caps` are the
+    sources' max_representable_age, when already known."""
+    if not isinstance(policy, (Whittle, Tabular)):
         return None
     if caps is None:
         caps = [costmod.max_representable_age(s.cost) for s in spec.sources]

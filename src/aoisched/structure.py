@@ -24,7 +24,7 @@ from . import dp as dpmod
 from .cost import CostFunction, positive_ages, validate_count
 from .decoupled import whittle_index
 from .errors import DomainError, InconclusiveError
-from .policies import Source, SystemSpec, Whittle
+from .policies import Source, SystemSpec, Whittle, _decide_rows
 from .sim import Cycle, detect_cycle
 
 
@@ -204,13 +204,6 @@ CYCLE_TOL = 1e-6  # relative: whittle cycle against the best cycle
 DP_REL_TOL = 0.01  # relative: whittle cycle against the DP optimum
 
 
-def _decision_certified(w_chosen, w_other, chosen, other) -> bool:
-    """argmax with lowest-index tie-break picks `chosen` over `other`."""
-    if w_chosen > w_other:
-        return True
-    return w_chosen == w_other and chosen < other
-
-
 def certify_theorem3(
     f1: CostFunction,
     f2: CostFunction,
@@ -224,8 +217,9 @@ def certify_theorem3(
     arithmetic); the DP comparison gets DP_REL_TOL because the finite
     horizon average retains a transient. The whittle cycle must additionally
     have the leader-then-follower shape and satisfy the realized index
-    inequalities: at every cycle state, the scheduled source's index beats
-    the other source's (with the lowest-index tie rule).
+    inequalities: at every cycle state, the whittle decision rule, on
+    indices computed afresh rather than read from a table, schedules the
+    cycle's source.
     """
     spec = SystemSpec((Source(f1, 1.0), Source(f2, 1.0)))
     wc = detect_cycle(spec, Whittle())
@@ -258,12 +252,13 @@ def certify_theorem3(
     )
 
     fs = (f1, f2)
+    decisions = _decide_rows(Whittle(), spec, np.array(wc.states, dtype=np.int64), 0)
     bad = []
-    for s, a in zip(wc.states, wc.actions):
-        other = 1 - a
-        wa = whittle_index(fs[a], 1.0, int(s[a]))
-        wo = whittle_index(fs[other], 1.0, int(s[other]))
-        if not _decision_certified(wa, wo, a, other):
+    for s, a, d in zip(wc.states, wc.actions, decisions.tolist()):
+        if d != a:
+            other = 1 - a
+            wa = whittle_index(fs[a], 1.0, s[a])
+            wo = whittle_index(fs[other], 1.0, s[other])
             bad.append(f"state {s}: W_{a}({s[a]})={wa!r} does not beat W_{other}({s[other]})={wo!r}")
     checks.append(
         CertCheck(
@@ -275,8 +270,7 @@ def certify_theorem3(
     if form is not None and form.k >= 2:
         lead_f, fol_f = fs[form.leader], fs[form.follower]
         w_l1 = whittle_index(lead_f, 1.0, 1)
-        w_fk = whittle_index(fol_f, 1.0, form.k)
-        w_fk1 = whittle_index(fol_f, 1.0, form.k + 1)
+        w_fk, w_fk1 = whittle_index(fol_f, 1.0, [form.k, form.k + 1]).tolist()
         ok = w_l1 >= w_fk and w_fk1 >= w_l1
         checks.append(
             CertCheck(

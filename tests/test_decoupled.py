@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -527,6 +528,40 @@ def test_a_charge_past_the_row_limit_raises_capacity_error(monkeypatch):
         optimal_threshold(DecoupledProblem(f, 1.0, 1e20))
     with pytest.raises(CapacityError, match="age 4096"):
         indexability_sweep(f, 0.5, [1.0, 1e20])
+
+
+@pytest.mark.parametrize(
+    "f, p, charge",
+    [(cost.linear(1), 0.5, 1e20), (cost.linear(1), 1.0, 1e20), (cost.power(1, 2), 0.3, 1e30),
+     (cost.logarithmic(1), 0.5, 1e20)],
+)
+def test_an_unreachable_charge_is_refused_in_seconds(f, p, charge):
+    # the lossy linear row up to MAX_INDEX_ROW once took 87 s and 630 MB to build
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"age {decoupled.MAX_INDEX_ROW} exceeds"):
+        optimal_threshold(DecoupledProblem(f, p, charge))
+    assert time.perf_counter() - start < 10
+
+
+def test_the_reach_bound_refuses_only_charges_past_it(monkeypatch):
+    # linear(1) at p = 1: W(h) = h (h + 1) / 2, bounded by h f(h + 1) = h (h + 1),
+    # so W(4096) is about 8.4e6 and its bound about 1.7e7
+    monkeypatch.setattr(decoupled, "MAX_INDEX_ROW", 1 << 12)
+    monkeypatch.setattr(decoupled, "_REACH_CHECK_ROW", 1 << 6)
+    built, real = [], decoupled.whittle_index
+
+    def recorded(f, p, h, tol=1e-10):
+        built.append(np.max(h))  # the last age of each row built
+        return real(f, p, h, tol=tol)
+
+    monkeypatch.setattr(decoupled, "whittle_index", recorded)
+    f = cost.linear(1)
+    assert optimal_threshold(DecoupledProblem(f, 1.0, 1e6)).threshold == 1414
+    for charge, row in ((1e7, 1 << 12), (2e7, 1 << 6)):
+        built.clear()
+        with pytest.raises(CapacityError, match=r"age 4096 exceeds"):
+            optimal_threshold(DecoupledProblem(f, 1.0, charge))
+        assert max(built) == row
 
 
 def test_rvi_past_its_iteration_budget_names_the_span(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aoisched import cost, decoupled
-from aoisched.errors import AdmissibilityError, DomainError, MissingStateError
+from aoisched.errors import AdmissibilityError, DomainError
 from aoisched.policies import (
     FixedCycle,
     MaxAge,
@@ -139,11 +139,6 @@ class TestOtherPolicies:
         assert decide(pol, spec, (1, 1)) == 1
         assert decide(pol, spec, (1, 3)) == decide(Whittle(), spec, (1, 3))
 
-    def test_tabular_without_fallback_raises(self):
-        pol = Tabular({(1, 1): 0}, fallback=None)
-        with pytest.raises(MissingStateError):
-            decide(pol, two_linear(), (2, 2))
-
     def test_age_vector_validated(self):
         with pytest.raises(DomainError):
             decide(Whittle(), two_linear(), (0, 1))
@@ -225,9 +220,7 @@ def _scalar_decide(policy, spec, ages, t=0, rng=None, index_table=None):
             if not 0 <= a < n:
                 raise DomainError(f"tabular action {a} out of range for {n} sources")
             return a
-        if policy.fallback is None:
-            raise MissingStateError(f"state {key} not in table and fallback disabled")
-        return _scalar_decide(policy.fallback, spec, arr, t, rng, index_table)
+        return _scalar_decide(Whittle(), spec, arr, t, rng, index_table)
     raise DomainError(f"unknown policy {policy!r}")
 
 
@@ -274,13 +267,9 @@ def _policy_for(draw, n, kind, ages):
         if sum(weights) == 0:
             weights[0] = 1
         return StationaryRandomized(tuple(w / sum(weights) for w in weights))
-    # tabular: each row is listed or not; listed actions may fall out of range
+    # tabular: each row is listed or not; n is one past the range
     keys = [tuple(int(a) for a in row) for row in ages]
-    table = {key: draw(st.integers(-1, n)) for key in keys if draw(st.booleans())}
-    fallback = draw(st.sampled_from((None, "whittle", "max_age", "round_robin", "randomized")))
-    if fallback is not None:
-        fallback = draw(_policy_for(n, fallback, ages))
-    return Tabular(table, fallback=fallback)
+    return Tabular({key: draw(st.integers(0, n)) for key in keys if draw(st.booleans())})
 
 
 @st.composite
@@ -303,7 +292,7 @@ def _decision_case(draw):
 def _outcome(fn):
     try:
         return fn()
-    except (DomainError, MissingStateError) as e:
+    except DomainError as e:
         return type(e)
 
 
@@ -336,14 +325,12 @@ def test_block_rule_matches_scalar_oracle_row_for_row(case):
     [
         (Tabular({(1, 1): 1, (2, 3): 0}), [[1, 1], [2, 3], [4, 4]], 0),  # hits and a miss
         (Tabular({(1, 1): 2}), [[1, 1]], 0),  # action past the last source
-        (Tabular({(2, 2): -1}), [[1, 1], [2, 2]], 0),  # negative action
-        (Tabular({(1, 1): 0}, fallback=None), [[1, 1], [2, 2]], 0),  # miss, no fallback
-        (Tabular({(1, 1): 0}, fallback=StationaryRandomized((0.3, 0.7))), [[1, 1], [3, 1], [1, 1], [1, 5]], 0),
+        (Tabular({(20, 2): 1}), [[20, 2], [21, 2]], 0),  # a hit and a miss past the table
+        (Tabular({(1, 1): 1}), [[1, 1], [20, 2]], 0),  # whittle decision past the table
+        (StationaryRandomized((0.2, 0.3, 0.5)), [[1, 1]], 0),  # one prob too many
         (FixedCycle((0, 2)), [[1, 1]], 1),  # cycle action past the last source
         (FixedCycle((0, 2)), [[1, 1]], 2),  # in range at this slot
         (Whittle(), [[3, 9], [9, 30], [2, 2]], 0),  # rows past the 8-wide table
-        (Tabular({(1, 1): 1}), [[1, 1], [20, 2]], 0),  # whittle fallback past the table
-        (StationaryRandomized((0.2, 0.3, 0.5)), [[1, 1]], 0),  # one prob too many
     ],
 )
 def test_edge_cases_match_scalar_oracle(policy, ages, t):

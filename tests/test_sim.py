@@ -6,7 +6,7 @@ import pytest
 from aoisched import cost, decoupled, sim
 from aoisched.cost import OVERFLOW_LIMIT
 from aoisched.decoupled import whittle_index
-from aoisched.errors import CostRangeError, DomainError, MissingStateError, NonCyclicError
+from aoisched.errors import CostRangeError, DomainError, NonCyclicError
 from aoisched.policies import (
     FixedCycle,
     MaxAge,
@@ -339,47 +339,12 @@ class TestDivergenceProbe:
         assert np.array_equal(got, _probe_oracle(spec, policy, [42, 43], 3, 0))
 
 
-class TestTabularChains:
-    """What a tabular policy reads follows its fallback chain, not its class."""
-
-    def diverging(self):
-        # whittle's series diverges here (3 * (1 - 0.5) >= 1); max age does not need it
-        return SystemSpec((Source(cost.linear(1), 0.5), Source(cost.exponential(3), 0.5)))
-
-    def test_no_index_table_without_a_whittle_fallback(self):
-        spec = self.diverging()
-        res = simulate(spec, Tabular({}, fallback=MaxAge()), horizon=60, runs=4, seed=2)
-        assert res == simulate(spec, MaxAge(), horizon=60, runs=4, seed=2)
-
-    def test_disabled_fallback_reports_the_missing_state(self):
-        with pytest.raises(MissingStateError):
-            simulate(self.diverging(), Tabular({}, fallback=None), horizon=5)
-
-    def test_randomized_fallback_gets_policy_uniforms(self, monkeypatch):
-        spec = SystemSpec((Source(cost.linear(1), 0.5), Source(cost.linear(1), 0.5)))
-        policy = Tabular({(1, 1): 0}, fallback=StationaryRandomized((0.5, 0.5)))
-        res = simulate(spec, policy, horizon=80, runs=6, seed=5)
-        assert math.isfinite(res.mean_cost) and res.stderr > 0
-        monkeypatch.setattr(sim, "BLOCK_UNIFORMS", 2 * 80)  # three blocks of two runs
-        assert res == simulate(spec, policy, horizon=80, runs=6, seed=5)
-
-    def test_time_cyclic_fallback_sets_the_cycle_period(self):
-        # an empty table defers every state to the 5-slot cycle, whose
-        # states alone recur after 3 slots
-        spec = SystemSpec(tuple(Source(cost.linear(w)) for w in (1, 2, 3)))
-        bare = FixedCycle((0, 1, 2, 0, 1))
-        wrapped = detect_cycle(spec, Tabular({}, fallback=bare))
-        expected = detect_cycle(spec, bare)
-        assert (wrapped.states, wrapped.actions) == (expected.states, expected.actions)
-        assert wrapped.average_cost == expected.average_cost == pytest.approx(14.4)
-
-
 class TestOverflowMessages:
     def test_whittle_decision_overflow_names_the_slot(self):
-        # the table drives source 1 to age 3; the whittle fallback then
+        # the table drives source 1 to age 3; the whittle decision then
         # needs f(4), past the index table and past the overflow limit
         f = overflow_at_four()
-        policy = Tabular({(1, 1): 0, (1, 2): 0}, fallback=Whittle())
+        policy = Tabular({(1, 1): 0, (1, 2): 0})
         with pytest.raises(CostRangeError, match=r"^slot 3: .* at age 4"):
             simulate(SystemSpec((Source(f), Source(f))), policy, horizon=10)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from aoisched import cost, decoupled, policies, sim
 from aoisched.config import bundled_config, bundled_config_names
 from aoisched.cost import OVERFLOW_LIMIT
-from aoisched.errors import CostRangeError, DomainError, MissingStateError
+from aoisched.errors import CostRangeError, DomainError
 from aoisched.policies import (
     FixedCycle,
     MaxAge,
@@ -128,7 +128,7 @@ def _outcome(fn, *args, **kwargs):
     """fn's result, or the type and message of the error it raised."""
     try:
         return fn(*args, **kwargs)
-    except (CostRangeError, MissingStateError) as e:
+    except CostRangeError as e:
         return type(e), str(e)
 
 
@@ -213,7 +213,7 @@ CASES = {
         lambda: Tabular({(1, 1): 1, (2, 1): 1, (3, 2): 0, (1, 4): 0}),
         80,
     ),
-    "tabular_total": (_lossy_pair, lambda: Tabular(_full_table(_lossy_pair(), 40), None), 40),
+    "tabular_total": (_lossy_pair, lambda: Tabular(_full_table(_lossy_pair(), 40)), 40),
     "whittle_past_table": (_starved_spec, Whittle, 260),
     "reliable_whittle": (lambda: system_for("E1"), Whittle, 100),
     "reliable_randomized": (
@@ -266,18 +266,12 @@ def test_saturating_checkpoints_match_reference(monkeypatch, per_block):
 @pytest.mark.parametrize("per_block", [1, 3])
 def test_errors_match_reference(monkeypatch, per_block):
     f = overflow_at_four()
-    runs = [
-        # an age past its cost row
-        (SystemSpec((Source(f, 0.9),) * 4), RoundRobin(), [50]),
-        # a table without fallback that misses a state
-        (_lossy_pair(), Tabular({(1, 1): 0}, None), [20]),
-    ]
-    for spec, policy, checkpoints in runs:
-        want = _outcome(_reference, monkeypatch, spec, policy, 5, 1, checkpoints, per_block=per_block)
-        _runs_per_block(monkeypatch, per_block, checkpoints[-1])
-        got = _outcome(sim._run_slots, spec, policy, 5, 1, checkpoints)
-        assert isinstance(got, tuple) and got == want
+    # an age past its cost row
+    spec = SystemSpec((Source(f, 0.9),) * 4)
+    want = _outcome(_reference, monkeypatch, spec, RoundRobin(), 5, 1, [50], per_block=per_block)
     _runs_per_block(monkeypatch, per_block, 50)
+    got = _outcome(sim._run_slots, spec, RoundRobin(), 5, 1, [50])
+    assert isinstance(got, tuple) and got == want
     reliable = SystemSpec((Source(f),) * 4)
     msg = _outcome(sim._run_slots, reliable, RoundRobin(), 5, 1, [50])[1]
     assert msg.startswith("slot 4, source 4: ") and msg.endswith("at age 4")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from aoisched import cost
+from aoisched import cost, structure
 from aoisched.dp import extract_cycle_policy, finite_horizon_dp
 from aoisched.errors import DomainError, InconclusiveError
 from aoisched.policies import Source, SystemSpec, Whittle
-from aoisched.sim import detect_cycle
+from aoisched.sim import Cycle, detect_cycle
 from aoisched.structure import (
     best_two_source_cycle,
     certify_theorem3,
@@ -171,6 +171,37 @@ class TestTheorem3:
         names = {c.name for c in cert.checks}
         assert {"cycle_form", "whittle_equals_best_cycle", "whittle_matches_dp",
                 "realized_index_inequalities", "strong_switch"} <= names
+
+    def test_check_details_on_a1(self):
+        # A1's whittle cycle has k = 2, so the leader interval is checked too
+        cert = certify_theorem3(cost.linear(13), cost.power(1, 2))
+        assert [(c.name, c.ok, c.detail) for c in cert.checks] == [
+            ("cycle_form", True, "leader 0, k=2"),
+            ("whittle_equals_best_cycle", True, "whittle 22.0 vs best 22.0 (leader 0, k=1)"),
+            ("whittle_matches_dp", True, "whittle cycle 22.000000 vs dp 21.974000 (0.118%)"),
+            ("realized_index_inequalities", True, "3 decisions certified"),
+            ("leader_index_interval", True, "W_F(k)=13.0 <= W_L(1)=13.0 <= W_F(k+1)=34.0"),
+            ("strong_switch", True, "cycle is strong-switch clean"),
+        ]
+
+    @pytest.mark.parametrize(
+        "flip, detail",
+        [
+            # a tie at (1, 2) goes to the lower source index
+            (0, "state (1, 2): W_1(2)=13.0 does not beat W_0(1)=13.0"),
+            (1, "state (1, 3): W_0(1)=13.0 does not beat W_1(3)=34.0"),
+        ],
+    )
+    def test_a_flipped_decision_fails_the_index_inequalities(self, monkeypatch, flip, detail):
+        f1, f2 = cost.linear(13), cost.power(1, 2)
+        wc = detect_cycle(SystemSpec((Source(f1), Source(f2))), Whittle())
+        assert wc.states == ((1, 2), (1, 3), (2, 1)) and wc.actions == (0, 1, 0)
+        actions = list(wc.actions)
+        actions[flip] = 1 - actions[flip]
+        flipped = Cycle(wc.states, tuple(actions), wc.average_cost)
+        monkeypatch.setattr(structure, "detect_cycle", lambda spec, policy: flipped)
+        check = {c.name: c for c in certify_theorem3(f1, f2).checks}["realized_index_inequalities"]
+        assert (check.ok, check.detail) == (False, detail)
 
 
 class TestF1Counterexample:
