@@ -30,13 +30,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import AdmissibilityError, CostRangeError, DomainError
 
 OVERFLOW_LIMIT = 1e300
+MAX_AGE = 2**62  # max_representable_age of a cost with no limit below it
 
 KINDS = ("linear", "power", "exponential", "logarithmic", "indicator", "table")
 
@@ -319,19 +319,26 @@ def prefix_array(f: CostFunction, h: int) -> np.ndarray:
     return np.cumsum(evaluate(f, np.arange(1, validate_count("h", h) + 1)))
 
 
-def max_representable_age(f: CostFunction) -> Optional[int]:
-    """Largest age that `evaluate` accepts, 0 if none (None: no limit below
-    astronomically large ages)."""
-    if f.kind == "exponential":
+def max_representable_age(f: CostFunction) -> int:
+    """Largest age that `evaluate` accepts: 0 if none, MAX_AGE if every age
+    up to 2^62 is accepted."""
+    if f.is_bounded_function:
+        # constant from its plateau start on, so the walk starts there
+        if _accepts(f, f.plateau_start):
+            return MAX_AGE
+        limit = f.plateau_start
+    elif f.kind == "exponential":
         limit = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / math.log(f.base)
-    elif f.kind in ("power", "linear"):
-        # in logs: (OVERFLOW_LIMIT / w) ** (1 / e) itself overflows for e < 1
-        log_limit = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / f.exponent
-        if log_limit >= 62 * math.log(2):
-            return None
-        limit = math.exp(log_limit)
     else:
-        return None
+        # in logs: (OVERFLOW_LIMIT / w) ** (1 / e) itself overflows for e < 1,
+        # and w log_b(x) <= OVERFLOW_LIMIT is log(x) <= OVERFLOW_LIMIT / w * log(b)
+        if f.kind == "logarithmic":
+            log_limit = OVERFLOW_LIMIT / f.weight * math.log(f.base)
+        else:
+            log_limit = (math.log(OVERFLOW_LIMIT) - math.log(f.weight)) / f.exponent
+        if log_limit >= math.log(MAX_AGE):
+            return MAX_AGE
+        limit = math.exp(log_limit)
     # the closed form can round to either side of the last accepted age, so
     # it only seeds a walk on evaluate itself; acceptance is monotone in age
     age = max(int(limit), 0)
@@ -344,9 +351,7 @@ def max_representable_age(f: CostFunction) -> Optional[int]:
 
 def row(f: CostFunction, n: int) -> np.ndarray:
     """f(1..m) in one evaluation, m = min(n, max_representable_age(f))."""
-    cap = max_representable_age(f)
-    m = n if cap is None else min(n, cap)
-    return evaluate(f, np.arange(1, m + 1))
+    return evaluate(f, np.arange(1, min(n, max_representable_age(f)) + 1))
 
 
 def _accepts(f: CostFunction, age: int) -> bool:

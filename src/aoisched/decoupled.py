@@ -271,17 +271,21 @@ _REACH_CHECK_ROW = 1 << 16
 def _invert(f: CostFunction, p: float, charges) -> list:
     """Optimal thresholds at each charge, searched in one index row W(1..n)
     that is built once and doubled from n = 32 while no entry exceeds the
-    charge. Bounded costs stop at their plateau start + 1, past which W is
-    flat. Other rows stop first one age below max_representable_age (W(h)
-    needs f(h+1)); only a charge that row cannot reach extends it further,
-    and so raises CostRangeError. A row that would pass MAX_INDEX_ROW ages
-    raises CapacityError instead, as does, at once, a charge above an upper
-    bound on W(MAX_INDEX_ROW) when the row can reach that far."""
+    charge, up to its last age: the plateau start + 1 for a bounded cost (W
+    is flat past it), else one age below max_representable_age (W(h) needs
+    f(h+1)), and at most MAX_INDEX_ROW. A charge no entry exceeds gives
+    NEVER on a bounded cost whose row is whole. Otherwise it raises
+    CapacityError when MAX_INDEX_ROW stopped the row, or at once when the
+    charge passes an upper bound on W(MAX_INDEX_ROW), and CostRangeError
+    when the cost stopped it."""
     sup = _index_supremum(f, p)
-    h_stop = f.plateau_start + 1 if f.is_bounded_function else None
-    cap = costmod.max_representable_age(f)
+    bounded = f.is_bounded_function
+    last = f.plateau_start + 1 if bounded else costmod.max_representable_age(f) - 1
+    stop = min(last, MAX_INDEX_ROW)
+    # a whole row of a bounded cost holds every index up to W's plateau
+    whole = bounded and stop == last
     # bound on W(MAX_INDEX_ROW), None until computed; inf for rows that stop short
-    reach = None if h_stop is None and (cap is None or cap > MAX_INDEX_ROW) else math.inf
+    reach = None if stop == MAX_INDEX_ROW and not bounded else math.inf
     row = np.empty(0)
     out = []
     for C in charges:
@@ -294,12 +298,8 @@ def _invert(f: CostFunction, p: float, charges) -> list:
         # the first entry above C, not a bisection: a row that dips by an ulp
         # still inverts as a scan from age 1 would
         above = np.flatnonzero(row > C)
-        while not above.size and (h_stop is None or len(row) < h_stop):
-            n = 2 * len(row) or 32
-            if h_stop is not None:
-                n = min(n, h_stop)
-            elif cap is not None and len(row) < cap - 1:
-                n = min(n, cap - 1)
+        while not above.size and len(row) < stop:
+            n = min(2 * len(row) or 32, stop)
             if reach is None and n > _REACH_CHECK_ROW:
                 # W is non-decreasing, and W(h) <= p^2 h tail(h) (h f(h+1) at p = 1)
                 # since its prefix term is non-negative; an overflowing tail bounds nothing
@@ -307,14 +307,20 @@ def _invert(f: CostFunction, p: float, charges) -> list:
                     reach = p * p * MAX_INDEX_ROW * discounted_tail(f, p, MAX_INDEX_ROW)
                 except CostRangeError:
                     reach = math.inf
-            beyond = reach is not None and reach <= C
-            if n > MAX_INDEX_ROW or beyond:
-                raise CapacityError(
-                    f"no index up to age {MAX_INDEX_ROW if beyond else len(row)} exceeds the charge"
-                    f" {C}; the threshold search stops at MAX_INDEX_ROW = {MAX_INDEX_ROW} ages"
-                )
+            if reach is not None and reach <= C:
+                break
             row = np.concatenate((row, whittle_index(f, p, np.arange(len(row) + 1, n + 1))))
             above = np.flatnonzero(row > C)
+        if not above.size and not whole:
+            if stop == MAX_INDEX_ROW:
+                raise CapacityError(
+                    f"no index up to age {MAX_INDEX_ROW} exceeds the charge {C};"
+                    f" the threshold search stops at MAX_INDEX_ROW = {MAX_INDEX_ROW} ages"
+                )
+            raise CostRangeError(
+                f"no index up to age {last} exceeds the charge {C}; the index at"
+                f" age {last + 1} needs the {f.kind} cost past its last representable age"
+            )
         out.append(ThresholdPolicy(int(above[0]) + 1 if above.size else NEVER))
     found = [(C, t.threshold) for C, t in zip(charges, out) if C != 0.0 and not t.is_never]
     if found:

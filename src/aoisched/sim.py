@@ -3,9 +3,9 @@
 Each run starts from the all-ones age vector. Every slot accrues the cost of
 the pre-action ages, the policy picks one source, and that source's age
 resets to 1 on a Bernoulli(p) success while every other age grows by one.
-Ages are never truncated here (only the DP box truncates); an overflow guard
-trips if any age passes 10^6. Every slot's costs are one gather from one
-table of the sources' cost rows (`_cost_rows`).
+Ages are never truncated here (only the DP box truncates); in a run of T
+slots no age passes T + 1, so the horizon bounds every age. Every slot's
+costs are one gather from one table of the sources' cost rows (`_cost_rows`).
 
 Randomness is fully reproducible: run r of a simulation seeded with s draws
 its channel uniforms from a counter-based Philox stream keyed by (s, r, 0)
@@ -48,7 +48,6 @@ from .policies import (
     whittle_index_table,
 )
 
-AGE_GUARD = 10**6
 # uniforms of one kind (channel or policy) per slot-loop block, 8 MiB of
 # floats: every bundled config, at most 500 runs x 500 slots, is one block
 BLOCK_UNIFORMS = 1 << 20
@@ -56,14 +55,14 @@ BLOCK_UNIFORMS = 1 << 20
 
 def _index_table(spec: SystemSpec, policy, wanted: int, caps=None):
     """Whittle index table for a whittle or tabular policy (None for the
-    others), as wide as the cost functions can represent, capped at
-    `wanted`. The index at age h needs f(h+1), hence the -1. `caps` are the
+    others), `wanted` ages wide, or one age short of the smallest
+    max_representable_age (W(h) needs f(h+1)) if less. `caps` are the
     sources' max_representable_age, when already known."""
     if not isinstance(policy, (Whittle, Tabular)):
         return None
     if caps is None:
         caps = [costmod.max_representable_age(s.cost) for s in spec.sources]
-    width = min([wanted] + [cap - 1 for cap in caps if cap is not None])
+    width = min([wanted] + [cap - 1 for cap in caps])
     if width < 1:
         raise CostRangeError("cost functions overflow below age 2; no index table possible")
     return whittle_index_table(spec, width)
@@ -238,11 +237,11 @@ def _run_blocks(runs, slots):
 def _cost_rows(spec, width):
     """f_i(1..width) of every source i as one (N, width) table, padded with
     OVERFLOW_LIMIT past the last representable age, and each source's
-    max_representable_age (None: no limit)."""
+    max_representable_age."""
     caps = [costmod.max_representable_age(s.cost) for s in spec.sources]
     table = np.full((len(caps), width), OVERFLOW_LIMIT)
     for out, s, cap in zip(table, spec.sources, caps):
-        m = width if cap is None else min(width, cap)
+        m = min(width, cap)
         out[:m] = costmod.evaluate(s.cost, np.arange(1, m + 1))
     return table, caps
 
@@ -269,7 +268,7 @@ def _run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
     table = _index_table(spec, policy, tmax + 1, caps)
     flat_cost = rows.reshape(-1)
     # ages at slot t are at most t + 1 <= tmax, so only caps below tmax bind
-    bound = [] if saturate else [(i, c) for i, c in enumerate(caps) if c is not None and c < tmax]
+    bound = [] if saturate else [(i, c) for i, c in enumerate(caps) if c < tmax]
     smallest_cap = min((c for _, c in bound), default=tmax)
     randomized = not is_deterministic(policy)
     out = np.empty((len(checkpoints), runs, n))
@@ -301,9 +300,6 @@ def _run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
                 served = served[u_chan[t] < probs.take(acts)]
             ages += 1
             ages.put(served, 1)
-            # ages after slot t are at most t + 2; saturated costs need no guard
-            if t + 2 > AGE_GUARD and not saturate and ages.max() > AGE_GUARD:
-                raise CostRangeError(f"age exceeded {AGE_GUARD} at slot {t + 1}")
             if t + 1 == checkpoints[k]:
                 out[k, lo:hi] = acc
                 k += 1
@@ -325,10 +321,11 @@ def _reliable_path(start, choose):
         ages = tuple(1 if i == a else x + 1 for i, x in enumerate(ages))
 
 
-def _policy_chooser(spec, policy, width):
+def _policy_chooser(spec, policy):
     """`choose` for _reliable_path that asks `decide`. The index table starts
-    `width` ages wide and doubles, up to the cap of _index_table, whenever an
-    age passes it, so a starved source's growing age stays a table lookup."""
+    32 ages wide and doubles, up to the cap of _index_table, whenever an age
+    passes it, so a starved source's growing age stays a table lookup."""
+    width = 32
     table = _index_table(spec, policy, width)
 
     def choose(ages, t):
@@ -380,7 +377,7 @@ def detect_cycle(spec: SystemSpec, policy, max_steps: int = 100_000) -> Cycle:
     _check_exact(spec, policy, "cycle detection")
     max_steps = validate_count("max_steps", max_steps)
     period = time_period(policy, spec.n_sources)
-    path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy, 4096))
+    path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy))
     cycle = _first_cycle(
         spec, itertools.islice(path, max_steps), lambda step, pair: (pair[0], step % period)
     )
@@ -394,7 +391,7 @@ def per_slot_costs(spec: SystemSpec, policy, horizon: int) -> np.ndarray:
     reliable channels (a single noiseless trajectory)."""
     _check_exact(spec, policy, "exact slot cost")
     horizon = validate_count("horizon", horizon)
-    path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy, horizon + 1))
+    path = _reliable_path((1,) * spec.n_sources, _policy_chooser(spec, policy))
     return np.array([spec.state_cost(ages) for ages, _ in itertools.islice(path, horizon)])
 
 

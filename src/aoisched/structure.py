@@ -219,7 +219,8 @@ def certify_theorem3(
     have the leader-then-follower shape and satisfy the realized index
     inequalities: at every cycle state, the whittle decision rule, on
     indices computed afresh rather than read from a table, schedules the
-    cycle's source.
+    cycle's source. The check details name sources 1-based, as every
+    message of the package does; the `leader` fields stay 0-based.
     """
     spec = SystemSpec((Source(f1, 1.0), Source(f2, 1.0)))
     wc = detect_cycle(spec, Whittle())
@@ -229,7 +230,7 @@ def certify_theorem3(
     checks = []
     try:
         form = parse_two_source_cycle(wc)
-        checks.append(CertCheck("cycle_form", True, f"leader {form.leader}, k={form.k}"))
+        checks.append(CertCheck("cycle_form", True, f"leader {form.leader + 1}, k={form.k}"))
     except DomainError as e:
         form = None
         checks.append(CertCheck("cycle_form", False, str(e)))
@@ -239,7 +240,7 @@ def certify_theorem3(
         CertCheck(
             "whittle_equals_best_cycle",
             gap <= CYCLE_TOL * max(1.0, abs(best.cost)),
-            f"whittle {wc.average_cost!r} vs best {best.cost!r} (leader {best.leader}, k={best.k})",
+            f"whittle {wc.average_cost!r} vs best {best.cost!r} (leader {best.leader + 1}, k={best.k})",
         )
     )
     rel = abs(wc.average_cost - sol.optimal_average_cost) / abs(sol.optimal_average_cost)
@@ -259,7 +260,7 @@ def certify_theorem3(
             other = 1 - a
             wa = whittle_index(fs[a], 1.0, s[a])
             wo = whittle_index(fs[other], 1.0, s[other])
-            bad.append(f"state {s}: W_{a}({s[a]})={wa!r} does not beat W_{other}({s[other]})={wo!r}")
+            bad.append(f"state {s}: W_{a + 1}({s[a]})={wa!r} does not beat W_{other + 1}({s[other]})={wo!r}")
     checks.append(
         CertCheck(
             "realized_index_inequalities",

@@ -244,6 +244,10 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"]
         assert report["best_cycle"]["cost"] == pytest.approx(22.0)
+        # the check details name sources 1-based, as the best_cycle fields do
+        best = report["best_cycle"]
+        (detail,) = [c["detail"] for c in report["checks"] if c["name"] == "whittle_equals_best_cycle"]
+        assert detail.endswith(f"(leader {best['leader']}, k={best['k']})")
 
     def test_indexability(self, capsys):
         rc = main(

@@ -247,15 +247,45 @@ class TestConfigRecords:
 class TestMaxRepresentableAge:
     def test_fractional_power_has_no_limit(self):
         # (1e300 / w) ** (1 / e) overflows a float for e < 1; the limit is
-        # computed in logs and stays None past 2^62
-        assert cost.max_representable_age(cost.power(1, 0.5)) is None
-        assert cost.max_representable_age(cost.power(1e-5, 0.01)) is None
+        # computed in logs and reads MAX_AGE past 2^62
+        assert cost.max_representable_age(cost.power(1, 0.5)) == cost.MAX_AGE
+        assert cost.max_representable_age(cost.power(1e-5, 0.01)) == cost.MAX_AGE
         f = cost.power(1e299, 0.5)
         cap = cost.max_representable_age(f)
         assert cap == 100
         cost.evaluate(f, cap)
         with pytest.raises(CostRangeError):
             cost.evaluate(f, cap + 1)
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(-5.0, 305.0))
+    @settings(max_examples=200, deadline=None)
+    def test_an_integer_up_to_max_age_for_every_kind(self, seed, scale):
+        # the weight (or the table) scaled by 10^scale, so every kind meets
+        # both an overflow inside the first ages and no overflow at all
+        rng = np.random.default_rng(seed)
+        f = random_cost(rng).to_config()
+        if f["kind"] == "table":
+            f["values"] = [v * 10.0**scale for v in f["values"]]
+        else:
+            f["weight"] = min(f["weight"] * 10.0**scale, 1e305)
+        f = cost.from_config(f)
+        cap = cost.max_representable_age(f)
+        assert type(cap) is int and 0 <= cap <= cost.MAX_AGE
+        if cap >= 1:
+            cost.evaluate(f, cap)
+        if cap < cost.MAX_AGE:
+            with pytest.raises(CostRangeError):
+                cost.evaluate(f, cap + 1)
+
+    @pytest.mark.parametrize(
+        "f, cap",
+        [(cost.logarithmic(1e301), 1), (cost.indicator(3, 1e301), 2), (cost.table([0, 5, 1e301]), 2),
+         (cost.table([1e301]), 0), (cost.indicator(3, 1e300), cost.MAX_AGE)],
+    )
+    def test_logarithmic_and_bounded_kinds_that_overflow(self, f, cap):
+        # each kind once reported no limit, so cost.row(f, 5) raised
+        assert cost.max_representable_age(f) == cap
+        assert np.array_equal(cost.row(f, 5), cost.evaluate(f, np.arange(1, min(cap, 5) + 1)))
 
     def test_callers_run_on_a_fractional_power(self):
         f = cost.power(1, 0.5)

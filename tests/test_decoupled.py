@@ -490,6 +490,19 @@ def test_a_charge_past_the_last_representable_index_raises():
         optimal_threshold(DecoupledProblem(f, 1.0, C))
 
 
+@pytest.mark.parametrize("p", [1.0, 0.6])
+def test_a_row_stopped_by_the_cost_raises_cost_range_error(monkeypatch, p):
+    # exponential(2) overflows past age 996, so its row stops at age 995,
+    # inside a MAX_INDEX_ROW of 1024: the cost stopped it, not the row limit
+    monkeypatch.setattr(decoupled, "MAX_INDEX_ROW", 1024)
+    f = cost.exponential(2.0)
+    cap = cost.max_representable_age(f)
+    assert cap == 996
+    C = float(whittle_index(f, p, cap - 1)) * 2
+    with pytest.raises(CostRangeError, match="no index up to age 995 exceeds the charge"):
+        optimal_threshold(DecoupledProblem(f, p, C))
+
+
 @pytest.mark.parametrize("p", [0.4, 1.0])
 def test_the_batched_guard_rejects_one_threshold_off_by_one(p):
     # charges midway between index entries: thresholds 2..9, each with a

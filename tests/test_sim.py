@@ -106,6 +106,17 @@ class TestSimulate:
         with pytest.raises(CostRangeError, match=r"slot 4, source 4: .* at age 4"):
             simulate(SystemSpec((Source(f),) * 4), RoundRobin(), horizon=50, runs=2)
 
+    def test_a_bounded_cost_that_overflows_past_the_ages_reached(self):
+        # indicator(3, 1e301) overflows from age 3, which round robin on two
+        # sources never reaches
+        spec = SystemSpec((Source(cost.indicator(3, 1e301)), Source(cost.linear(1))))
+        assert simulate(spec, RoundRobin(), horizon=5).mean_cost == pytest.approx(1.4, abs=1e-15)
+
+    def test_a_logarithm_that_overflows_names_the_slot_and_source(self):
+        spec = SystemSpec((Source(cost.logarithmic(1e301)), Source(cost.linear(1))))
+        with pytest.raises(CostRangeError, match=r"^slot 3, source 1: logarithmic cost exceeds 1e\+300 at age 2$"):
+            simulate(spec, RoundRobin(), horizon=5)
+
     def test_ages_below_a_cap_shorter_than_the_horizon(self):
         # 3^x overflows from age 629, but round robin keeps both ages at 1 and 2
         res = simulate(two_exponential(), RoundRobin(), horizon=1000, runs=1)
@@ -197,6 +208,17 @@ class TestDetectCycle:
     def test_max_age_policy_cycles(self):
         cyc = detect_cycle(system_for("A1"), MaxAge())
         assert cyc.length == 2  # max-age ignores costs: plain alternation
+
+    def test_a1_builds_one_index_table_32_ages_wide(self, monkeypatch):
+        widths, real = [], sim.whittle_index_table
+
+        def recorded(spec, a_max):
+            widths.append(a_max)
+            return real(spec, a_max)
+
+        monkeypatch.setattr(sim, "whittle_index_table", recorded)
+        detect_cycle(system_for("A1"), Whittle())
+        assert widths == [32]
 
     def test_starved_source_gives_up_in_seconds(self, monkeypatch):
         # the constant cost's index is 0, so whittle serves only the linear

@@ -104,8 +104,6 @@ def _reference_run_slots(spec, policy, runs, seed, checkpoints, saturate=False, 
             success = u_chan[:, t] < probs[acts]
             ages += 1
             ages[run_idx[success], acts[success]] = 1
-            if t + 2 > sim.AGE_GUARD and not saturate and ages.max() > sim.AGE_GUARD:
-                raise CostRangeError(f"age exceeded {sim.AGE_GUARD} at slot {t + 1}")
             if t + 1 == checkpoints[k]:
                 out[k, lo:hi] = acc
                 k += 1

@@ -176,8 +176,8 @@ class TestTheorem3:
         # A1's whittle cycle has k = 2, so the leader interval is checked too
         cert = certify_theorem3(cost.linear(13), cost.power(1, 2))
         assert [(c.name, c.ok, c.detail) for c in cert.checks] == [
-            ("cycle_form", True, "leader 0, k=2"),
-            ("whittle_equals_best_cycle", True, "whittle 22.0 vs best 22.0 (leader 0, k=1)"),
+            ("cycle_form", True, "leader 1, k=2"),
+            ("whittle_equals_best_cycle", True, "whittle 22.0 vs best 22.0 (leader 1, k=1)"),
             ("whittle_matches_dp", True, "whittle cycle 22.000000 vs dp 21.974000 (0.118%)"),
             ("realized_index_inequalities", True, "3 decisions certified"),
             ("leader_index_interval", True, "W_F(k)=13.0 <= W_L(1)=13.0 <= W_F(k+1)=34.0"),
@@ -188,8 +188,8 @@ class TestTheorem3:
         "flip, detail",
         [
             # a tie at (1, 2) goes to the lower source index
-            (0, "state (1, 2): W_1(2)=13.0 does not beat W_0(1)=13.0"),
-            (1, "state (1, 3): W_0(1)=13.0 does not beat W_1(3)=34.0"),
+            (0, "state (1, 2): W_2(2)=13.0 does not beat W_1(1)=13.0"),
+            (1, "state (1, 3): W_1(1)=13.0 does not beat W_2(3)=34.0"),
         ],
     )
     def test_a_flipped_decision_fails_the_index_inequalities(self, monkeypatch, flip, detail):
