@@ -37,7 +37,6 @@ from .policies import (  # noqa: F401
     Source,
     StationaryRandomized,
     SystemSpec,
-    Tabular,
     Whittle,
     decide,
     whittle_index_table,

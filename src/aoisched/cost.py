@@ -340,13 +340,27 @@ def max_representable_age(f: CostFunction) -> int:
             return MAX_AGE
         limit = math.exp(log_limit)
     # the closed form can round to either side of the last accepted age, so
-    # it only seeds a walk on evaluate itself; acceptance is monotone in age
-    age = max(int(limit), 0)
-    while age >= 1 and not _accepts(f, age):
-        age -= 1
-    while _accepts(f, age + 1):
-        age += 1
-    return age
+    # it only seeds a search on evaluate itself: steps that double from the
+    # seed until acceptance flips, then a bisection, which is sound because
+    # acceptance is monotone in age. An exact seed costs two checks.
+    def accepts(age):
+        return age == 0 or (age <= MAX_AGE and _accepts(f, age))
+
+    lo, step = max(int(limit), 0), 1
+    if accepts(lo):
+        while accepts(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+    else:
+        hi = lo
+        while not accepts(max(hi - step, 0)):
+            hi, step = hi - step, 2 * step
+        lo = max(hi - step, 0)
+    # lo is accepted and hi is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return lo
 
 
 def row(f: CostFunction, n: int) -> np.ndarray:

@@ -362,9 +362,8 @@ def indexability_sweep(f: CostFunction, p: float, charges) -> list:
     charges = [costmod.validate_charge(c, "charges") for c in charges]
     if any(b <= a for a, b in zip(charges, charges[1:])):
         raise DomainError("charges must be strictly increasing")
-    if charges:
-        DecoupledProblem(f, p)  # validates p and the bounded-cost condition
-    return _invert(f, p, charges)
+    DecoupledProblem(f, p)  # validates p and the bounded-cost condition
+    return _invert(f, p, charges) if charges else []
 
 
 # -- closed-form average cost of a threshold policy --------------------------

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import cost as costmod
 from .errors import CapacityError, DomainError, NonCyclicError
-from .policies import SystemSpec, Tabular, validate_ages
+from .policies import SystemSpec, validate_ages
 from .sim import _first_cycle, _reliable_path
 
 TRUNCATION_WARN_LEVEL = 1e-6
@@ -157,13 +157,6 @@ class DpSolution:
         if not self.box.contains(arr):
             raise DomainError(f"ages {tuple(arr.tolist())} outside the solved box")
         return int(self.stage1_actions[self.box.state_index(arr)])
-
-    def as_tabular_policy(self) -> Tabular:
-        """The stage-1 greedy table as a simulatable policy, in state order;
-        states outside the box take the whittle decision."""
-        ages = np.unravel_index(np.arange(self.box.state_count), self.box.shape)
-        keys = zip(*((c + 1).tolist() for c in ages))
-        return Tabular(dict(zip(keys, self.stage1_actions.tolist())))
 
 
 def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:

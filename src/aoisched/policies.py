@@ -9,7 +9,6 @@ The whittle policy schedules the source maximizing its single-arm index at
 its current age, with ties broken toward the lowest source index. Because the
 per-source index functions are non-decreasing, any such policy is
 strong-switch-type by construction (see the structure module's checker).
-A tabular policy takes the whittle decision at every state off its table.
 
 Every kind of argument is checked in `cost`; :func:`validate_ages` adds
 only the length check of an age vector against its system.
@@ -18,7 +17,7 @@ only the length check of an age vector against its system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -135,21 +134,7 @@ class FixedCycle:
         object.__setattr__(self, "actions", acts)
 
 
-@dataclass(frozen=True)
-class Tabular:
-    """Explicit state -> action lookup; a state absent from the table takes
-    the whittle decision, so a truncated table stays total. Each action must
-    be a non-negative integer; its range against the system is checked when
-    it is read."""
-
-    table: Mapping
-
-    def __post_init__(self):
-        for a in self.table.values():
-            validate_count("tabular action", a, 0)
-
-
-DETERMINISTIC_KINDS = (Whittle, RoundRobin, MaxAge, FixedCycle, Tabular)
+DETERMINISTIC_KINDS = (Whittle, RoundRobin, MaxAge, FixedCycle)
 
 
 def is_deterministic(policy) -> bool:
@@ -206,8 +191,7 @@ def _decide_rows(policy, spec, ages, t, u=None, index_table=None) -> np.ndarray:
     """Decisions for a (runs x N) block of ages at slot t, one per row.
 
     `u` holds one policy uniform per row; only the randomized variant reads
-    it. Ties go to the lowest source index. A tabular policy's rows missing
-    from its table take the whittle decision.
+    it. Ties go to the lowest source index.
     """
     n = spec.n_sources
     r = len(ages)
@@ -228,20 +212,6 @@ def _decide_rows(policy, spec, ages, t, u=None, index_table=None) -> np.ndarray:
         if u is None:
             raise DomainError("the randomized policy needs an rng")
         return np.minimum(np.searchsorted(np.cumsum(policy.probs), u, side="right"), n - 1)
-    if isinstance(policy, Tabular):
-        acts = np.empty(r, dtype=np.int64)
-        miss = np.zeros(r, dtype=bool)
-        for j, key in enumerate(map(tuple, ages.tolist())):
-            if key in policy.table:
-                a = int(policy.table[key])
-                if not 0 <= a < n:
-                    raise DomainError(f"tabular action {a} out of range for {n} sources")
-                acts[j] = a
-            else:
-                miss[j] = True
-        if miss.any():
-            acts[miss] = _decide_rows(Whittle(), spec, ages[miss], t, None, index_table)
-        return acts
     raise DomainError(f"unknown policy {policy!r}")
 
 

@@ -39,7 +39,6 @@ from .errors import CostRangeError, DomainError, NonCyclicError
 from .policies import (
     StationaryRandomized,
     SystemSpec,
-    Tabular,
     Whittle,
     _decide_rows,
     decide,
@@ -53,15 +52,12 @@ from .policies import (
 BLOCK_UNIFORMS = 1 << 20
 
 
-def _index_table(spec: SystemSpec, policy, wanted: int, caps=None):
-    """Whittle index table for a whittle or tabular policy (None for the
-    others), `wanted` ages wide, or one age short of the smallest
-    max_representable_age (W(h) needs f(h+1)) if less. `caps` are the
-    sources' max_representable_age, when already known."""
-    if not isinstance(policy, (Whittle, Tabular)):
+def _index_table(spec: SystemSpec, policy, wanted: int, caps):
+    """Whittle index table for a whittle policy (None for the others),
+    `wanted` ages wide, or one age short of the smallest of `caps`, the
+    sources' max_representable_age (W(h) needs f(h+1)), if less."""
+    if not isinstance(policy, Whittle):
         return None
-    if caps is None:
-        caps = [costmod.max_representable_age(s.cost) for s in spec.sources]
     width = min([wanted] + [cap - 1 for cap in caps])
     if width < 1:
         raise CostRangeError("cost functions overflow below age 2; no index table possible")
@@ -324,15 +320,18 @@ def _reliable_path(start, choose):
 def _policy_chooser(spec, policy):
     """`choose` for _reliable_path that asks `decide`. The index table starts
     32 ages wide and doubles, up to the cap of _index_table, whenever an age
-    passes it, so a starved source's growing age stays a table lookup."""
+    passes it, so a starved source's growing age stays a table lookup. The
+    sources' caps are computed once, for a whittle policy only."""
+    whittle = isinstance(policy, Whittle)
+    caps = [costmod.max_representable_age(s.cost) for s in spec.sources] if whittle else None
     width = 32
-    table = _index_table(spec, policy, width)
+    table = _index_table(spec, policy, width, caps)
 
     def choose(ages, t):
         nonlocal table, width
         if table is not None and max(ages) > width and table.shape[1] == width:
             width *= 2
-            table = _index_table(spec, policy, width)
+            table = _index_table(spec, policy, width, caps)
         return decide(policy, spec, ages, t=t, index_table=table)
 
     return choose

@@ -121,6 +121,8 @@ def best_two_source_cycle(f1: CostFunction, f2: CostFunction, k_max: int = 1000)
     def sweep(lead: CostFunction, follow: CostFunction):
         pref = np.cumsum(costmod.row(follow, k_max + 1))  # sums f(1..k+1)
         top = len(pref) - 1  # the sweep evaluates follow(k+1)
+        if top < 1:  # no k: follow(top + 2), past its last age, raises CostRangeError
+            follow(top + 2)
         ks = np.arange(1, top + 1)
         costs = (pref[1:] + ks * lead(1) + lead(2)) / (ks + 1)
         k_best = int(np.argmin(costs))

@@ -36,7 +36,6 @@ from aoisched.policies import (
     Source,
     StationaryRandomized,
     SystemSpec,
-    Tabular,
     decide,
     whittle_index_table,
 )
@@ -92,11 +91,6 @@ BAD_INPUTS = {
     "strong switch, action 0.5": lambda: check_strong_switch([((1, 2), 0.5)]),
     "strong switch, ragged states": lambda: check_strong_switch([((1, 2), 0), ((1,), 0)]),
     "fixed cycle action 0.5": lambda: FixedCycle((0.5, 1)),
-    "tabular action 1.5": lambda: Tabular({(1, 1): 1.5}),
-    "tabular action True": lambda: Tabular({(1, 1): True}),
-    "tabular action '1'": lambda: Tabular({(1, 1): "1"}),
-    "tabular action -0.5": lambda: Tabular({(1, 1): -0.5}),
-    "tabular action -1": lambda: Tabular({(2, 2): -1}),
     "theorem3 a_max 0": lambda: certify_theorem3(F, cost.power(1, 2), horizon=50, a_max=0),
     "evaluate a bool age": lambda: cost.evaluate(F, True),
     "evaluate a string age": lambda: cost.evaluate(F, "3"),

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -286,6 +287,51 @@ class TestMaxRepresentableAge:
         # each kind once reported no limit, so cost.row(f, 5) raised
         assert cost.max_representable_age(f) == cap
         assert np.array_equal(cost.row(f, 5), cost.evaluate(f, np.arange(1, min(cap, 5) + 1)))
+
+    @pytest.mark.parametrize(
+        "f, cap",
+        [(cost.power(1, 16.10), 4300712118415420159), (cost.logarithmic(2.33e298), 4357607907491885823)],
+    )
+    def test_a_cap_near_max_age_is_found_in_milliseconds(self, monkeypatch, f, cap):
+        # near 2^62 consecutive ages round to one float cost, so the closed
+        # form misses the cap by thousands of ages
+        checks, real = [], cost._accepts
+        monkeypatch.setattr(cost, "_accepts", lambda f, age: checks.append(age) or real(f, age))
+        start = time.perf_counter()
+        assert cost.max_representable_age(f) == cap
+        assert time.perf_counter() - start < 0.02
+        assert len(checks) <= 2 * 62
+
+    @pytest.mark.parametrize("f, cap", [(cost.exponential(2), 996), (cost.exponential(3, 2.5), 627)])
+    def test_an_exact_seed_costs_two_checks(self, monkeypatch, f, cap):
+        checks, real = [], cost._accepts
+        monkeypatch.setattr(cost, "_accepts", lambda f, age: checks.append(age) or real(f, age))
+        assert cost.max_representable_age(f) == cap
+        assert checks == [cap, cap + 1]
+
+    @given(kind=st.sampled_from(ALL_KINDS), digits=st.floats(0.0, 18.7), exponent=st.floats(0.05, 15.0))
+    @settings(max_examples=200, deadline=None)
+    def test_the_cap_is_the_last_accepted_age(self, kind, digits, exponent):
+        # weights that put the overflow near age x = 10^digits, up to past
+        # 2^62, where the closed form rounds to either side of the cap
+        x = 10.0**digits
+        log_limit = math.log(cost.OVERFLOW_LIMIT)
+        if kind == "linear":
+            f = cost.linear(cost.OVERFLOW_LIMIT / x)
+        elif kind == "power":
+            f = cost.power(math.exp(log_limit - exponent * math.log(x)), exponent)
+        elif kind == "exponential":
+            base = 1.0 + exponent
+            age = min(x, 690.0 / math.log(base))
+            f = cost.exponential(base, math.exp(log_limit - age * math.log(base)))
+        elif kind == "logarithmic":
+            f = cost.logarithmic(cost.OVERFLOW_LIMIT / max(math.log(x), 1e-3))
+        else:  # a plateau that overflows once digits passes 9
+            w = 10.0 ** (299 + digits / 9)
+            f = cost.indicator(3, w) if kind == "indicator" else cost.table([0.0, w])
+        cap = cost.max_representable_age(f)
+        assert cap == 0 or cost._accepts(f, cap)
+        assert cap == cost.MAX_AGE or not cost._accepts(f, cap + 1)
 
     def test_callers_run_on_a_fractional_power(self):
         f = cost.power(1, 0.5)

@@ -239,6 +239,13 @@ class TestIndexabilitySweep:
         with pytest.raises(DomainError):
             indexability_sweep(cost.linear(1), 1.0, [1.0, 1.0, 2.0])
 
+    def test_no_charges_still_checks_p_and_the_bounded_cost_condition(self):
+        with pytest.raises(DomainError, match="p must be"):
+            indexability_sweep(cost.linear(1), 2.0, [])
+        with pytest.raises(AdmissibilityError, match="bounded-cost"):
+            indexability_sweep(cost.exponential(3), 0.1, [])
+        assert indexability_sweep(cost.linear(1), 0.5, []) == []
+
 
 @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 400))
 @settings(max_examples=80, deadline=None)

@@ -860,24 +860,6 @@ class TestPolicyTable:
         sol = finite_horizon_dp(spec, 500, a_max=12)
         a = sol.action((1, 1))
         assert a in (0, 1)
-        pol = sol.as_tabular_policy()
-        from aoisched.policies import decide
-
-        assert decide(pol, spec, (1, 1)) == a
-        # states outside the box take the whittle decision
-        assert decide(pol, spec, (40, 1)) == 0
-
-    def test_tabular_export_matches_a_state_by_state_build(self):
-        spec = SystemSpec(tuple(Source(cost.linear(w), p) for w, p in ((1, 0.5), (2, 0.8), (3, 1.0))))
-        sol = finite_horizon_dp(spec, 40, a_max=4)
-        shape = sol.box.shape
-        want = {
-            tuple(int(c) + 1 for c in np.unravel_index(s, shape)): int(a)
-            for s, a in enumerate(sol.stage1_actions)
-        }
-        got = sol.as_tabular_policy().table
-        assert list(got.items()) == list(want.items())  # same pairs in the same order
-        assert {type(x) for key in got for x in key} == {type(x) for x in got.values()} == {int}
 
     def test_stage_one_table_matches_whittle_on_cycle_states(self):
         spec = system_for("B1")

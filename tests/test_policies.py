@@ -12,7 +12,6 @@ from aoisched.policies import (
     Source,
     StationaryRandomized,
     SystemSpec,
-    Tabular,
     Whittle,
     _decide_rows,
     _whittle_values,
@@ -133,12 +132,6 @@ class TestOtherPolicies:
         with pytest.raises(DomainError):
             StationaryRandomized((0.6, 0.6))
 
-    def test_tabular_with_whittle_fallback(self):
-        spec = setting_a1()
-        pol = Tabular({(1, 1): 1})
-        assert decide(pol, spec, (1, 1)) == 1
-        assert decide(pol, spec, (1, 3)) == decide(Whittle(), spec, (1, 3))
-
     def test_age_vector_validated(self):
         with pytest.raises(DomainError):
             decide(Whittle(), two_linear(), (0, 1))
@@ -213,14 +206,6 @@ def _scalar_decide(policy, spec, ages, t=0, rng=None, index_table=None):
         if rng is None:
             raise DomainError("the randomized policy needs an rng")
         return int(rng.choice(n, p=policy.probs))
-    if isinstance(policy, Tabular):
-        key = tuple(int(a) for a in arr)
-        if key in policy.table:
-            a = int(policy.table[key])
-            if not 0 <= a < n:
-                raise DomainError(f"tabular action {a} out of range for {n} sources")
-            return a
-        return _scalar_decide(Whittle(), spec, arr, t, rng, index_table)
     raise DomainError(f"unknown policy {policy!r}")
 
 
@@ -247,11 +232,11 @@ _SPECS = (
 # the index tables stop at age 8 while ages reach 12, so some blocks fall
 # back to one whittle_index call per source
 _TABLES = {id(spec): whittle_index_table(spec, 8) for spec in _SPECS}
-_SIMPLE = ("whittle", "round_robin", "fixed_cycle", "max_age", "randomized")
+_KINDS = ("whittle", "round_robin", "fixed_cycle", "max_age", "randomized")
 
 
 @st.composite
-def _policy_for(draw, n, kind, ages):
+def _policy_for(draw, n, kind):
     if kind == "whittle":
         return Whittle()
     if kind == "round_robin":  # other orders are fixed cycles of a permutation
@@ -261,15 +246,12 @@ def _policy_for(draw, n, kind, ages):
         return FixedCycle(tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=5))))
     if kind == "max_age":
         return MaxAge()
-    if kind == "randomized":  # one extra source half the time
-        m = n + draw(st.integers(0, 1))
-        weights = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
-        if sum(weights) == 0:
-            weights[0] = 1
-        return StationaryRandomized(tuple(w / sum(weights) for w in weights))
-    # tabular: each row is listed or not; n is one past the range
-    keys = [tuple(int(a) for a in row) for row in ages]
-    return Tabular({key: draw(st.integers(0, n)) for key in keys if draw(st.booleans())})
+    # randomized: one extra source half the time
+    m = n + draw(st.integers(0, 1))
+    weights = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    if sum(weights) == 0:
+        weights[0] = 1
+    return StationaryRandomized(tuple(w / sum(weights) for w in weights))
 
 
 @st.composite
@@ -281,8 +263,8 @@ def _decision_case(draw):
         draw(st.lists(st.lists(st.integers(1, 12), min_size=n, max_size=n), min_size=runs, max_size=runs)),
         dtype=np.int64,
     )
-    kind = draw(st.sampled_from(_SIMPLE + ("tabular",)))
-    policy = draw(_policy_for(n, kind, ages))
+    kind = draw(st.sampled_from(_KINDS))
+    policy = draw(_policy_for(n, kind))
     t = draw(st.integers(0, 50))
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
     table = draw(st.sampled_from((None, _TABLES[id(spec)])))
@@ -323,10 +305,10 @@ def test_block_rule_matches_scalar_oracle_row_for_row(case):
 @pytest.mark.parametrize(
     "policy, ages, t",
     [
-        (Tabular({(1, 1): 1, (2, 3): 0}), [[1, 1], [2, 3], [4, 4]], 0),  # hits and a miss
-        (Tabular({(1, 1): 2}), [[1, 1]], 0),  # action past the last source
-        (Tabular({(20, 2): 1}), [[20, 2], [21, 2]], 0),  # a hit and a miss past the table
-        (Tabular({(1, 1): 1}), [[1, 1], [20, 2]], 0),  # whittle decision past the table
+        (Whittle(), [[1, 8], [8, 8], [8, 9]], 0),  # ages at the table's last column and one past
+        (MaxAge(), [[4, 4], [2, 5], [30, 30]], 0),  # ties go to the first source
+        (StationaryRandomized((0.0, 1.0)), [[1, 1], [20, 2]], 0),  # all weight on one source
+        (StationaryRandomized((1.0,)), [[1, 1]], 0),  # one prob too few
         (StationaryRandomized((0.2, 0.3, 0.5)), [[1, 1]], 0),  # one prob too many
         (FixedCycle((0, 2)), [[1, 1]], 1),  # cycle action past the last source
         (FixedCycle((0, 2)), [[1, 1]], 2),  # in range at this slot

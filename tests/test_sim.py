@@ -14,7 +14,6 @@ from aoisched.policies import (
     Source,
     StationaryRandomized,
     SystemSpec,
-    Tabular,
     Whittle,
     decide,
 )
@@ -220,6 +219,16 @@ class TestDetectCycle:
         detect_cycle(system_for("A1"), Whittle())
         assert widths == [32]
 
+    def test_index_table_doublings_reuse_the_caps(self, monkeypatch):
+        # the starved source's age passes 32, 64, ..., 512: five doublings,
+        # one max_representable_age call per source
+        calls, real = [], cost.max_representable_age
+        monkeypatch.setattr(cost, "max_representable_age", lambda f: calls.append(f) or real(f))
+        spec = SystemSpec((Source(cost.table([5.0])), Source(cost.linear(1))))
+        with pytest.raises(NonCyclicError):
+            detect_cycle(spec, Whittle(), max_steps=1000)
+        assert calls == [s.cost for s in spec.sources]
+
     def test_starved_source_gives_up_in_seconds(self, monkeypatch):
         # the constant cost's index is 0, so whittle serves only the linear
         # source and the other age grows without bound; the index table
@@ -363,12 +372,12 @@ class TestDivergenceProbe:
 
 class TestOverflowMessages:
     def test_whittle_decision_overflow_names_the_slot(self):
-        # the table drives source 1 to age 3; the whittle decision then
-        # needs f(4), past the index table and past the overflow limit
-        f = overflow_at_four()
-        policy = Tabular({(1, 1): 0, (1, 2): 0})
-        with pytest.raises(CostRangeError, match=r"^slot 3: .* at age 4"):
-            simulate(SystemSpec((Source(f), Source(f))), policy, horizon=10)
+        # whittle serves the costly source 1 every slot, so source 2 reaches
+        # age 3, past its 2-wide index table; W(3) then needs f(4), past the
+        # overflow limit
+        spec = SystemSpec((Source(cost.linear(1e299)), Source(overflow_at_four())))
+        with pytest.raises(CostRangeError, match=r"^slot 3: power cost exceeds 1e\+300 at age 4$"):
+            simulate(spec, Whittle(), horizon=10)
 
     def test_no_index_table_when_costs_overflow_at_age_two(self):
         spec = SystemSpec((Source(cost.linear(1e300)), Source(cost.linear(1))))

@@ -7,8 +7,6 @@ SeedSequence and one Philox per run, a per-source cost loop, 2-D fancy
 indexing for the indices and a boolean age reset.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +23,6 @@ from aoisched.policies import (
     Source,
     StationaryRandomized,
     SystemSpec,
-    Tabular,
     Whittle,
 )
 
@@ -71,7 +68,8 @@ def _reference_run_slots(spec, policy, runs, seed, checkpoints, saturate=False, 
     n = spec.n_sources
     tmax = checkpoints[-1]
     probs = spec.probabilities
-    table = sim._index_table(spec, policy, tmax + 1)
+    caps = [cost.max_representable_age(s.cost) for s in spec.sources]
+    table = sim._index_table(spec, policy, tmax + 1, caps)
     rows = [np.append(cost.row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
     randomized = isinstance(policy, StationaryRandomized)
     out = np.empty((len(checkpoints), runs, n))
@@ -179,17 +177,6 @@ def test_uniforms_reject_run_indices_past_32_bits():
 # -- the slot loop -----------------------------------------------------------------
 
 
-def _lossy_pair():
-    return SystemSpec((Source(cost.power(1.3, 1.7), 0.7), Source(cost.logarithmic(4.0), 0.85)))
-
-
-def _full_table(spec, horizon):
-    """A Tabular covering every state a run can reach within `horizon`
-    slots: serve the source with the larger age (the first on ties)."""
-    box = range(1, horizon + 2)
-    return {s: int(np.argmax(s)) for s in itertools.product(box, repeat=spec.n_sources)}
-
-
 def _starved_spec():
     # the indicator's index is 0 below age 229, so whittle serves it only at
     # 229, past the index table (202 ages wide: 30^x overflows from age 204)
@@ -206,12 +193,6 @@ CASES = {
         lambda: StationaryRandomized((0.5, 0.0, 0.5)),
         90,
     ),
-    "tabular_fallback": (
-        _lossy_pair,
-        lambda: Tabular({(1, 1): 1, (2, 1): 1, (3, 2): 0, (1, 4): 0}),
-        80,
-    ),
-    "tabular_total": (_lossy_pair, lambda: Tabular(_full_table(_lossy_pair(), 40)), 40),
     "whittle_past_table": (_starved_spec, Whittle, 260),
     "reliable_whittle": (lambda: system_for("E1"), Whittle, 100),
     "reliable_randomized": (
@@ -237,7 +218,8 @@ def test_slot_loop_matches_reference(monkeypatch, case, per_block):
 
 def test_whittle_past_table_serves_the_starved_source_in_time():
     spec = _starved_spec()
-    assert sim._index_table(spec, Whittle(), 261).shape == (2, 202)
+    caps = [cost.max_representable_age(s.cost) for s in spec.sources]
+    assert sim._index_table(spec, Whittle(), 261, caps).shape == (2, 202)
     # served at age 229, the indicator never costs anything
     assert sim._run_slots(spec, Whittle(), 3, 0, [260])[0, :, 0].tolist() == [0.0] * 3
 

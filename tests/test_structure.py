@@ -3,7 +3,7 @@ import pytest
 
 from aoisched import cost, structure
 from aoisched.dp import extract_cycle_policy, finite_horizon_dp
-from aoisched.errors import DomainError, InconclusiveError
+from aoisched.errors import CostRangeError, DomainError, InconclusiveError
 from aoisched.policies import Source, SystemSpec, Whittle
 from aoisched.sim import Cycle, detect_cycle
 from aoisched.structure import (
@@ -114,6 +114,14 @@ class TestBestCycle:
         best = best_two_source_cycle(f, f)
         assert (best.leader, best.k) == (0, 1)
         assert best.cost == two_source_cycle_cost(f, f, 1)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_follower_that_overflows_at_age_two_raises_cost_range_error(self, first):
+        # with linear(1e300) following, the sweep has no k; leading, it
+        # overflows at lead(2)
+        pair = (cost.linear(1), cost.linear(1e300))
+        with pytest.raises(CostRangeError, match="linear cost exceeds 1e\\+300 at age 2"):
+            best_two_source_cycle(pair[first], pair[1 - first])
 
     def test_boundary_minimizer_raises(self):
         # a very cheap follower pushes the optimal k past a tiny sweep bound
