@@ -144,8 +144,6 @@ def _float_args(head, args):
 
 def policy_label(policy) -> str:
     """Canonical grammar string for a policy object (CSV row label)."""
-    if policy == "dp":
-        return "dp"
     for head, kind in _PLAIN.items():
         if isinstance(policy, kind):
             return head

@@ -176,11 +176,12 @@ class CostFunction:
         raise DomainError(f"{self.kind} cost has no plateau")
 
     def growth_ratio_bound(self, x: int) -> float:
-        """Upper bound on f(y+1)/f(y) over all y >= x (used for series tails).
+        """Upper bound on f(y+1)/f(y) over all y >= x (used for series tails),
+        at every age x >= 1.
 
-        Only meaningful where f(x) > 0; callers must start tail bounds past
-        any zero-valued prefix (log at age 1, indicator below threshold,
-        leading zeros of a table).
+        It is math.inf, still a true bound, where f can be 0 at some y >= x:
+        below age 2 for a logarithmic cost (f(1) = 0) and below a bounded
+        cost's plateau start.
         """
         validate_count("x", x)
         k = self.kind
@@ -191,13 +192,9 @@ class CostFunction:
         if k == "exponential":
             return self.base
         if k == "logarithmic":
-            if x < 2:
-                raise DomainError("log growth bound needs x >= 2")
-            return math.log(x + 1) / math.log(x)
+            return math.log(x + 1) / math.log(x) if x >= 2 else math.inf
         # indicator / table: constant once on the plateau
-        if x >= self.plateau_start:
-            return 1.0
-        raise DomainError(f"growth bound of {k} undefined before its plateau")
+        return 1.0 if x >= self.plateau_start else math.inf
 
     # -- config records -----------------------------------------------------
 

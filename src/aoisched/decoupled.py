@@ -6,22 +6,23 @@ way). The optimal policy is a threshold policy "activate iff h >= H", and the
 index of state h is the infimum charge at which activating and resting are
 equally desirable there:
 
-    reliable (p = 1):    W(h) = h f(h+1) - sum_{j<=h} f(j)
-    unreliable:          W(h) = p^2 h sum_{k>=1} f(k+h)(1-p)^{k-1}
-                                - p sum_{j<=h} f(j)
+    W(h) = p^2 h sum_{k>=1} f(k+h)(1-p)^{k-1} - p sum_{j<=h} f(j)
 
-Both are non-decreasing in h, which is exactly the indexability property: the
-set of ages where pulling is optimal shrinks monotonically as C grows. This
-module computes the indices, inverts them into optimal thresholds, and checks
-everything against an independent relative-value-iteration solver.
+On a reliable channel (p = 1) the series keeps only its first term f(h+1),
+so W(h) = h f(h+1) - sum_{j<=h} f(j). W is non-decreasing in h, which is
+exactly the indexability property: the set of ages where pulling is optimal
+shrinks monotonically as C grows. This module computes the indices, inverts
+them into optimal thresholds, and checks everything against an independent
+relative-value-iteration solver.
 
 `whittle_index(f, p, h)` is the one entry point for both channel kinds,
-at one age or a row of ages: one cumsum of prefix sums and, on a lossy
-channel, one vectorised pass of the series (`_discounted_tails`). Each age
-gets the same bits whatever the other ages are, so a single index is a row
-of one age. A threshold is the first age of such a row, built once and
-doubled as needed, whose index exceeds the charge; all thresholds found
-are rechecked against W(H-1) <= C <= W(H) together in one more row.
+at one age or any array of ages: one cumsum of prefix sums and one
+vectorised pass of the series (`_discounted_tails`, whose p = 1 case is its
+first term). Each age gets the same bits whatever the other ages are, so a
+single index is a row of one age. A threshold is the first age of such a
+row, built once and doubled as needed, whose index exceeds the charge; all
+thresholds found are rechecked against W(H-1) <= C <= W(H) together in one
+more row.
 
 Only the Definition-form index above is used anywhere. The shifted auxiliary
 form W~(h) = W(h-1) that appears in threshold interval arguments is never
@@ -111,14 +112,6 @@ def _one_age(h) -> int:
     return int(costmod.positive_ages(h, "h"))
 
 
-def _start_bound(f: CostFunction) -> int:
-    """First age from which f.growth_ratio_bound holds (past any zero-valued
-    or pre-plateau prefix); ages below it must simply be summed over."""
-    if f.is_bounded_function:
-        return f.plateau_start
-    return 2 if f.kind == "logarithmic" else 1
-
-
 def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> float:
     """sum_{k>=1} f(k+h) (1-p)^{k-1}, summed until the geometric tail bound on
     the remainder drops below tol * max(1, partial sum); one age of
@@ -126,10 +119,7 @@ def discounted_tail(f: CostFunction, p: float, h: int, tol: float = 1e-12) -> fl
     """
     costmod.validate_tolerance(tol)
     costmod.require_bounded(f, p)
-    h = _one_age(h)
-    if p == 1.0:
-        return costmod.evaluate(f, h + 1)
-    return float(_discounted_tails(f, p, np.array([h]), tol)[0])
+    return float(_discounted_tails(f, p, np.array([_one_age(h)]), tol)[0])
 
 
 # terms gathered at once per chunk of ages; more makes tolist() cost memory
@@ -137,21 +127,23 @@ _CHUNK_TERMS = 4096
 
 
 def _discounted_tails(f: CostFunction, p: float, ages: np.ndarray, tol: float) -> np.ndarray:
-    """discounted_tail at each age of a 1-d array (p < 1, checked by the
-    caller), in one pass.
+    """discounted_tail at each age of a 1-d array, in one pass; at p = 1
+    the series is its first term f(h+1).
 
     The bound needs an upper bound r < 1 on the term ratio f(x+1)(1-p)/f(x);
-    the per-variant growth bound supplies it once x is past any zero-valued
-    or pre-plateau prefix. Each age gets the same float operations whatever
-    the other ages are: blocks of terms evaluate(f, k+h) * q**(k-1), one
-    fsum per block (exact, so the order of the terms does not matter) and
-    the stopping test after each block. Only the evaluations are gathered
-    across ages, at most _CHUNK_TERMS terms at a time.
+    the per-variant growth bound supplies it, and is inf (no stop yet) below
+    a logarithmic cost's age 2 and a bounded cost's plateau. Each age gets
+    the same float operations whatever the other ages are: blocks of terms
+    evaluate(f, k+h) * q**(k-1), one fsum per block (exact, so the order of
+    the terms does not matter) and the stopping test after each block. Only
+    the evaluations are gathered across ages, at most _CHUNK_TERMS terms at
+    a time.
     """
+    if p == 1.0:
+        return costmod.evaluate(f, ages + 1)
     q = 1.0 - p
     if f.kind == "exponential":
         return _geometric_tails(costmod.evaluate(f, ages + 1), f.base * q, tol)
-    start_bound = _start_bound(f)
     # running totals and live ages stay in arrays: per-age Python floats
     # that outlive each chunk would pin its terms' memory
     totals = np.zeros(len(ages))
@@ -170,11 +162,10 @@ def _discounted_tails(f: CostFunction, p: float, ages: np.ndarray, tol: float) -
             totals[idx] += [math.fsum(row) for row in terms.tolist()]
             # x is the age of the last summed term
             for j, x in enumerate((ages[idx] + (k - 1)).tolist()):
-                if x >= start_bound:
-                    r = f.growth_ratio_bound(x) * q
-                    if r < 1:
-                        tail = terms[j, -1] * r / (1.0 - r)
-                        done[c + j] = tail <= tol * max(1.0, abs(totals[idx[j]]))
+                r = f.growth_ratio_bound(x) * q
+                if r < 1:
+                    tail = terms[j, -1] * r / (1.0 - r)
+                    done[c + j] = tail <= tol * max(1.0, abs(totals[idx[j]]))
         live = live[~done]
         block = min(2 * block, 4096)
     return totals
@@ -214,26 +205,23 @@ def _geometric_tails(term: np.ndarray, r: float, tol: float) -> np.ndarray:
 
 
 def whittle_index(f: CostFunction, p: float, h, tol: float = 1e-10):
-    """Index for either channel kind: a float for a scalar age, else an
-    array of the ages' indices.
+    """Index for either channel kind: a float for a 0-d age, else an array
+    of the ages' indices in the ages' shape.
 
-    The ages are one row: on a reliable channel f(h+1) is one evaluation,
-    on a lossy one the tails come from one vectorised pass, each with the
-    bits it has alone, and the prefix sums from one cumsum.
+    The ages are computed as one flat row: the tails from one vectorised
+    pass of the series (at p = 1 its first term f(h+1)), each with the bits
+    it has alone, and the prefix sums from one cumsum.
     """
     costmod.validate_tolerance(tol)
     costmod.require_bounded(f, p)
-    scalar = np.isscalar(h)
-    hs = np.atleast_1d(costmod.positive_ages(h, "h")).astype(np.int64)
+    ages = costmod.positive_ages(h, "h")
+    hs = ages.reshape(-1).astype(np.int64)
     if not hs.size:
-        return np.array([])
+        return np.empty(ages.shape)
     # cumsum runs left to right, so each entry equals prefix_array(f, h)[-1]
     pref = prefix_array(f, int(hs.max()))[hs - 1]
-    if p == 1.0:
-        out = hs * costmod.evaluate(f, hs + 1) - pref
-    else:
-        out = p * p * hs * _discounted_tails(f, p, hs, tol) - p * pref
-    return float(out[0]) if scalar else out
+    out = p * p * hs * _discounted_tails(f, p, hs, tol) - p * pref
+    return float(out[0]) if ages.ndim == 0 else out.reshape(ages.shape)
 
 
 # -- threshold inversion -----------------------------------------------------
@@ -373,18 +361,18 @@ def threshold_policy_average_cost(
     f: CostFunction, p: float, H: int, charge: float, tol: float = 1e-12
 ) -> float:
     """Exact long-run average cost (age cost plus charges) of the policy
-    "activate iff h >= H" on the decoupled problem.
+    "activate iff h >= H" on the decoupled problem:
 
-        p = 1:  (sum f(1..H) + C) / H
-        p < 1:  (p (sum f(1..H) + sum_{k>=1} f(k+H)(1-p)^k) + C) / (1 + p(H-1))
+        (p (sum f(1..H) + sum_{k>=1} f(k+H)(1-p)^k) + C) / (1 + p(H-1)),
+
+    which at p = 1 is (sum f(1..H) + C) / H.
     """
     costmod.validate_probability(p)
     H = costmod.validate_count("H", H)
     costmod.validate_charge(charge)
     costmod.validate_tolerance(tol)
-    if p == 1.0:
-        return (prefix_sum(f, H) + charge) / H
-    tail = (1.0 - p) * discounted_tail(f, p, H, tol=tol)
+    # the p = 1 tail is (1 - p) f(H+1) = 0, so f(H+1) is never evaluated
+    tail = 0.0 if p == 1.0 else (1.0 - p) * discounted_tail(f, p, H, tol=tol)
     return (p * (prefix_sum(f, H) + tail) + charge) / (1.0 + p * (H - 1))
 
 
@@ -442,7 +430,9 @@ def decoupled_value_iteration(
     underlying periodic reset cycle aperiodic so the span converges. The
     greedy policy is checked to be a threshold policy before returning, and
     the whole solve is re-run with a doubled a_max whenever the greedy
-    threshold lands within 10% of the truncation.
+    threshold lands within 10% of the truncation, or is NEVER on a box that
+    may hide the cost's growth: a NEVER stands only for an infinite charge
+    or a bounded cost whose box reaches its plateau start.
     """
     costmod.validate_tolerance(tol)
     a_max = costmod.validate_count("a_max", default_a_max(prob) if a_max is None else a_max, 2)
@@ -451,7 +441,10 @@ def decoupled_value_iteration(
     for _attempt in range(12):
         sol = _rvi_once(f, p, C, a_max, tol, RVI_DAMPING)
         thr = sol.policy.threshold
-        if thr is NEVER or thr < 0.9 * a_max:
+        if thr is NEVER:
+            if C == math.inf or (f.is_bounded_function and a_max >= f.plateau_start):
+                return sol
+        elif thr < 0.9 * a_max:
             return sol
         a_max = 2 * a_max
     raise ConvergenceError(

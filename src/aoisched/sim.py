@@ -251,11 +251,15 @@ def _run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
     Every slot's costs are one gather from `_cost_rows` laid end to end. An
     age past its source's last representable age reads OVERFLOW_LIMIT: with
     `saturate` that is its cost (callers cap the sums there), and otherwise,
-    checked once some age can pass the smallest cap, `evaluate` raises
-    CostRangeError naming the slot and source. The first block to meet an
-    error raises it, so the slot and source it names depend on the split;
-    results never do. A served age is reset through its flat cell index:
-    run r's source i is cell r * N + i.
+    checked once some age can pass the smallest cap, it is an error. A slot
+    checks its sources' costs in order, then decides. Once a block meets an
+    error, later blocks run only up to its slot, and the earliest error of
+    the run set is raised: the first slot, a cost error before a decision
+    error, the lowest source. It is replayed on the ages of every block
+    that met it, so it is the CostRangeError one block raises, naming the
+    slot and, for a cost, the source; neither errors nor results depend on
+    the split. A served age is reset through its flat cell index: run r's
+    source i is cell r * N + i.
     """
     n = spec.n_sources
     tmax = checkpoints[-1]
@@ -268,6 +272,9 @@ def _run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
     smallest_cap = min((c for _, c in bound), default=tmax)
     randomized = not is_deterministic(policy)
     out = np.empty((len(checkpoints), runs, n))
+    # the earliest error so far: its (slot, 0 for a cost or 1 for a decision,
+    # source) and the ages of each block that met it there
+    failed, stop = None, tmax
     for lo, hi in _run_blocks(runs, tmax):
         u_chan = None if spec.reliable else _uniforms(seed, lo, hi, 0, tmax)
         u_pol = _uniforms(seed, lo, hi, 1, tmax) if randomized else None
@@ -278,19 +285,18 @@ def _run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
         cost_cells = np.tile(np.arange(n) * tmax - 1, (hi - lo, 1))
         acc = np.zeros((hi - lo, n))
         k = 0
-        for t in range(tmax):
+        for t in range(stop):
             acc += flat_cost.take(ages + cost_cells)
             if t + 1 > smallest_cap:  # ages are at most t + 1
-                for i, cap in bound:
-                    if ages[:, i].max() > cap:  # evaluate raises, naming the age
-                        try:
-                            spec.sources[i].cost(ages[:, i])
-                        except CostRangeError as e:
-                            raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
+                over = [i for i, cap in bound if ages[:, i].max() > cap]
+                if over:
+                    key = (t, 0, over[0])
+                    break
             try:
                 acts = _decide_rows(policy, spec, ages, t, u_pol[t] if randomized else None, table)
-            except CostRangeError as e:
-                raise CostRangeError(f"slot {t + 1}: {e}") from None
+            except CostRangeError:
+                key = (t, 1, 0)
+                break
             served = cells + acts
             if u_chan is not None:
                 served = served[u_chan[t] < probs.take(acts)]
@@ -299,6 +305,22 @@ def _run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
             if t + 1 == checkpoints[k]:
                 out[k, lo:hi] = acc
                 k += 1
+        else:  # the block met no error
+            continue
+        if failed is None or key < failed[0]:
+            failed, stop = (key, [ages]), t + 1
+        elif key == failed[0]:
+            failed[1].append(ages)
+    if failed is not None:
+        (t, kind, i), blocks = failed
+        ages = np.concatenate(blocks)
+        try:
+            if kind == 0:
+                spec.sources[i].cost(ages[:, i])  # evaluate raises, naming the age
+            _decide_rows(policy, spec, ages, t, None, table)
+        except CostRangeError as e:
+            where = f"slot {t + 1}, source {i + 1}" if kind == 0 else f"slot {t + 1}"
+            raise CostRangeError(f"{where}: {e}") from None
     return out
 
 

@@ -1,12 +1,13 @@
 import argparse
 import json
+import os
 import pathlib
 import re
 
 import pytest
 import yaml
 
-from aoisched import decoupled
+from aoisched import decoupled, runner
 from aoisched import dp as dpmod
 from aoisched.cli import build_parser, main
 from aoisched.runner import run_experiment
@@ -146,6 +147,22 @@ class TestIndexAndThreshold:
     def test_bad_cost_spec_is_usage_error(self, capsys):
         assert main(["threshold", "--cost", "{kind: banana}", "--charge", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["threshold", "--cost", "{kind: [", "--charge", "1"], "unparseable cost spec"),
+            (["threshold", "--cost", "[linear, 1]", "--charge", "1"], "cost spec must be a mapping"),
+            (
+                ["index", "--cost", "{kind: linear, weight: 1}", "--h-min", "5", "--h-max", "3"],
+                "need h-min <= h-max",
+            ),
+        ],
+        ids=["unparseable", "not_a_mapping", "h_min_above_h_max"],
+    )
+    def test_refusals_are_config_errors(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     def test_nan_charge_is_usage_error(self, capsys):
         assert main(["threshold", "--cost", "{kind: linear, weight: 1}", "--charge", "nan"]) == 1
         assert "charge must be non-negative" in capsys.readouterr().err
@@ -222,6 +239,13 @@ class TestVerify:
         assert not report["ok"]
         assert report["violations"][0]["action"] == 1
         assert "implied_action" not in report["violations"][0]
+
+    def test_strong_switch_pairs_without_states_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"actions": [1, 2]}))
+        assert main(["verify", "strong-switch", "--pairs", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: pairs file needs 'states' and 'actions' arrays\n"
 
     def test_strong_switch_clean_exits_zero(self, tmp_path, capsys):
         pairs = {"states": [[1, 4], [2, 3]], "actions": [2, 1]}
@@ -378,6 +402,16 @@ def test_run_experiment_checks_and_ignores_workers(small_config):
     assert three.to_json_dict() == one.to_json_dict()
     with pytest.raises(DomainError, match="workers"):
         run_experiment(cfg, workers=0)
+
+
+def test_atomic_write_cleans_up_and_reraises_when_replace_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        runner._atomic_write(str(tmp_path / "out" / "x.csv"), "a,b\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_run_experiment_library_roundtrip(small_config):

@@ -142,6 +142,15 @@ class TestRoundTrip:
         assert again == cfg
         assert again.config_hash == cfg.config_hash
 
+    def test_dp_memory_budget_round_trips_hash_identically(self):
+        dp = {"enabled": True, "a_max": 20, "memory_budget": 1 << 28}
+        cfg = parse_config(minimal_config(dp=dp))
+        assert cfg.to_dict()["dp"] == {**dp, "auto_double": 2}
+        again = parse_config(cfg.to_dict())
+        assert again == cfg and again.config_hash == cfg.config_hash
+        unbudgeted = parse_config(minimal_config(dp={"enabled": True, "a_max": 20}))
+        assert unbudgeted.config_hash != cfg.config_hash
+
     def test_hash_changes_with_content(self):
         a = parse_config(minimal_config())
         b = parse_config(minimal_config(seed=43))

@@ -226,6 +226,23 @@ class TestBoundedCost:
         assert all(b > a for a, b in zip(terms, terms[1:]))
 
 
+def test_growth_ratio_bound_answers_at_every_age(rng):
+    # inf where f can be 0 at or past x: log at age 1, a bounded cost below its plateau
+    assert cost.logarithmic(1).growth_ratio_bound(1) == math.inf
+    assert cost.indicator(5).growth_ratio_bound(4) == math.inf
+    assert cost.indicator(5).growth_ratio_bound(5) == 1.0
+    assert cost.table([0.0, 0.0, 2.0]).growth_ratio_bound(2) == math.inf
+    for _ in range(60):
+        f = random_cost(rng)
+        vals = cost.row(f, 300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = vals[1:] / vals[:-1]  # f(y+1)/f(y) at y = 1, 2, ...
+        for x in range(1, len(ratios) + 1, 7):
+            # 0/0 on a zero stretch is no ratio at all
+            seen = np.nanmax(ratios[x - 1 :], initial=0.0)
+            assert f.growth_ratio_bound(x) >= seen * (1 - 1e-12), (f, x)
+
+
 class TestConfigRecords:
     def test_round_trip_all_kinds(self, rng):
         for _ in range(40):

@@ -206,6 +206,28 @@ class TestValueIteration:
             else:
                 assert sol.policy.threshold in (inv.threshold, inv.threshold + 1)
 
+    @pytest.mark.parametrize(
+        "f, p, C, a_max, threshold",
+        [
+            (cost.linear(1), 1.0, 50.0, 16, 10),
+            (cost.power(1, 2), 0.6, 200.0, 16, 7),
+            (cost.indicator(20, 5.0), 0.7, 1.0, 32, 16),
+        ],
+    )
+    def test_a_box_too_small_to_see_the_growth_doubles(self, f, p, C, a_max, threshold):
+        # at a_max 4 each cost looks flat, so the box gives NEVER
+        prob = DecoupledProblem(f, p, C)
+        sol = decoupled_value_iteration(prob, a_max=4)
+        assert (sol.policy.threshold, sol.a_max) == (threshold, a_max)
+        assert optimal_threshold(prob).threshold == threshold
+
+    def test_never_stands_on_a_box_past_the_plateau_or_at_an_infinite_charge(self):
+        plateau = DecoupledProblem(cost.indicator(3, 1.0), 1.0, 5.0)
+        sol = decoupled_value_iteration(plateau, a_max=3)
+        assert sol.policy.is_never and sol.a_max == 3
+        sol = decoupled_value_iteration(DecoupledProblem(cost.linear(1), 0.5, math.inf), a_max=20)
+        assert sol.policy.is_never and sol.a_max == 20
+
     def test_never_case_converges_to_cost_ceiling(self):
         sol = decoupled_value_iteration(DecoupledProblem(cost.table([2.0]), 1.0, 3.0), a_max=64)
         assert sol.policy.is_never
@@ -365,6 +387,19 @@ def test_index_rejects_non_integer_and_non_positive_ages(p, h):
 
 def test_empty_age_array_gives_an_empty_row():
     assert whittle_index(cost.linear(1), 0.5, np.array([], dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_index_keeps_the_shape_of_its_ages(p):
+    f = cost.linear(1)
+    row = whittle_index(f, p, np.arange(1, 6))
+    # a 0-d age gives a float, as cost.evaluate does
+    for h in (5, np.int64(5), np.array(5)):
+        got = whittle_index(f, p, h)
+        assert type(got) is float and got == row[4]
+    grid = whittle_index(f, p, [[1, 2], [3, 4]])
+    assert grid.shape == (2, 2) and np.array_equal(grid.reshape(-1), row[:4])
+    assert whittle_index(f, p, np.array([[3], [5]])).tolist() == [[row[2]], [row[4]]]
 
 
 # -- threshold search against the old linear scan ------------------------------

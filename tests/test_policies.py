@@ -304,15 +304,25 @@ def test_block_rule_matches_scalar_oracle_row_for_row(case):
 
 @pytest.mark.parametrize(
     "policy, ages, t",
+    # each row names itself, so deleting a row renames no other; the names
+    # are the positional ids these rows have always run under
     [
-        (Whittle(), [[1, 8], [8, 8], [8, 9]], 0),  # ages at the table's last column and one past
-        (MaxAge(), [[4, 4], [2, 5], [30, 30]], 0),  # ties go to the first source
-        (StationaryRandomized((0.0, 1.0)), [[1, 1], [20, 2]], 0),  # all weight on one source
-        (StationaryRandomized((1.0,)), [[1, 1]], 0),  # one prob too few
-        (StationaryRandomized((0.2, 0.3, 0.5)), [[1, 1]], 0),  # one prob too many
-        (FixedCycle((0, 2)), [[1, 1]], 1),  # cycle action past the last source
-        (FixedCycle((0, 2)), [[1, 1]], 2),  # in range at this slot
-        (Whittle(), [[3, 9], [9, 30], [2, 2]], 0),  # rows past the 8-wide table
+        # ages at the table's last column and one past
+        pytest.param(Whittle(), [[1, 8], [8, 8], [8, 9]], 0, id="policy0-ages0-0"),
+        # ties go to the first source
+        pytest.param(MaxAge(), [[4, 4], [2, 5], [30, 30]], 0, id="policy1-ages1-0"),
+        # all weight on one source
+        pytest.param(StationaryRandomized((0.0, 1.0)), [[1, 1], [20, 2]], 0, id="policy2-ages2-0"),
+        # one prob too few
+        pytest.param(StationaryRandomized((1.0,)), [[1, 1]], 0, id="policy3-ages3-0"),
+        # one prob too many
+        pytest.param(StationaryRandomized((0.2, 0.3, 0.5)), [[1, 1]], 0, id="policy4-ages4-0"),
+        # cycle action past the last source
+        pytest.param(FixedCycle((0, 2)), [[1, 1]], 1, id="policy5-ages5-1"),
+        # in range at this slot
+        pytest.param(FixedCycle((0, 2)), [[1, 1]], 2, id="policy6-ages6-2"),
+        # rows past the 8-wide table
+        pytest.param(Whittle(), [[3, 9], [9, 30], [2, 2]], 0, id="policy7-ages7-0"),
     ],
 )
 def test_edge_cases_match_scalar_oracle(policy, ages, t):

@@ -285,6 +285,30 @@ class TestDivergenceProbe:
         assert probe[-1] < 20.0
         assert abs(probe[-1] - probe[-2]) < 2.0
 
+    @pytest.mark.parametrize("horizons", [[5, 5], [10, 5], []])
+    def test_refuses_horizons_that_do_not_increase(self, horizons):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            divergence_probe(two_exponential(), StationaryRandomized((0.5, 0.5)), horizons)
+
+    def test_refuses_an_unknown_aggregate(self):
+        with pytest.raises(DomainError, match="unknown aggregate 'mean'"):
+            divergence_probe(
+                two_exponential(), StationaryRandomized((0.5, 0.5)), [5], aggregate="mean"
+            )
+
+    def test_expectation_of_a_source_renewed_every_slot(self):
+        spec = SystemSpec((Source(cost.linear(3)),))
+        policy = StationaryRandomized((1.0,))
+        probe = divergence_probe(spec, policy, [1, 5], aggregate="expectation")
+        assert probe.tolist() == [3.0, 3.0]
+
+    def test_expectation_of_a_source_never_scheduled_is_refused(self):
+        spec = SystemSpec((Source(cost.linear(3)), Source(cost.linear(3))))
+        with pytest.raises(DomainError, match="source 2 is never scheduled"):
+            divergence_probe(
+                spec, StationaryRandomized((1.0, 0.0)), [1, 5], aggregate="expectation"
+            )
+
     def test_expectation_mode_matches_geometric_closed_form(self):
         probe = divergence_probe(
             two_exponential(), StationaryRandomized((0.5, 0.5)), [5, 10], aggregate="expectation"

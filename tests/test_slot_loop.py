@@ -61,10 +61,9 @@ def _reference_whittle_values(spec, ages, index_table):
     return vals
 
 
-def _reference_run_slots(spec, policy, runs, seed, checkpoints, saturate=False, per_block=None):
-    """Runs in consecutive blocks of `per_block` (default: one block); an
-    error stops the loop in the block that raises it, so its message
-    depends on the split."""
+def _reference_run_slots(spec, policy, runs, seed, checkpoints, saturate=False):
+    """All runs in one block. The slot loop's errors, like its results, do
+    not depend on how it splits the runs, so every split must match it."""
     n = spec.n_sources
     tmax = checkpoints[-1]
     probs = spec.probabilities
@@ -73,38 +72,35 @@ def _reference_run_slots(spec, policy, runs, seed, checkpoints, saturate=False, 
     rows = [np.append(cost.row(s.cost, tmax), OVERFLOW_LIMIT) for s in spec.sources]
     randomized = isinstance(policy, StationaryRandomized)
     out = np.empty((len(checkpoints), runs, n))
-    step = per_block or runs
-    for lo in range(0, runs, step):
-        hi = min(lo + step, runs)
-        u_chan = _reference_uniforms(seed, lo, hi, 0, tmax)
-        u_pol = _reference_uniforms(seed, lo, hi, 1, tmax) if randomized else None
-        ages = np.ones((hi - lo, n), dtype=np.int64)
-        acc = np.zeros((hi - lo, n))
-        run_idx = np.arange(hi - lo)
-        k = 0
-        for t in range(tmax):
-            for i, row in enumerate(rows):
-                col = ages[:, i]
-                if t + 1 < len(row) or col.max() < len(row):
-                    acc[:, i] += row[col - 1]
-                elif saturate:
-                    acc[:, i] += row[np.minimum(col, len(row)) - 1]
-                else:
-                    try:
-                        acc[:, i] += spec.sources[i].cost(col)
-                    except CostRangeError as e:
-                        raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
-            u = u_pol[:, t] if randomized else None
-            try:
-                acts = policies._decide_rows(policy, spec, ages, t, u, table)
-            except CostRangeError as e:
-                raise CostRangeError(f"slot {t + 1}: {e}") from None
-            success = u_chan[:, t] < probs[acts]
-            ages += 1
-            ages[run_idx[success], acts[success]] = 1
-            if t + 1 == checkpoints[k]:
-                out[k, lo:hi] = acc
-                k += 1
+    u_chan = _reference_uniforms(seed, 0, runs, 0, tmax)
+    u_pol = _reference_uniforms(seed, 0, runs, 1, tmax) if randomized else None
+    ages = np.ones((runs, n), dtype=np.int64)
+    acc = np.zeros((runs, n))
+    run_idx = np.arange(runs)
+    k = 0
+    for t in range(tmax):
+        for i, row in enumerate(rows):
+            col = ages[:, i]
+            if t + 1 < len(row) or col.max() < len(row):
+                acc[:, i] += row[col - 1]
+            elif saturate:
+                acc[:, i] += row[np.minimum(col, len(row)) - 1]
+            else:
+                try:
+                    acc[:, i] += spec.sources[i].cost(col)
+                except CostRangeError as e:
+                    raise CostRangeError(f"slot {t + 1}, source {i + 1}: {e}") from None
+        u = u_pol[:, t] if randomized else None
+        try:
+            acts = policies._decide_rows(policy, spec, ages, t, u, table)
+        except CostRangeError as e:
+            raise CostRangeError(f"slot {t + 1}: {e}") from None
+        success = u_chan[:, t] < probs[acts]
+        ages += 1
+        ages[run_idx[success], acts[success]] = 1
+        if t + 1 == checkpoints[k]:
+            out[k] = acc
+            k += 1
     return out
 
 
@@ -243,18 +239,40 @@ def test_saturating_checkpoints_match_reference(monkeypatch, per_block):
     assert got[-1, :, 1].max() >= OVERFLOW_LIMIT
 
 
-@pytest.mark.parametrize("per_block", [1, 3])
+@pytest.mark.parametrize("per_block", [1, 2, 3, 5])
 def test_errors_match_reference(monkeypatch, per_block):
     f = overflow_at_four()
-    # an age past its cost row
+    # an age past its cost row: run 1 meets it first on source 4, but a
+    # later run meets it at the same slot on source 2
     spec = SystemSpec((Source(f, 0.9),) * 4)
-    want = _outcome(_reference, monkeypatch, spec, RoundRobin(), 5, 1, [50], per_block=per_block)
+    want = _outcome(_reference, monkeypatch, spec, RoundRobin(), 5, 1, [50])
+    assert want == (CostRangeError, "slot 4, source 2: power cost exceeds 1e+300 at age 4")
     _runs_per_block(monkeypatch, per_block, 50)
-    got = _outcome(sim._run_slots, spec, RoundRobin(), 5, 1, [50])
-    assert isinstance(got, tuple) and got == want
+    assert _outcome(sim._run_slots, spec, RoundRobin(), 5, 1, [50]) == want
+    first_run = _outcome(sim._run_slots, spec, RoundRobin(), 1, 1, [50])
+    assert first_run[1].startswith("slot 4, source 4: ")
     reliable = SystemSpec((Source(f),) * 4)
     msg = _outcome(sim._run_slots, reliable, RoundRobin(), 5, 1, [50])[1]
     assert msg.startswith("slot 4, source 4: ") and msg.endswith("at age 4")
+
+
+def _capped_exponential(cap):
+    """3^x scaled so that its last representable age is `cap`."""
+    f = cost.exponential(3, 1e300 / 3 ** (cap + 0.5))
+    assert cost.max_representable_age(f) == cap
+    return f
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decision_errors_do_not_depend_on_the_split(monkeypatch, seed, per_block):
+    # the whittle rule needs f(h + 1) at age h, so an age at its source's
+    # cap fails the decision one slot before its cost would
+    spec = SystemSpec((Source(_capped_exponential(3), 0.7), Source(_capped_exponential(5), 0.8)))
+    want = _outcome(sim._run_slots, spec, Whittle(), 6, seed, [30])
+    assert want[0] is CostRangeError and want[1].startswith("slot ")
+    _runs_per_block(monkeypatch, per_block, 30)
+    assert _outcome(sim._run_slots, spec, Whittle(), 6, seed, [30]) == want
 
 
 # -- constructions and draws -------------------------------------------------------
