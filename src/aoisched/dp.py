@@ -32,6 +32,10 @@ that no later slab reads, except row 0, which source 0's success term
 reads in every slab, so that term is saved before the first slab. A box of
 up to `SLAB_STATES` states (each bundled reliable box, E2's at a_max 15,
 and A2's to C2's at 30 and 60) is one slab and runs the same sequence.
+The slabs of a stage are split into contiguous groups, one per CPU the
+process may use, that run at once on threads; the one row a group reads
+that the next group writes is copied before the stage. The thread count
+follows the usable CPUs, has no setting, and does not change the bits.
 The forward pass moves all failure mass with one shifted slice and zeroes
 the cap face by face.
 
@@ -60,6 +64,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -107,7 +113,10 @@ class TruncatedBox:
         return self.a_max**self.n_sources
 
     def contains(self, ages) -> bool:
+        """Whether `ages` is a vector of `n_sources` integer ages in [1, a_max]."""
         arr = np.asarray(ages)
+        if arr.shape != (self.n_sources,) or arr.dtype.kind not in "iu":
+            return False
         return bool(np.all(arr >= 1) and np.all(arr <= self.a_max))
 
     @property
@@ -116,6 +125,13 @@ class TruncatedBox:
         return tuple(self.a_max ** (self.n_sources - 1 - i) for i in range(self.n_sources))
 
     def state_index(self, ages) -> int:
+        """Flat C-order index of an age vector in the box; DomainError for
+        any other vector."""
+        if not self.contains(ages):
+            raise DomainError(
+                f"ages {np.asarray(ages).tolist()} are not {self.n_sources} integer ages "
+                f"in [1, {self.a_max}]"
+            )
         return int(np.ravel_multi_index(tuple(np.asarray(ages) - 1), self.shape))
 
 
@@ -153,10 +169,7 @@ class DpSolution:
 
     def action(self, ages) -> int:
         """Stage-1 greedy action at an in-box age vector."""
-        arr = validate_ages(self.spec, ages)
-        if not self.box.contains(arr):
-            raise DomainError(f"ages {tuple(arr.tolist())} outside the solved box")
-        return int(self.stage1_actions[self.box.state_index(arr)])
+        return int(self.stage1_actions[self.box.state_index(validate_ages(self.spec, ages))])
 
 
 def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
@@ -173,7 +186,8 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     default budget.
 
     The backward pass's working buffers span one slab of axis-0 rows, not
-    the box (see `_backward_pass`), so they are charged per slab, with the
+    the box (see `_backward_pass`), so they are charged per slab for each
+    of the `_groups` slab groups, with one row copy per group boundary, the
     saved success row and the box-sized compare of a stage with the stored
     table. The forward audit's cached index is charged at every below-cap
     state, since the support it covers can be any set of them; that phase
@@ -186,10 +200,13 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     held += 8 * (m + (a_max + 1) ** n)  # stage cost; values with a repeated top face
     held += 8 * horizon * (n * a_max + 1)  # cap-entry marginals, per-slot costs
     held += 200 * horizon + (1 << 18)  # realized trajectory; ufunc buffers, objects
-    # a slab's best, q, failure copy and compare mask; the stage compare;
-    # the saved success row and the success terms
+    # each group's best, q, failure copy and compare mask over one slab, and
+    # the row copy at each group boundary; the stage compare; the saved
+    # success row and the success terms
     slab = _slab_rows(box) * m // a_max
-    backward = 25 * slab + m + 8 * (n + 1) * m // a_max
+    groups = _groups(box)
+    backward = groups * 25 * slab + (groups - 1) * 8 * (a_max + 1) ** (n - 1)
+    backward += m + 8 * (n + 1) * m // a_max
     # distributions, failure factors, the cap mask and the two support
     # masks; cap indices and ages, per-source orders and siphoned mass; the
     # cached index over at most every below-cap state (state, action,
@@ -234,7 +251,8 @@ def finite_horizon_dp(
     need = _estimate_bytes(box, horizon)
     if need > memory_budget:
         raise CapacityError(
-            f"DP estimate {need / 2**20:.0f} MiB exceeds budget {memory_budget / 2**20:.0f} MiB"
+            f"DP estimate {need:,} bytes exceeds the memory budget of {memory_budget:,} "
+            f"bytes for a_max {box.a_max} and {n} sources"
         )
 
     stage_cost = _stage_cost(spec, box)
@@ -306,6 +324,16 @@ def _slab_rows(box) -> int:
     return min(box.a_max, max(1, SLAB_STATES * box.a_max // box.state_count))
 
 
+def _groups(box) -> int:
+    """Slab groups, one thread each, that a backward pass over `box` runs:
+    one per CPU this process may use, at most one per slab."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, -(-box.a_max // _slab_rows(box)))
+
+
 def _backward_pass(box, probs, stage_cost, horizon):
     """Stage values and the greedy action table of every stage.
 
@@ -329,14 +357,30 @@ def _backward_pass(box, probs, stage_cost, horizon):
     whole-box pass, so the bits do not depend on the slab size, and a box
     of one slab runs the same sequence as any other.
 
+    The slabs are split into `_groups` contiguous groups, one per usable
+    CPU; the calling thread runs the first group and one worker thread each
+    of the others, all within a stage, with a barrier before and after it.
+    Within a group the slabs keep their ascending order. Only a group's last
+    row reads a row that another group writes, the next group's first row
+    R, so that row of the extended buffer is copied before the stage starts
+    and the last row reads it from the copy, as a one-row slab of its own.
+    Each group has its own slab buffers. The saved success row, the copies,
+    the top faces and the table store below run on the calling thread with
+    the workers waiting. numpy releases the GIL inside the slab operations,
+    so the groups run at once. The thread count follows the CPUs the
+    process may use and has no setting; since every entry still gets the
+    same operations, the bits do not depend on it. A box of one slab, or a
+    host with one usable CPU, runs one group and starts no thread. Workers
+    live for one call; an exception in any group reaches the caller.
+
     Each stage's actions are built in one reused buffer. A stage equal to
     the stage after it refers to that stage's table. Otherwise it looks up
     an earlier stored table of equal content, keyed by the CRC-32 of its
     bytes and confirmed by a full compare, and refers to that one; only a
-    table unseen so far makes the buffer a new stored table (read-only from
-    then on, since several stages share it) and takes a fresh buffer. The
-    lookup runs only when a stage differs from the stage after it. Returns
-    the stage-0 values and a tuple of `horizon` flat tables.
+    table unseen so far is copied into a new stored table (read-only, since
+    several stages share it). The lookup runs only when a stage differs from
+    the stage after it. Returns the stage-0 values and a tuple of `horizon`
+    flat tables.
     """
     n, a_max = box.n_sources, box.a_max
     every = slice(1, None)
@@ -346,61 +390,114 @@ def _backward_pass(box, probs, stage_cost, horizon):
     row0 = ext[_axis_slices(n, 0, slice(0, 1), every)]  # source 0's success values
     held = np.empty(row0.shape)  # p_0 times row 0, saved each stage
     lossy = any(p != 1.0 for p in probs)  # only a lossy source reads the failure values
+    buf = np.empty(box.state_count, dtype=np.int8)
+    act = buf.reshape(box.shape)
     rows = _slab_rows(box)
-    best = np.empty((rows,) + box.shape[1:])
-    q = np.empty_like(best)
-    cheaper = np.empty(best.shape, dtype=bool)
-    fail_rows = np.empty_like(best) if lossy else None
-    slabs = []  # each slab's axis-0 rows, views and buffers
-    for r0 in range(0, a_max, rows):
-        k = min(rows, a_max - r0)
-        own, next_rows = slice(r0, r0 + k), slice(r0 + 1, r0 + k + 1)
-        succ = [held]
-        succ += [ext[(next_rows,) + _axis_slices(n - 1, i, slice(0, 1), every)] for i in range(n - 1)]
-        slabs.append((
-            own, ext[(own,) + (slice(0, a_max),) * (n - 1)],  # the slab's values
-            ext[(next_rows,) + (every,) * (n - 1)],  # the slab's failure values,
-            fail_rows[:k] if lossy else None,  # copied here once a stage
-            succ, stage_cost[own], best[:k], q[:k], cheaper[:k],
-        ))
+    starts = range(0, a_max, rows)
+    groups = _groups(box)
+    # each group's first row; more groups than slabs leaves one slab a group
+    firsts = sorted({starts[len(starts) * g // groups] for g in range(groups)})
+    copies = []  # (row R of the extended buffer, its copy) at each group boundary
+    work = []  # each group's slabs: rows, views and buffers
+    for lo, hi in zip(firsts, firsts[1:] + [a_max]):
+        cut = hi if hi == a_max else hi - 1  # rows below it read no other group's row
+        spans = []  # each slab's rows [r0, r1) and the rows r0 + 1 to r1 it reads
+        for r0 in range(lo, cut, rows):
+            r1 = min(r0 + rows, cut)
+            spans.append((r0, r1, ext[r0 + 1 : r1 + 1]))
+        if cut < hi:
+            copies.append((ext[hi : hi + 1], np.empty((1,) + (a_max + 1,) * (n - 1))))
+            spans.append((cut, hi, copies[-1][1]))
+        best = np.empty((rows,) + box.shape[1:])
+        q = np.empty_like(best)
+        cheaper = np.empty(best.shape, dtype=bool)
+        fail_rows = np.empty_like(best) if lossy else None
+        slabs = []
+        for r0, r1, nxt in spans:
+            k, own = r1 - r0, slice(r0, r1)
+            succ = [held]
+            succ += [nxt[(slice(None),) + _axis_slices(n - 1, i, slice(0, 1), every)] for i in range(n - 1)]
+            slabs.append((
+                ext[(own,) + (slice(0, a_max),) * (n - 1)],  # the slab's values
+                nxt[(slice(None),) + (every,) * (n - 1)],  # the slab's failure values,
+                fail_rows[:k] if lossy else None,  # copied here once a stage
+                succ, stage_cost[own], act[own], best[:k], q[:k], cheaper[:k],
+            ))
+        work.append(slabs)
+
+    barrier = threading.Barrier(len(work))
+    failed = []
+
+    def serve(slabs):  # a worker thread: its group once a stage, until the pass ends
+        try:
+            while True:
+                barrier.wait()
+                _run_slabs(slabs, probs, held, lossy)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # the pass ended, or another group raised
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+            barrier.abort()
+
+    workers = [threading.Thread(target=serve, args=(slabs,)) for slabs in work[1:]]
     actions = [None] * horizon
     stored = None
     by_digest = {}  # CRC-32 of a stored table's bytes -> that table
-    buf = np.empty(box.state_count, dtype=np.int8)
-    for t in range(horizon - 1, -1, -1):
-        act = buf.reshape(box.shape)
-        np.multiply(row0, probs[0], out=held)  # every slab reads row 0, which the first overwrites
-        for own, value, fail_src, fail, succ, cost_rows, best_s, q_s, cheaper_s in slabs:
-            if lossy:
-                np.copyto(fail, fail_src)
-            act_s = act[own]
-            act_s.fill(0)
-            for i, p in enumerate(probs):
-                if p == 1.0:
-                    qi = succ[i]  # broadcast view, compared without a copy
-                else:
-                    qi = best_s if i == 0 else q_s
-                    np.multiply(fail, 1.0 - p, out=qi)
-                    qi += held if i == 0 else p * succ[i]
-                if i == 0:
-                    if qi is not best_s:
-                        best_s[...] = qi
-                else:
-                    np.less(qi, best_s, out=cheaper_s)
-                    np.copyto(act_s, i, where=cheaper_s)
-                    np.copyto(best_s, qi, where=cheaper_s)
-            np.add(cost_rows, best_s, out=value)
-        for dst, src in top:
-            ext[dst] = ext[src]
-        if stored is None or not (buf == stored).all():
-            key = zlib.crc32(buf)
-            stored = by_digest.get(key)
-            if stored is None or not (stored == buf).all():
-                stored, buf = buf, np.empty_like(buf)
-                stored.flags.writeable = False
-                by_digest[key] = stored
-        actions[t] = stored
+    try:
+        for worker in workers:
+            worker.start()
+        for t in range(horizon - 1, -1, -1):
+            np.multiply(row0, probs[0], out=held)  # every slab reads row 0, which the first overwrites
+            for row, copy in copies:
+                np.copyto(copy, row)
+            if workers:
+                barrier.wait()
+            _run_slabs(work[0], probs, held, lossy)
+            if workers:
+                barrier.wait()
+            for dst, src in top:
+                ext[dst] = ext[src]
+            if stored is None or not (buf == stored).all():
+                key = zlib.crc32(buf)
+                stored = by_digest.get(key)
+                if stored is None or not (stored == buf).all():
+                    stored = buf.copy()
+                    stored.flags.writeable = False
+                    by_digest[key] = stored
+            actions[t] = stored
+    except threading.BrokenBarrierError:
+        raise failed[0] from None  # a worker's group raised
+    finally:
+        barrier.abort()
+        for worker in workers:
+            if worker.ident is not None:  # started
+                worker.join()
     return ext[(slice(0, a_max),) * n], tuple(actions)
+
+
+def _run_slabs(slabs, probs, held, lossy):
+    """One stage over one group's slabs, in ascending order (see
+    `_backward_pass`)."""
+    for value, fail_src, fail, succ, cost_rows, act_s, best_s, q_s, cheaper_s in slabs:
+        if lossy:
+            np.copyto(fail, fail_src)
+        act_s.fill(0)
+        for i, p in enumerate(probs):
+            if p == 1.0:
+                qi = succ[i]  # broadcast view, compared without a copy
+            else:
+                qi = best_s if i == 0 else q_s
+                np.multiply(fail, 1.0 - p, out=qi)
+                qi += held if i == 0 else p * succ[i]
+            if i == 0:
+                if qi is not best_s:
+                    best_s[...] = qi
+            else:
+                np.less(qi, best_s, out=cheaper_s)
+                np.copyto(act_s, i, where=cheaper_s)
+                np.copyto(best_s, qi, where=cheaper_s)
+        np.add(cost_rows, best_s, out=value)
 
 
 def _forward_truncation_pass(box, actions, probs, stage_cost, s0):

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import defaultdict
@@ -62,6 +64,29 @@ class TestBasics:
         spec = system_for("E1")
         with pytest.raises(CapacityError):
             finite_horizon_dp(spec, 500, a_max=40, memory_budget=10**6)
+
+    @pytest.mark.parametrize("sources,horizon,a_max,budget", [
+        ((Source(cost.linear(1), 0.5), Source(cost.linear(2), 0.7)), 20, 2, 10),
+        (system_for("E1").sources, 500, 40, 10**6),
+    ])
+    def test_capacity_error_names_the_box_and_both_sizes(self, sources, horizon, a_max, budget):
+        # below 1 MiB a figure in whole MiB reads "0 MiB exceeds budget 0 MiB"
+        need = _estimate_bytes(TruncatedBox(a_max, len(sources)), horizon)
+        with pytest.raises(CapacityError) as err:
+            finite_horizon_dp_auto(SystemSpec(sources), horizon, a_max=a_max, memory_budget=budget)
+        assert str(err.value) == (
+            f"DP estimate {need:,} bytes exceeds the memory budget of {budget:,} bytes "
+            f"for a_max {a_max} and {len(sources)} sources"
+        )
+
+    def test_box_membership_needs_one_integer_age_per_source(self):
+        box = TruncatedBox(5, 2)
+        assert box.contains((1, 5)) and box.state_index((1, 5)) == 4
+        assert box.state_index(np.array([5, 1], dtype=np.uint8)) == 20
+        for ages in [(1, 2, 3), (1,), 3, [[1, 2]], (0, 1), (6, 1), (1.5, 2), (2.0, 3.0), ("1", 2)]:
+            assert not box.contains(ages)
+            with pytest.raises(DomainError, match=r"not 2 integer ages in \[1, 5\]"):
+                box.state_index(ages)
 
     def test_default_a_max_by_source_count(self):
         assert default_a_max(1) == 30
@@ -292,6 +317,17 @@ class TestExtractCycleRefusals:
             extract_cycle_policy(sol)
 
 
+def _traced_peak(spec, horizon, a_max):
+    """Peak bytes traced during one solve, above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        finite_horizon_dp(spec, horizon, a_max)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryEstimate:
     # boxes where each phase leads: the forward audit (large boxes), the
     # backward buffers, and the fallback schedules (long horizons on small
@@ -314,14 +350,26 @@ class TestMemoryEstimate:
     def test_traced_peak_within_estimate(self, sources, a_max, horizon):
         spec = SystemSpec(sources)
         box = TruncatedBox(a_max, spec.n_sources)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            finite_horizon_dp(spec, horizon, a_max)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= _estimate_bytes(box, horizon)
+        assert _traced_peak(spec, horizon, a_max) <= _estimate_bytes(box, horizon)
+
+    # the backward pass in slab groups: each has its own slab buffers and
+    # each boundary a row copy; tracemalloc sees the worker threads' arrays
+    @pytest.mark.parametrize("groups", [2, 3])
+    @pytest.mark.parametrize("a_max,slab_states", [(17, dpmod.SLAB_STATES), (12, 1)])
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_traced_peak_within_estimate_in_groups(self, a_max, slab_states, groups, monkeypatch):
+        monkeypatch.setattr(dpmod, "SLAB_STATES", slab_states)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: groups)
+        spec = system_for("E2")
+        box = TruncatedBox(a_max, spec.n_sources)
+        assert _traced_peak(spec, 60, a_max) <= _estimate_bytes(box, 60)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_default_budget_admits_e2_at_30_and_refuses_it_at_60(self, cpus, monkeypatch):
+        # so finite_horizon_dp_auto stops E2's doubling at a_max 30 on any host
+        monkeypatch.setattr(dpmod.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        budget = dpmod.DEFAULT_MEMORY_BUDGET
+        assert _estimate_bytes(TruncatedBox(30, 4), 500) <= budget < _estimate_bytes(TruncatedBox(60, 4), 500)
 
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
     def test_few_runs_peak_far_below_a_dense_table(self):
@@ -330,13 +378,7 @@ class TestMemoryEstimate:
         # action table alone would take
         spec = system_for("E2")
         box = TruncatedBox(12, 4)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            finite_horizon_dp(spec, 500, a_max=box.a_max)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(spec, 500, box.a_max)
         assert len({id(a) for a in _stage_tables(spec, 500, box)}) < 100
         assert peak < box.state_count * 500 / 3
 
@@ -597,6 +639,101 @@ class TestKernelMatchesReference:
     ])
     def test_edge_cases_bit_identical(self, sources, a_max, horizon, initial):
         _assert_matches_reference(SystemSpec(sources), horizon, TruncatedBox(a_max, len(sources)), initial)
+
+
+def _started_threads(mp):
+    """Patch threading.Thread to record each thread started; returns the record."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    mp.setattr(threading, "Thread", Recorded)
+    return started
+
+
+class TestSlabGroups:
+    # one-row slabs put a group boundary between any two rows; more groups
+    # than slabs runs one group per slab; a reliable spec's p = 1 terms read
+    # the success faces as views, with no failure copy
+    @pytest.mark.parametrize("groups", [1, 2, 3, 9])
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.one_of(_dp_case(), _dp_case(probs=st.just(1.0))))
+    def test_random_specs_bit_identical_in_groups(self, groups, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dpmod, "SLAB_STATES", 1)
+            mp.setattr(dpmod, "_groups", lambda box: groups)
+            started = _started_threads(mp)
+            _assert_matches_reference(*case)
+        # the solve and _stage_tables each run one pass
+        assert len(started) == 2 * (min(groups, case[2].a_max) - 1)
+
+    def test_uneven_last_slab_in_two_groups(self, monkeypatch):
+        # slabs of 13 and 4 rows, one group each: the first group's last row
+        # reads row 13 from its copy
+        monkeypatch.setattr(dpmod, "_groups", lambda box: 2)
+        started = _started_threads(monkeypatch)
+        box = TruncatedBox(17, 4)
+        assert dpmod._slab_rows(box) == 13
+        _assert_matches_reference(system_for("E2"), 30, box, (1, 1, 1, 1))
+        assert len(started) == 2
+
+    def test_many_groups_under_fast_switching(self, monkeypatch):
+        # more groups than cores, with the interpreter switching threads as
+        # often as it can: a row read after another group wrote it, or a
+        # buffer two groups share, changes the bits
+        monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _assert_matches_reference(system_for("E2"), 40, TruncatedBox(12, 4), (1, 2, 1, 3))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("a_max,cpus", [(15, None), (17, {0})])
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_one_group_starts_no_thread(self, a_max, cpus, monkeypatch):
+        # E2 at a_max 15 is one slab; at 17 it is two, on one usable CPU
+        if cpus is not None:
+            monkeypatch.setattr(dpmod.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        box = TruncatedBox(a_max, 4)
+        assert dpmod._groups(box) == 1
+        want = finite_horizon_dp(system_for("E2"), 30, a_max)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-group pass started a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        got = finite_horizon_dp(system_for("E2"), 30, a_max)
+        assert got.optimal_average_cost.hex() == want.optimal_average_cost.hex()
+        assert got.stage1_actions.tobytes() == want.stage1_actions.tobytes()
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_error_in_any_group_reaches_the_caller(self, where, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        run = dpmod._run_slabs
+        calls = []
+
+        def failing(slabs, *args):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (where == "caller"):
+                calls.append(1)
+                if len(calls) == 3:  # the third stage, with the other groups running
+                    raise Boom(where)
+            run(slabs, *args)
+
+        monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: 3)
+        monkeypatch.setattr(dpmod, "_run_slabs", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(Boom, match=where):
+            finite_horizon_dp(system_for("E2"), 20, a_max=6)
+        assert set(threading.enumerate()) == before
 
 
 class TestReliableWalk:
