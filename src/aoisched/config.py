@@ -191,13 +191,20 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
     raw_policies = data.get("policies")
     if not isinstance(raw_policies, list) or not raw_policies:
         raise ConfigError("policies: must be a non-empty list")
+    # canonical label -> index of the spec that first gave it
+    labels = {}
     for j, s in enumerate(raw_policies):
         if not isinstance(s, str):
             raise ConfigError(f"policies[{j}]: must be a grammar string")
         try:
-            parse_policy_spec(s, len(sources))
+            pol = parse_policy_spec(s, len(sources))
         except ConfigError as e:
             raise ConfigError(f"policies[{j}]: {e}") from None
+        # one CSV row and one JSON entry per label
+        label = "dp" if pol == "dp" else policy_label(pol)
+        if label in labels:
+            raise ConfigError(f"policies[{j}]: {label!r} repeats policies[{labels[label]}]")
+        labels[label] = j
 
     horizon = _checked(costmod.validate_count, "horizon", data.get("horizon", DEFAULT_HORIZON))
     any_unreliable = any(s.p < 1 for s in sources)
@@ -211,9 +218,11 @@ def parse_config(data, name_hint: str = "") -> ExperimentConfig:
     extra = sorted(set(dp_raw) - {"enabled", "a_max", "memory_budget", "auto_double"})
     if extra:
         raise ConfigError(f"dp: unknown fields {extra}")
-    dp_enabled = dp_raw.get("enabled", "dp" in raw_policies)
+    dp_enabled = dp_raw.get("enabled", "dp" in labels)
     if not isinstance(dp_enabled, bool):
         raise ConfigError("dp.enabled: must be a boolean")
+    if "dp" in labels and not dp_enabled:
+        raise ConfigError(f"dp.enabled: false, but policies[{labels['dp']}] lists dp")
     a_max = dp_raw.get("a_max")
     if a_max is not None:
         a_max = _checked(costmod.validate_count, "dp.a_max", a_max, 2)

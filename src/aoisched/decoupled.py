@@ -20,9 +20,8 @@ at one age or any array of ages: one cumsum of prefix sums and one
 vectorised pass of the series (`_discounted_tails`, whose p = 1 case is its
 first term). Each age gets the same bits whatever the other ages are, so a
 single index is a row of one age. A threshold is the first age of such a
-row, built once and doubled as needed, whose index exceeds the charge; all
-thresholds found are rechecked against W(H-1) <= C <= W(H) together in one
-more row.
+row, built once and doubled as needed, whose index exceeds the charge, so
+W(H-1) <= C < W(H) holds for the indices `whittle_index` gives one at a time.
 
 Only the Definition-form index above is used anywhere. The shifted auxiliary
 form W~(h) = W(h-1) that appears in threshold interval arguments is never
@@ -241,9 +240,7 @@ def optimal_threshold(prob: DecoupledProblem) -> ThresholdPolicy:
     """Invert the index: the optimal threshold is the smallest h with
     W(h) > C, or NEVER when the whole index sequence stays at or below C.
 
-    A zero charge trivially means always activate. Before returning, the
-    two-sided optimality condition on the threshold is re-checked directly
-    (a failure would be an internal bug, not bad input).
+    A zero charge trivially means always activate.
     """
     return _invert(prob.cost, prob.p, [prob.charge])[0]
 
@@ -310,34 +307,7 @@ def _invert(f: CostFunction, p: float, charges) -> list:
                 f" age {last + 1} needs the {f.kind} cost past its last representable age"
             )
         out.append(ThresholdPolicy(int(above[0]) + 1 if above.size else NEVER))
-    found = [(C, t.threshold) for C, t in zip(charges, out) if C != 0.0 and not t.is_never]
-    if found:
-        _verify_thresholds(f, p, *zip(*found))
     return out
-
-
-def _verify_thresholds(f, p, charges, thresholds, slack=1e-9):
-    """Re-check the two-sided optimality condition W(H-1) <= C <= W(H) at
-    each returned threshold H of its charge C, with every index recomputed
-    in one row over the ages H - 1 and H. At p = 1 it is f(H) <= (sum
-    f(1..H) + C) / H <= f(H+1), as W(H-1) = H f(H) - sum f(1..H).
-    It shares the searched row's `whittle_index` arithmetic, so it catches
-    a search that returns the wrong age, not an arithmetic disagreement."""
-    C = np.asarray(charges, dtype=float)
-    H = np.asarray(thresholds, dtype=np.int64)
-    # both arms in Definition form; W(0) = 0
-    ages = np.concatenate((H - 1, H))
-    w = np.zeros(len(ages))
-    w[ages > 0] = whittle_index(f, p, ages[ages > 0])
-    lower, upper = w[: len(H)], w[len(H) :]
-    tol = slack * np.maximum(1.0, np.abs(C))
-    ok = (lower <= C + tol) & (C <= upper + tol)
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        raise ConsistencyError(
-            f"threshold {H[bad]} fails its two-sided optimality condition at"
-            f" C={C[bad]} (internal bug)"
-        )
 
 
 def indexability_sweep(f: CostFunction, p: float, charges) -> list:

@@ -14,8 +14,10 @@ from aoisched import (
     power,
     table,
 )
+from aoisched import cost
 from aoisched import dp as dpmod
 from aoisched.config import bundled_config
+from aoisched.decoupled import discounted_tail
 from aoisched.dp import finite_horizon_dp
 from aoisched.runner import solve_dp
 
@@ -154,3 +156,24 @@ def overflow_at_four():
     """A power cost whose closed-form overflow cap rounds to age 4 although
     f(4) exceeds the overflow limit; f(1..3) stay finite."""
     return power(float(np.nextafter(1e300 / 4.0**100, np.inf)), 100.0)
+
+
+def _sandwich_holds(f, p, H, C, slack=1e-9):
+    """Whether threshold H meets its two-sided condition W(H-1) <= C <= W(H)
+    at charge C, within slack. Both sides come from arithmetic apart from
+    `whittle_index`'s row: `prefix_sum`'s fsums and one `discounted_tail` at
+    1e-12, with tail(H-1) = f(H) + (1-p) tail(H). At p = 1 the condition is
+    f(H) <= (sum f(1..H) + C) / H <= f(H+1)."""
+    if p == 1.0:
+        lam = (cost.prefix_sum(f, H) + C) / H
+        lo, hi = cost.evaluate(f, H), cost.evaluate(f, H + 1)
+        tol = slack * max(1.0, abs(lam))
+        return lo <= lam + tol and lam <= hi + tol
+    q = 1.0 - p
+    tail_h = discounted_tail(f, p, H, tol=1e-12)
+    lower = p * p * (H - 1) * (cost.evaluate(f, H) + q * tail_h) - p * (
+        cost.prefix_sum(f, H - 1) if H > 1 else 0.0
+    )
+    upper = p * p * H * tail_h - p * cost.prefix_sum(f, H)
+    tol = slack * max(1.0, abs(C))
+    return lower <= C + tol and C <= upper + tol

@@ -26,7 +26,6 @@ from aoisched.config import bundled_config
 from aoisched.decoupled import (
     DecoupledProblem,
     decoupled_value_iteration,
-    discounted_tail,
     indexability_sweep,
     threshold_policy_average_cost,
     whittle_index,
@@ -37,7 +36,7 @@ from aoisched.runner import run_experiment
 from aoisched.sim import detect_cycle, divergence_probe, per_slot_costs, simulate
 from aoisched.structure import best_two_source_cycle, certify_theorem3, check_strong_switch
 
-from conftest import TABLE_SETTINGS, dp_bundled, dp_box, references_for, system_for
+from conftest import TABLE_SETTINGS, _sandwich_holds, dp_bundled, dp_box, references_for, system_for
 
 SEED = 20250117
 _sim_cache = {}
@@ -204,22 +203,6 @@ def test_c04_theorem3_certification():
     ok = not failures
     report("C4", ok, f"{', '.join(named)}; {n_random} random reliable pairs certified, {len(failures)} failures")
     assert ok, failures
-
-
-def _sandwich_holds(f, p, H, C, slack=1e-9):
-    if p == 1.0:
-        lam = (cost.prefix_sum(f, H) + C) / H
-        lo, hi = cost.evaluate(f, H), cost.evaluate(f, H + 1)
-        tol = slack * max(1.0, abs(lam))
-        return lo <= lam + tol and lam <= hi + tol
-    q = 1.0 - p
-    tail_h = discounted_tail(f, p, H, tol=1e-12)
-    lower = p * p * (H - 1) * (cost.evaluate(f, H) + q * tail_h) - p * (
-        cost.prefix_sum(f, H - 1) if H > 1 else 0.0
-    )
-    upper = p * p * H * tail_h - p * cost.prefix_sum(f, H)
-    tol = slack * max(1.0, abs(C))
-    return lower <= C + tol and C <= upper + tol
 
 
 def test_c05_indexability_sweeps():

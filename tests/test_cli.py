@@ -55,6 +55,23 @@ class TestRun:
         assert (out1 / "smoke.csv").read_bytes() == (out2 / "smoke.csv").read_bytes()
         assert (out1 / "smoke.json").read_bytes() == (out2 / "smoke.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dp": {"enabled": False}}, "dp.enabled: false, but policies[0] lists dp"),
+            ({"policies": ["dp", "whittle", "whittle"]}, "policies[2]: 'whittle' repeats policies[1]"),
+        ],
+        ids=["dp_disabled", "repeated"],
+    )
+    def test_refused_policies_write_nothing(self, small_config, tmp_path, capsys, change, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({**yaml.safe_load(small_config.read_text()), **change}))
+        out = tmp_path / "refused"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {bad}: {message}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_workers_flag_is_gone(self, small_config, tmp_path, capsys):
         out = tmp_path / "w2"
         _assert_unrecognized_workers(

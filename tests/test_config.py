@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 from hypothesis import example, given
@@ -45,6 +47,31 @@ class TestParsing:
     def test_dp_in_policies_enables_dp(self):
         cfg = parse_config(minimal_config(policies=["dp", "whittle"]))
         assert cfg.dp.enabled
+
+    def test_dp_listed_but_disabled_is_refused(self):
+        # it used to parse, and the run then wrote no dp row
+        for policies in (["dp", "whittle"], ["whittle", " dp "]):
+            with pytest.raises(ConfigError, match=r"^dp\.enabled: false, but policies\[\d\] lists"):
+                parse_config(minimal_config(policies=policies, dp={"enabled": False}))
+        # dp.enabled without dp listed stays accepted, and a spaced " dp " enables it
+        assert parse_config(minimal_config(dp={"enabled": True})).dp.enabled
+        assert parse_config(minimal_config(policies=["whittle", " dp "])).dp.enabled
+
+    @pytest.mark.parametrize(
+        "policies, j, label",
+        [
+            (["whittle", "round_robin", "whittle"], 2, "whittle"),
+            (["dp", "whittle", "dp"], 2, "dp"),
+            (["randomized(0.5, 0.5)", "randomized(0.50,0.5)"], 1, "randomized(0.5,0.5)"),
+            (["cycle(1,2)", " cycle( 1, 2 ) "], 1, "cycle(1,2)"),
+        ],
+        ids=["whittle", "dp", "randomized", "cycle"],
+    )
+    def test_a_policy_listed_twice_is_refused(self, policies, j, label):
+        # the CSV repeated its row while the JSON sidecar kept one entry
+        message = rf"^policies\[{j}\]: '{re.escape(label)}' repeats policies\[0\]$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(minimal_config(policies=policies))
 
     def test_zero_policies_rejected(self):
         with pytest.raises(ConfigError, match="policies"):
