@@ -32,12 +32,18 @@ that no later slab reads, except row 0, which source 0's success term
 reads in every slab, so that term is saved before the first slab. A box of
 up to `SLAB_STATES` states (each bundled reliable box, E2's at a_max 15,
 and A2's to C2's at 30 and 60) is one slab and runs the same sequence.
-The slabs of a stage are split into contiguous groups, one per CPU the
-process may use, that run at once on threads; the one row a group reads
-that the next group writes is copied before the stage. The thread count
-follows the usable CPUs, has no setting, and does not change the bits.
 The forward pass moves all failure mass with one shifted slice and zeroes
 the cap face by face.
+
+Both passes split each stage into contiguous groups of axis-0 rows, one
+per CPU the process may use, that run at once on threads (see `_groups`).
+The backward pass splits its slabs, and copies before the stage the one
+row a group reads that the next group writes. The forward audit splits its
+source rows: each group writes the target rows one above its own, and row
+0, which source-0 successes reach from every row, is finished on the
+calling thread group by group, in ascending order. A box of one slab
+runs one group in each pass and starts no thread. The thread count
+follows the usable CPUs, has no setting, and does not change the bits.
 
 The greedy actions are stored by content: a stage refers to the stage
 after it when their tables are equal, and otherwise to an earlier stored
@@ -189,9 +195,12 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     the box (see `_backward_pass`), so they are charged per slab for each
     of the `_groups` slab groups, with one row copy per group boundary, the
     saved success row and the box-sized compare of a stage with the stored
-    table. The forward audit's cached index is charged at every below-cap
-    state, since the support it covers can be any set of them; that phase
-    leads on every box large enough to be refused.
+    table. The forward audit's cached indexes are charged at every below-cap
+    state, since the support they cover can be any set of them: its groups
+    index disjoint source rows, so their indexes, each later group's row-0
+    part included, together cover each state at most once whatever the
+    group count (see `_forward_truncation_pass`). That phase leads on every
+    box large enough to be refused.
     """
     m, n, a_max = box.state_count, box.n_sources, box.a_max
     below = (a_max - 1) ** n  # states that can carry mass in the forward pass
@@ -208,10 +217,11 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     backward = groups * 25 * slab + (groups - 1) * 8 * (a_max + 1) ** (n - 1)
     backward += m + 8 * (n + 1) * m // a_max
     # distributions, failure factors, the cap mask and the two support
-    # masks; cap indices and ages, per-source orders and siphoned mass; the
-    # cached index over at most every below-cap state (state, action,
-    # success target and probability, gathered mass, or a rebuild's ages)
-    forward = 27 * m + 8 * (2 * n + 3) * cap + 33 * below
+    # masks; cap indices and ages, per-source orders, the siphoned mass of
+    # two slots and one in a source's age order; the cached indexes over at
+    # most every below-cap state (state, action, success target and
+    # probability, gathered mass, or a rebuild's ages)
+    forward = 27 * m + 8 * (2 * n + 4) * cap + 33 * below
     cycles = len(_weighted_round_robins(n))
     # age chains, two sources' worth at a swap, and a slot's product and
     # contiguous copy; one cost row
@@ -325,13 +335,63 @@ def _slab_rows(box) -> int:
 
 
 def _groups(box) -> int:
-    """Slab groups, one thread each, that a backward pass over `box` runs:
-    one per CPU this process may use, at most one per slab."""
+    """Groups, one thread each, that both passes over `box` run: one per
+    CPU this process may use, at most one per backward slab. The backward
+    pass splits its slabs into that many contiguous groups, and the forward
+    audit its axis-0 source rows, so a box of one slab (at most
+    `SLAB_STATES` states) runs one group in each pass and starts no thread.
+    Every target row of the forward audit but row 0 is written by one group
+    alone; row 0 takes success mass from every group, so the calling thread
+    adds it group by group after the others finish (see
+    `_forward_truncation_pass`)."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, -(-box.a_max // _slab_rows(box)))
+
+
+def _run_in_groups(tasks, stages, between):
+    """Run every stage t of `stages` in groups: each group's task `tasks[g](t)`
+    at once, the first on the calling thread and each other on a worker
+    thread of its own, with a barrier before and after them; then
+    `between(t)` on the calling thread while the workers wait. numpy releases
+    the GIL inside the tasks' array operations, so the groups run at once.
+    One task starts no thread. Workers live for one call; an exception in
+    any group reaches the caller, and no worker outlives the call."""
+    barrier = threading.Barrier(len(tasks))
+    failed = []
+
+    def serve(task):  # a worker thread: its group once a stage, until the pass ends
+        try:
+            for t in stages:
+                barrier.wait()
+                task(t)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # the pass ended early, or another group raised
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+            barrier.abort()
+
+    workers = [threading.Thread(target=serve, args=(task,)) for task in tasks[1:]]
+    try:
+        for worker in workers:
+            worker.start()
+        for t in stages:
+            if workers:
+                barrier.wait()
+            tasks[0](t)
+            if workers:
+                barrier.wait()
+            between(t)
+    except threading.BrokenBarrierError:
+        raise failed[0] from None  # a worker's group raised
+    finally:
+        barrier.abort()
+        for worker in workers:
+            if worker.ident is not None:  # started
+                worker.join()
 
 
 def _backward_pass(box, probs, stage_cost, horizon):
@@ -352,26 +412,28 @@ def _backward_pass(box, probs, stage_cost, horizon):
     when some source is lossy, and writes the values of rows r0 to r1 - 1,
     so no later slab reads a row already written. Source 0's success term
     reads row 0 in every slab; the first slab overwrites it, so that term,
-    p_0 times the row, is saved before the first slab. The top faces are
-    copied after the last. Every entry gets the same operations as in one
-    whole-box pass, so the bits do not depend on the slab size, and a box
-    of one slab runs the same sequence as any other.
+    p_0 times the row, is saved before the first slab. The top faces of a
+    group's rows are copied after its last slab. Every entry gets the same
+    operations as in one whole-box pass, so the bits do not depend on the
+    slab size, and a box of one slab runs the same sequence as any other.
 
     The slabs are split into `_groups` contiguous groups, one per usable
-    CPU; the calling thread runs the first group and one worker thread each
-    of the others, all within a stage, with a barrier before and after it.
-    Within a group the slabs keep their ascending order. Only a group's last
-    row reads a row that another group writes, the next group's first row
-    R, so that row of the extended buffer is copied before the stage starts
-    and the last row reads it from the copy, as a one-row slab of its own.
-    Each group has its own slab buffers. The saved success row, the copies,
-    the top faces and the table store below run on the calling thread with
-    the workers waiting. numpy releases the GIL inside the slab operations,
-    so the groups run at once. The thread count follows the CPUs the
-    process may use and has no setting; since every entry still gets the
-    same operations, the bits do not depend on it. A box of one slab, or a
-    host with one usable CPU, runs one group and starts no thread. Workers
-    live for one call; an exception in any group reaches the caller.
+    CPU, run by `_run_in_groups`: the calling thread runs the first group
+    and one worker thread each of the others, all within a stage. Within a
+    group the slabs keep their ascending order. Only a group's last row
+    reads a row that another group writes, the next group's first row R, so
+    that row of the extended buffer is copied before the stage starts and
+    the last row reads it from the copy, as a one-row slab of its own. Each
+    group has its own slab buffers, and copies the top faces on axes 1 to
+    N - 1 of the rows it writes; the last group then copies the axis-0 face
+    from its finished row a_max - 1. Only the next stage reads the entries
+    these copies write, and copied axis by axis each ends holding the value
+    of its clamped state, as after one whole-box copy. The saved success
+    row, the row copies and the table store below run on the calling thread
+    with the workers waiting. The thread count follows the CPUs the process
+    may use and has no setting; since every entry still gets the same
+    operations, the bits do not depend on it. A box of one slab, or a host
+    with one usable CPU, runs one group and starts no thread.
 
     Each stage's actions are built in one reused buffer. A stage equal to
     the stage after it refers to that stage's table. Otherwise it looks up
@@ -384,9 +446,8 @@ def _backward_pass(box, probs, stage_cost, horizon):
     """
     n, a_max = box.n_sources, box.a_max
     every = slice(1, None)
+    top, face = slice(a_max, a_max + 1), slice(a_max - 1, a_max)  # the repeated entry and its source
     ext = np.zeros((a_max + 1,) * n)
-    top = [(_axis_slices(n, i, a_max, slice(None)), _axis_slices(n, i, a_max - 1, slice(None)))
-           for i in range(n)]
     row0 = ext[_axis_slices(n, 0, slice(0, 1), every)]  # source 0's success values
     held = np.empty(row0.shape)  # p_0 times row 0, saved each stage
     lossy = any(p != 1.0 for p in probs)  # only a lossy source reads the failure values
@@ -423,56 +484,47 @@ def _backward_pass(box, probs, stage_cost, horizon):
                 fail_rows[:k] if lossy else None,  # copied here once a stage
                 succ, stage_cost[own], act[own], best[:k], q[:k], cheaper[:k],
             ))
-        work.append(slabs)
+        # the top faces of the group's rows on axes 1 to N - 1; the last group
+        # then copies the axis-0 face from the finished row a_max - 1
+        faces = [
+            tuple(ext[(slice(lo, hi),) + _axis_slices(n - 1, i, at, slice(None))] for at in (top, face))
+            for i in range(n - 1)
+        ]
+        if hi == a_max:
+            faces.append((ext[top], ext[face]))
+        work.append((slabs, faces))
 
-    barrier = threading.Barrier(len(work))
-    failed = []
+    def run(slabs, faces):  # one group's stage: its slabs, then its rows' top faces
+        def task(t):
+            _run_slabs(slabs, probs, held, lossy)
+            for dst, src in faces:
+                dst[...] = src
+        return task
 
-    def serve(slabs):  # a worker thread: its group once a stage, until the pass ends
-        try:
-            while True:
-                barrier.wait()
-                _run_slabs(slabs, probs, held, lossy)
-                barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # the pass ended, or another group raised
-        except BaseException as exc:  # re-raised on the calling thread
-            failed.append(exc)
-            barrier.abort()
+    def prepare():  # every slab reads row 0, which the first overwrites
+        np.multiply(row0, probs[0], out=held)
+        for row, copy in copies:
+            np.copyto(copy, row)
 
-    workers = [threading.Thread(target=serve, args=(slabs,)) for slabs in work[1:]]
     actions = [None] * horizon
     stored = None
     by_digest = {}  # CRC-32 of a stored table's bytes -> that table
-    try:
-        for worker in workers:
-            worker.start()
-        for t in range(horizon - 1, -1, -1):
-            np.multiply(row0, probs[0], out=held)  # every slab reads row 0, which the first overwrites
-            for row, copy in copies:
-                np.copyto(copy, row)
-            if workers:
-                barrier.wait()
-            _run_slabs(work[0], probs, held, lossy)
-            if workers:
-                barrier.wait()
-            for dst, src in top:
-                ext[dst] = ext[src]
-            if stored is None or not (buf == stored).all():
-                key = zlib.crc32(buf)
-                stored = by_digest.get(key)
-                if stored is None or not (stored == buf).all():
-                    stored = buf.copy()
-                    stored.flags.writeable = False
-                    by_digest[key] = stored
-            actions[t] = stored
-    except threading.BrokenBarrierError:
-        raise failed[0] from None  # a worker's group raised
-    finally:
-        barrier.abort()
-        for worker in workers:
-            if worker.ident is not None:  # started
-                worker.join()
+
+    def store(t):
+        nonlocal stored
+        if stored is None or not (buf == stored).all():
+            key = zlib.crc32(buf)
+            stored = by_digest.get(key)
+            if stored is None or not (stored == buf).all():
+                stored = buf.copy()
+                stored.flags.writeable = False
+                by_digest[key] = stored
+        actions[t] = stored
+        if t:
+            prepare()
+
+    prepare()
+    _run_in_groups([run(slabs, faces) for slabs, faces in work], range(horizon - 1, -1, -1), store)
     return ext[(slice(0, a_max),) * n], tuple(actions)
 
 
@@ -531,7 +583,30 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     from states serving that one source and still arrives in ascending
     state order, and an indexed state whose mass has since become 0 adds
     an exact 0.0. A settled lossy box rebuilds it about twice per run of
-    equal stages (E2 at a_max 30: 117 times in 500 stages).
+    equal stages (E2 at a_max 30 in one group: 117 times in 500 stages).
+
+    Each stage runs in `_groups` groups of contiguous axis-0 source rows,
+    through `_run_in_groups`. A carrying state in row r fails into row
+    r + 1 and succeeds into row r + 1 too, unless it serves source 0, whose
+    success lands in row 0. So every target outside row 0 gets all its mass
+    from the one row below it, and group [lo, hi) writes only the target
+    rows lo + 1 to hi, the first group row 0 as well: its own part of the
+    failure-factor gather and of the shifted slice, and a cached index of
+    its own source rows, rebuilt by the same rule. Row 0 gets only source-0
+    successes, from every row, and np.add.at must still add them in
+    ascending state order. The first group adds its own; each later group
+    keeps the states whose success lands in row 0 apart, in a second part
+    of its index, and gathers their mass; after the barrier the calling
+    thread adds those parts group by group, in ascending group order, and
+    then siphons row 0. Every other row is
+    siphoned by the group that writes it, into the slot's cap buffer. The
+    cap sum and the per-source `reduceat` of a slot read the whole buffer,
+    so they run in the last group during the next stage, while that stage
+    fills the other slot's buffer; the report adds the per-slot masses in
+    slot order. `d @ cost` stays one whole-vector call, on the calling
+    thread, since its bits depend on how BLAS splits it. The bits do not
+    depend on the group count, and one group runs the same operations per
+    stage as one whole-box pass, with no thread.
 
     `finite_horizon_dp` runs this pass for lossy and mixed specs only; a
     reliable spec's audit walks its one path instead (`_reliable_audit`),
@@ -540,9 +615,9 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     n, a_max, m = box.n_sources, box.a_max, box.state_count
     shape = box.shape
     horizon = len(actions)
-    below = (slice(0, a_max - 1),) * n
+    row = m // a_max  # states per axis-0 row
     at_cap = np.ones(shape, dtype=bool)
-    at_cap[below] = False
+    at_cap[(slice(0, a_max - 1),) * n] = False
     cap_idx = np.flatnonzero(at_cap)
     cap_ages = np.unravel_index(cap_idx, shape)
     # per source: the cap states sorted by that source's age, and where each
@@ -556,67 +631,122 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
         empty = np.diff(starts, append=cap_idx.size) == 0
         runs.append((order, starts, empty))
     entering = np.zeros((horizon, n, a_max))
-    faces = [_axis_slices(n, i, a_max - 1, slice(None)) for i in range(n)]  # the cap, face by face
-
-    def siphon(vec, t):
-        w = vec[cap_idx]
-        mass = float(w.sum())
-        cube = vec.reshape(shape)
-        for face in faces:
-            cube[face] = 0.0
-        if mass and t < horizon:
-            for i, (order, starts, empty) in enumerate(runs):
-                entering[t, i] = np.add.reduceat(w[order], starts)
-                entering[t, i, empty] = 0.0
-        return mass
 
     strides = np.array(box.strides)
     shift = int(strides.sum())
     fail_p = 1.0 - probs
     fail_at = np.empty(m - shift)  # 1 - p of the action at each state that can fail
-    gathered = None
     carrying = np.empty(m - shift, dtype=bool)
-    indexed = np.zeros(m - shift, dtype=bool)  # the states the index was built from
+    indexed = np.zeros(m - shift, dtype=bool)  # the states the indexes were built from
     cost = stage_cost.reshape(m)
-    d = np.zeros(m)
-    nxt = np.empty(m)
-    d[s0] = 1.0
-    touched = siphon(d, 0)
+    vecs = (np.zeros(m), np.empty(m))  # the distribution at even and at odd slots
+    caps = (np.empty(cap_idx.size), np.empty(cap_idx.size))  # its cap states, likewise
+    ordered = np.empty(cap_idx.size)  # a slot's cap states in one source's age order
+    masses = [0.0] * (horizon + 1)  # the mass siphoned at each slot
     per_stage = np.empty(horizon)
-    for t in range(horizon):
-        per_stage[t] = float(d @ cost)
-        a = actions[t]
-        stale = a is not gathered
-        if stale:
-            np.take(fail_p, a[:-shift], out=fail_at, mode="clip")  # unbuffered; a < n
-            gathered = a
-        head = d[:-shift]
-        np.not_equal(head, 0.0, out=carrying)
-        np.greater(carrying, indexed, out=carrying)  # carrying but not indexed
-        if stale or carrying.any():
-            live = own = served = succ = w = None  # release the old index first
-            np.not_equal(head, 0.0, out=indexed)
-            live = np.flatnonzero(indexed)
-            own = a[live]
-            succ = probs[own]
-            # served: the served source's age c + 1 drops to 1, every other
-            # age grows by one, so the target is live + shift - (c + 1) * stride
-            served = strides[own]
-            c = live // served
-            c %= a_max
-            c += 1
-            served *= c
-            del c
-            np.subtract(live, served, out=served)
-            served += shift
-            w = np.empty(live.size)
-        np.multiply(fail_at, head, out=nxt[shift:])
-        nxt[:shift] = 0.0
-        np.take(d, live, out=w, mode="clip")  # unbuffered; live < m
-        w *= succ
-        np.add.at(nxt, served, w)
-        touched += siphon(nxt, t + 1)
-        d, nxt = nxt, d
+
+    def siphon(r0, r1):  # slot s's siphon of axis-0 rows [r0, r1)
+        k = slice(*np.searchsorted(cap_idx, (r0 * row, r1 * row)))
+        faces = [(slice(r0, r1),) + _axis_slices(n - 1, i, a_max - 1, slice(None)) for i in range(n - 1)]
+        if r0 < r1 == a_max:
+            faces.append((slice(a_max - 1, a_max),))
+        idx, outs = cap_idx[k], [w[k] for w in caps]
+        views = [[vec.reshape(shape)[face] for face in faces] for vec in vecs]
+
+        def cut(s):  # gather the rows' cap states into the slot's buffer, then zero the cap face by face
+            np.take(vecs[s % 2], idx, out=outs[s % 2], mode="clip")  # unbuffered
+            for face in views[s % 2]:
+                face.fill(0.0)
+        return cut
+
+    def reduce(s):  # slot s's cap mass, and its marginals below the horizon
+        w = caps[s % 2]
+        masses[s] = float(w.sum())
+        if masses[s] and s < horizon:
+            for i, (order, starts, empty) in enumerate(runs):
+                np.take(w, order, out=ordered, mode="clip")
+                entering[s, i] = np.add.reduceat(ordered, starts)
+                entering[s, i, empty] = 0.0
+
+    def index(marked, base, a):  # the cached index of the marked states, `base` on
+        live = np.flatnonzero(marked)
+        live += base
+        own = a[live]
+        succ = probs[own]
+        # served: the served source's age c + 1 drops to 1, every other
+        # age grows by one, so the target is live + shift - (c + 1) * stride
+        served = strides[own]
+        c = live // served
+        c %= a_max
+        c += 1
+        served *= c
+        del c
+        np.subtract(live, served, out=served)
+        served += shift
+        return live, succ, served, np.empty(live.size)
+
+    groups = _groups(box)
+    firsts = sorted({a_max * g // groups for g in range(groups)})  # each group's first source row
+    several = len(firsts) > 1
+    apart = [None] * len(firsts)  # each later group's index of the states whose success lands in row 0
+
+    def group(g, lo, hi):  # the stage task of the group of source rows [lo, hi)
+        fails = slice(max((lo + 1) * row - shift, 0), min(hi + 1, a_max) * row - shift)
+        lands = slice(fails.start + shift, fails.stop + shift)  # rows lo + 1 to hi, and below for the first
+        own = slice(min(lo * row, m - shift), min(hi * row, m - shift))
+        cut = siphon(lo + 1 if several else 0, min(hi + 1, a_max))  # row 0 waits for every group
+        gathered = part = None
+
+        def task(t):
+            nonlocal gathered, part
+            d, nxt = vecs[t % 2], vecs[1 - t % 2]
+            if g == 0:
+                per_stage[t] = float(d @ cost)
+            if hi == a_max:
+                reduce(t)
+            a = actions[t]
+            stale = a is not gathered
+            if stale:
+                np.take(fail_p, a[fails], out=fail_at[fails], mode="clip")  # unbuffered; a < n
+                gathered = a
+            head, marked, seen = d[own], carrying[own], indexed[own]
+            np.not_equal(head, 0.0, out=marked)
+            np.greater(marked, seen, out=marked)  # carrying but not indexed
+            if stale or marked.any():
+                part = apart[g] = None  # release the old index first
+                np.not_equal(head, 0.0, out=seen)
+                if g:  # success into row 0, which every group reaches, goes apart
+                    np.equal(a[own], 0, out=marked)
+                    marked &= seen
+                    apart[g] = index(marked, own.start, a)
+                    np.greater(seen, marked, out=marked)
+                part = index(marked if g else seen, own.start, a)
+            np.multiply(fail_at[fails], d[fails], out=nxt[lands])
+            if g == 0:
+                nxt[:shift] = 0.0
+            for live, succ, _, w in (part, apart[g]) if g else (part,):
+                np.take(d, live, out=w, mode="clip")  # unbuffered; live < m
+                w *= succ
+            np.add.at(nxt, part[2], part[3])
+            cut(t + 1)
+        return task
+
+    row0 = siphon(0, 1)
+
+    def finish_row0(t):  # the later groups' success mass into row 0, in group order; then its cap
+        nxt = vecs[1 - t % 2]
+        for _, _, served, w in apart[1:]:
+            np.add.at(nxt, served, w)
+        row0(t + 1)
+
+    vecs[0][s0] = 1.0
+    siphon(0, a_max)(0)
+    tasks = [group(g, lo, hi) for g, (lo, hi) in enumerate(zip(firsts, firsts[1:] + [a_max]))]
+    _run_in_groups(tasks, range(horizon), finish_row0 if several else lambda t: None)
+    reduce(horizon)
+    touched = masses[0]
+    for mass in masses[1:]:  # in slot order
+        touched += mass
     return touched, per_stage, entering
 
 

@@ -667,31 +667,50 @@ class TestSlabGroups:
             mp.setattr(dpmod, "_groups", lambda box: groups)
             started = _started_threads(mp)
             _assert_matches_reference(*case)
-        # the solve and _stage_tables each run one pass
-        assert len(started) == 2 * (min(groups, case[2].a_max) - 1)
+        # the solve and _stage_tables each run one backward pass; the check
+        # runs one forward audit, and the solve another on a lossy spec
+        passes = 3 + (not case[0].reliable)
+        assert len(started) == passes * (min(groups, case[2].a_max) - 1)
 
     def test_uneven_last_slab_in_two_groups(self, monkeypatch):
         # slabs of 13 and 4 rows, one group each: the first group's last row
-        # reads row 13 from its copy
+        # reads row 13 from its copy; the forward audit splits source rows
+        # 0 to 7 and 8 to 16
         monkeypatch.setattr(dpmod, "_groups", lambda box: 2)
         started = _started_threads(monkeypatch)
         box = TruncatedBox(17, 4)
         assert dpmod._slab_rows(box) == 13
         _assert_matches_reference(system_for("E2"), 30, box, (1, 1, 1, 1))
-        assert len(started) == 2
+        assert len(started) == 4
+
+    @pytest.mark.parametrize("groups", [2, 3])
+    def test_row_zero_takes_success_mass_from_every_group(self, groups, monkeypatch):
+        # source 0's cost grows and source 1's is zero, so every stage serves
+        # source 0 everywhere (ties at the last stage go to it too); it fails
+        # with chance 0.7, so by slot 7 every row below the cap carries mass
+        # and row 0 receives success mass from each group's source rows
+        monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: groups)
+        spec = SystemSpec((Source(cost.exponential(3.0), 0.3), Source(cost.table([0.0]), 0.4)))
+        box = TruncatedBox(8, 2)
+        assert not any(table.any() for table in _stage_tables(spec, 30, box))
+        _assert_matches_reference(spec, 30, box, (1, 1))
 
     def test_many_groups_under_fast_switching(self, monkeypatch):
         # more groups than cores, with the interpreter switching threads as
         # often as it can: a row read after another group wrote it, or a
-        # buffer two groups share, changes the bits
+        # buffer two groups share, changes the bits; both passes of the solve
+        # and of the check run in six groups
         monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
         monkeypatch.setattr(dpmod, "_groups", lambda box: 6)
+        started = _started_threads(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             _assert_matches_reference(system_for("E2"), 40, TruncatedBox(12, 4), (1, 2, 1, 3))
         finally:
             sys.setswitchinterval(interval)
+        assert len(started) == 4 * 5
 
     @pytest.mark.parametrize("a_max,cpus", [(15, None), (17, {0})])
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
@@ -707,9 +726,11 @@ class TestSlabGroups:
             raise AssertionError("a one-group pass started a thread")
 
         monkeypatch.setattr(threading, "Thread", refuse)
-        got = finite_horizon_dp(system_for("E2"), 30, a_max)
+        got = finite_horizon_dp(system_for("E2"), 30, a_max)  # both passes, as E2 is lossy
         assert got.optimal_average_cost.hex() == want.optimal_average_cost.hex()
         assert got.stage1_actions.tobytes() == want.stage1_actions.tobytes()
+        assert got.truncation_report.hex() == want.truncation_report.hex()
+        assert got.stage_costs.tobytes() == want.stage_costs.tobytes()
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_an_error_in_any_group_reaches_the_caller(self, where, monkeypatch):
@@ -730,6 +751,37 @@ class TestSlabGroups:
         monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
         monkeypatch.setattr(dpmod, "_groups", lambda box: 3)
         monkeypatch.setattr(dpmod, "_run_slabs", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(Boom, match=where):
+            finite_horizon_dp(system_for("E2"), 20, a_max=6)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_error_in_any_forward_group_reaches_the_caller(self, where, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        run_in_groups = dpmod._run_in_groups
+        calls = []
+
+        def failing(task):
+            def run(t):
+                on_caller = threading.current_thread() is threading.main_thread()
+                if on_caller == (where == "caller"):
+                    calls.append(1)
+                    if len(calls) == 3:  # the third stage, with the other groups running
+                        raise Boom(where)
+                task(t)
+            return run
+
+        def forward_fails(tasks, stages, between):
+            if sys._getframe(1).f_code.co_name == "_forward_truncation_pass":
+                tasks = [failing(task) for task in tasks]
+            run_in_groups(tasks, stages, between)
+
+        monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: 3)
+        monkeypatch.setattr(dpmod, "_run_in_groups", forward_fails)
         before = set(threading.enumerate())
         with pytest.raises(Boom, match=where):
             finite_horizon_dp(system_for("E2"), 20, a_max=6)
@@ -794,6 +846,26 @@ class TestForwardIndex:
         _forward_truncation_pass(box, tables, spec.probabilities, _stage_cost(spec, box), 0)
         rebuilds = len(calls) - 1
         assert 0 < rebuilds <= 100
+
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_each_of_two_groups_rebuilds_its_index_rarely(self, monkeypatch):
+        # source rows 0 to 5 rebuild 77 times and rows 6 to 11 71 times; the
+        # second group's index comes in two parts, one flatnonzero call each
+        spec = system_for("E2")
+        box = TruncatedBox(12, 4)
+        tables = _stage_tables(spec, 500, box)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: 2)
+        calls = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(
+            np, "flatnonzero",
+            lambda a: calls.append(threading.current_thread() is threading.main_thread()) or flatnonzero(a),
+        )
+        _forward_truncation_pass(box, tables, spec.probabilities, _stage_cost(spec, box), 0)
+        first = calls.count(True) - 1  # the calling thread also finds the cap
+        second, odd = divmod(calls.count(False), 2)
+        assert not odd
+        assert 0 < first <= 100 and 0 < second <= 100
 
 
 class TestStoredTables:
