@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -260,8 +261,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except yaml.YAMLError as e:
         raise ConfigError(f"unparseable YAML in {path}: {e}") from None
-    import os
-
     hint = os.path.splitext(os.path.basename(str(path)))[0]
     try:
         return parse_config(data, name_hint=hint)

@@ -35,14 +35,15 @@ and A2's to C2's at 30 and 60) is one slab and runs the same sequence.
 The forward pass moves all failure mass with one shifted slice and zeroes
 the cap face by face.
 
-Both passes split each stage into contiguous groups of axis-0 rows, one
-per CPU the process may use, that run at once on threads (see `_groups`).
-The backward pass splits its slabs, and copies before the stage the one
-row a group reads that the next group writes. The forward audit splits its
-source rows: each group writes the target rows one above its own, and row
-0, which source-0 successes reach from every row, is finished on the
-calling thread group by group, in ascending order. A box of one slab
-runs one group in each pass and starts no thread. The thread count
+Both passes split each stage into the same contiguous groups of axis-0
+rows, one per CPU the process may use, that run at once on threads (see
+`_row_groups`). The backward pass runs each group's slabs, and copies
+before the stage the one row a group reads that the next group writes.
+The forward audit runs each group's source rows: a group writes the
+target rows one above its own and keeps apart the success mass its states
+send to row 0, which source-0 successes reach from every row; the calling
+thread adds those parts group by group, in ascending order. A box of one
+slab runs one group in each pass and starts no thread. The thread count
 follows the usable CPUs, has no setting, and does not change the bits.
 
 The greedy actions are stored by content: a stage refers to the stage
@@ -73,7 +74,6 @@ import math
 import os
 import threading
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -197,10 +197,10 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     saved success row and the box-sized compare of a stage with the stored
     table. The forward audit's cached indexes are charged at every below-cap
     state, since the support they cover can be any set of them: its groups
-    index disjoint source rows, so their indexes, each later group's row-0
-    part included, together cover each state at most once whatever the
-    group count (see `_forward_truncation_pass`). That phase leads on every
-    box large enough to be refused.
+    index disjoint source rows, so their indexes, each group's row-0 part
+    included, together cover each state at most once whatever the group
+    count (see `_forward_truncation_pass`). That phase leads on every box
+    large enough to be refused.
     """
     m, n, a_max = box.state_count, box.n_sources, box.a_max
     below = (a_max - 1) ** n  # states that can carry mass in the forward pass
@@ -335,20 +335,39 @@ def _slab_rows(box) -> int:
 
 
 def _groups(box) -> int:
-    """Groups, one thread each, that both passes over `box` run: one per
-    CPU this process may use, at most one per backward slab. The backward
-    pass splits its slabs into that many contiguous groups, and the forward
-    audit its axis-0 source rows, so a box of one slab (at most
-    `SLAB_STATES` states) runs one group in each pass and starts no thread.
-    Every target row of the forward audit but row 0 is written by one group
-    alone; row 0 takes success mass from every group, so the calling thread
-    adds it group by group after the others finish (see
-    `_forward_truncation_pass`)."""
+    """How many groups, one thread each, the passes over `box` run: one per
+    CPU this process may use, at most one per backward slab, so a box of
+    one slab (at most `SLAB_STATES` states) runs one group and starts no
+    thread."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, -(-box.a_max // _slab_rows(box)))
+
+
+def _row_groups(box) -> list:
+    """The axis-0 rows [lo, hi) of each group that both passes over `box`
+    run, in ascending order: the backward slabs split into `_groups`
+    contiguous runs, so every group starts on a slab boundary (more groups
+    than slabs leaves one slab a group). The backward pass writes a group's
+    rows; the forward audit reads them as source rows, and row 0, which
+    success mass reaches from every group, is added group by group after
+    the others finish (see `_forward_truncation_pass`)."""
+    starts = range(0, box.a_max, _slab_rows(box))
+    groups = _groups(box)
+    firsts = sorted({starts[len(starts) * g // groups] for g in range(groups)})
+    return list(zip(firsts, firsts[1:] + [box.a_max]))
+
+
+def _faces(n, lo, hi, a_max, at) -> list:
+    """Indexes of the faces at entry `at` of an n-axis array's axis-0 rows
+    [lo, hi): `at` on each of axes 1 to N - 1 of those rows, then, when
+    they end at a_max, `at` on axis 0."""
+    faces = [(slice(lo, hi),) + _axis_slices(n - 1, i, at, slice(None)) for i in range(n - 1)]
+    if lo < hi == a_max:
+        faces.append((at,))
+    return faces
 
 
 def _run_in_groups(tasks, stages, between):
@@ -417,32 +436,32 @@ def _backward_pass(box, probs, stage_cost, horizon):
     operations as in one whole-box pass, so the bits do not depend on the
     slab size, and a box of one slab runs the same sequence as any other.
 
-    The slabs are split into `_groups` contiguous groups, one per usable
-    CPU, run by `_run_in_groups`: the calling thread runs the first group
-    and one worker thread each of the others, all within a stage. Within a
-    group the slabs keep their ascending order. Only a group's last row
-    reads a row that another group writes, the next group's first row R, so
-    that row of the extended buffer is copied before the stage starts and
-    the last row reads it from the copy, as a one-row slab of its own. Each
-    group has its own slab buffers, and copies the top faces on axes 1 to
-    N - 1 of the rows it writes; the last group then copies the axis-0 face
-    from its finished row a_max - 1. Only the next stage reads the entries
-    these copies write, and copied axis by axis each ends holding the value
-    of its clamped state, as after one whole-box copy. The saved success
-    row, the row copies and the table store below run on the calling thread
-    with the workers waiting. The thread count follows the CPUs the process
-    may use and has no setting; since every entry still gets the same
-    operations, the bits do not depend on it. A box of one slab, or a host
-    with one usable CPU, runs one group and starts no thread.
+    The slabs are split into the `_row_groups` contiguous groups, one per
+    usable CPU, run by `_run_in_groups`: the calling thread runs the first
+    group and one worker thread each of the others, all within a stage.
+    Within a group the slabs keep their ascending order. Only a group's
+    last row reads a row that another group writes, the next group's first
+    row R, so that row of the extended buffer is copied before the stage
+    starts and the last row reads it from the copy, as a one-row slab of
+    its own. Each group has its own slab buffers, and copies the top faces
+    on axes 1 to N - 1 of the rows it writes; the last group then copies
+    the axis-0 face from its finished row a_max - 1. Only the next stage
+    reads the entries these copies write, and copied axis by axis each ends
+    holding the value of its clamped state, as after one whole-box copy.
+    The saved success row, the row copies and the table store below run on
+    the calling thread with the workers waiting. The thread count follows
+    the CPUs the process may use and has no setting; since every entry
+    still gets the same operations, the bits do not depend on it. A box of
+    one slab, or a host with one usable CPU, runs one group and starts no
+    thread.
 
     Each stage's actions are built in one reused buffer. A stage equal to
     the stage after it refers to that stage's table. Otherwise it looks up
-    an earlier stored table of equal content, keyed by the CRC-32 of its
-    bytes and confirmed by a full compare, and refers to that one; only a
-    table unseen so far is copied into a new stored table (read-only, since
-    several stages share it). The lookup runs only when a stage differs from
-    the stage after it. Returns the stage-0 values and a tuple of `horizon`
-    flat tables.
+    an earlier stored table by the buffer's bytes and refers to that one;
+    only a table unseen so far is stored, as a read-only array over the
+    bytes of its key, since several stages share it. The lookup runs only
+    when a stage differs from the stage after it. Returns the stage-0
+    values and a tuple of `horizon` flat tables.
     """
     n, a_max = box.n_sources, box.a_max
     every = slice(1, None)
@@ -454,13 +473,10 @@ def _backward_pass(box, probs, stage_cost, horizon):
     buf = np.empty(box.state_count, dtype=np.int8)
     act = buf.reshape(box.shape)
     rows = _slab_rows(box)
-    starts = range(0, a_max, rows)
-    groups = _groups(box)
-    # each group's first row; more groups than slabs leaves one slab a group
-    firsts = sorted({starts[len(starts) * g // groups] for g in range(groups)})
+    ranges = _row_groups(box)
     copies = []  # (row R of the extended buffer, its copy) at each group boundary
     work = []  # each group's slabs: rows, views and buffers
-    for lo, hi in zip(firsts, firsts[1:] + [a_max]):
+    for lo, hi in ranges:
         cut = hi if hi == a_max else hi - 1  # rows below it read no other group's row
         spans = []  # each slab's rows [r0, r1) and the rows r0 + 1 to r1 it reads
         for r0 in range(lo, cut, rows):
@@ -486,12 +502,8 @@ def _backward_pass(box, probs, stage_cost, horizon):
             ))
         # the top faces of the group's rows on axes 1 to N - 1; the last group
         # then copies the axis-0 face from the finished row a_max - 1
-        faces = [
-            tuple(ext[(slice(lo, hi),) + _axis_slices(n - 1, i, at, slice(None))] for at in (top, face))
-            for i in range(n - 1)
-        ]
-        if hi == a_max:
-            faces.append((ext[top], ext[face]))
+        pairs = zip(_faces(n, lo, hi, a_max, top), _faces(n, lo, hi, a_max, face))
+        faces = [(ext[dst], ext[src]) for dst, src in pairs]
         work.append((slabs, faces))
 
     def run(slabs, faces):  # one group's stage: its slabs, then its rows' top faces
@@ -508,17 +520,15 @@ def _backward_pass(box, probs, stage_cost, horizon):
 
     actions = [None] * horizon
     stored = None
-    by_digest = {}  # CRC-32 of a stored table's bytes -> that table
+    by_content = {}  # a stored table's bytes -> that table, which shares their memory
 
     def store(t):
         nonlocal stored
         if stored is None or not (buf == stored).all():
-            key = zlib.crc32(buf)
-            stored = by_digest.get(key)
-            if stored is None or not (stored == buf).all():
-                stored = buf.copy()
-                stored.flags.writeable = False
-                by_digest[key] = stored
+            key = buf.tobytes()
+            stored = by_content.get(key)
+            if stored is None:
+                stored = by_content[key] = np.frombuffer(key, np.int8)
         actions[t] = stored
         if t:
             prepare()
@@ -585,28 +595,27 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     an exact 0.0. A settled lossy box rebuilds it about twice per run of
     equal stages (E2 at a_max 30 in one group: 117 times in 500 stages).
 
-    Each stage runs in `_groups` groups of contiguous axis-0 source rows,
-    through `_run_in_groups`. A carrying state in row r fails into row
-    r + 1 and succeeds into row r + 1 too, unless it serves source 0, whose
-    success lands in row 0. So every target outside row 0 gets all its mass
-    from the one row below it, and group [lo, hi) writes only the target
-    rows lo + 1 to hi, the first group row 0 as well: its own part of the
-    failure-factor gather and of the shifted slice, and a cached index of
-    its own source rows, rebuilt by the same rule. Row 0 gets only source-0
-    successes, from every row, and np.add.at must still add them in
-    ascending state order. The first group adds its own; each later group
-    keeps the states whose success lands in row 0 apart, in a second part
-    of its index, and gathers their mass; after the barrier the calling
-    thread adds those parts group by group, in ascending group order, and
-    then siphons row 0. Every other row is
-    siphoned by the group that writes it, into the slot's cap buffer. The
-    cap sum and the per-source `reduceat` of a slot read the whole buffer,
-    so they run in the last group during the next stage, while that stage
-    fills the other slot's buffer; the report adds the per-slot masses in
-    slot order. `d @ cost` stays one whole-vector call, on the calling
-    thread, since its bits depend on how BLAS splits it. The bits do not
-    depend on the group count, and one group runs the same operations per
-    stage as one whole-box pass, with no thread.
+    Each stage runs in the `_row_groups` groups of contiguous axis-0 source
+    rows, through `_run_in_groups`. A carrying state in row r fails into
+    row r + 1 and succeeds into row r + 1 too, unless it serves source 0,
+    whose success lands in row 0. So every target outside row 0 gets all
+    its mass from the one row below it, and group [lo, hi) writes only the
+    target rows lo + 1 to hi, the first group the zeros of row 0 as well:
+    its own part of the failure-factor gather and of the shifted slice, and
+    a cached index of its own source rows, rebuilt by the same rule. Row 0
+    gets only source-0 successes, from every row, and np.add.at must still
+    add them in ascending state order. So every group keeps the states
+    whose success lands in row 0 apart, in a second part of its index, and
+    gathers their mass; after the barrier the calling thread adds those
+    parts group by group, in ascending group order, and then siphons row 0.
+    Every other row is siphoned by the group that writes it, into the
+    slot's cap buffer. The cap sum and the per-source `reduceat` of a slot
+    read the whole buffer, so they run in the last group during the next
+    stage, while that stage fills the other slot's buffer; the report adds
+    the per-slot masses in slot order. `d @ cost` stays one whole-vector
+    call, on the calling thread, since its bits depend on how BLAS splits
+    it. The bits do not depend on the group count, and one group runs the
+    same sequence as several, with no thread.
 
     `finite_horizon_dp` runs this pass for lossy and mixed specs only; a
     reliable spec's audit walks its one path instead (`_reliable_audit`),
@@ -647,9 +656,7 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
 
     def siphon(r0, r1):  # slot s's siphon of axis-0 rows [r0, r1)
         k = slice(*np.searchsorted(cap_idx, (r0 * row, r1 * row)))
-        faces = [(slice(r0, r1),) + _axis_slices(n - 1, i, a_max - 1, slice(None)) for i in range(n - 1)]
-        if r0 < r1 == a_max:
-            faces.append((slice(a_max - 1, a_max),))
+        faces = _faces(n, r0, r1, a_max, slice(a_max - 1, a_max))
         idx, outs = cap_idx[k], [w[k] for w in caps]
         views = [[vec.reshape(shape)[face] for face in faces] for vec in vecs]
 
@@ -685,16 +692,14 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
         served += shift
         return live, succ, served, np.empty(live.size)
 
-    groups = _groups(box)
-    firsts = sorted({a_max * g // groups for g in range(groups)})  # each group's first source row
-    several = len(firsts) > 1
-    apart = [None] * len(firsts)  # each later group's index of the states whose success lands in row 0
+    ranges = _row_groups(box)
+    apart = [None] * len(ranges)  # each group's index of the states whose success lands in row 0
 
     def group(g, lo, hi):  # the stage task of the group of source rows [lo, hi)
         fails = slice(max((lo + 1) * row - shift, 0), min(hi + 1, a_max) * row - shift)
         lands = slice(fails.start + shift, fails.stop + shift)  # rows lo + 1 to hi, and below for the first
         own = slice(min(lo * row, m - shift), min(hi * row, m - shift))
-        cut = siphon(lo + 1 if several else 0, min(hi + 1, a_max))  # row 0 waits for every group
+        cut = siphon(lo + 1, min(hi + 1, a_max))  # row 0 waits for every group
         gathered = part = None
 
         def task(t):
@@ -715,16 +720,15 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
             if stale or marked.any():
                 part = apart[g] = None  # release the old index first
                 np.not_equal(head, 0.0, out=seen)
-                if g:  # success into row 0, which every group reaches, goes apart
-                    np.equal(a[own], 0, out=marked)
-                    marked &= seen
-                    apart[g] = index(marked, own.start, a)
-                    np.greater(seen, marked, out=marked)
-                part = index(marked if g else seen, own.start, a)
+                np.equal(a[own], 0, out=marked)  # success into row 0, which every group reaches
+                marked &= seen
+                apart[g] = index(marked, own.start, a)
+                np.greater(seen, marked, out=marked)
+                part = index(marked, own.start, a)
             np.multiply(fail_at[fails], d[fails], out=nxt[lands])
             if g == 0:
                 nxt[:shift] = 0.0
-            for live, succ, _, w in (part, apart[g]) if g else (part,):
+            for live, succ, _, w in (part, apart[g]):
                 np.take(d, live, out=w, mode="clip")  # unbuffered; live < m
                 w *= succ
             np.add.at(nxt, part[2], part[3])
@@ -733,16 +737,15 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
 
     row0 = siphon(0, 1)
 
-    def finish_row0(t):  # the later groups' success mass into row 0, in group order; then its cap
+    def finish_row0(t):  # every group's success mass into row 0, in group order; then its cap
         nxt = vecs[1 - t % 2]
-        for _, _, served, w in apart[1:]:
+        for _, _, served, w in apart:
             np.add.at(nxt, served, w)
         row0(t + 1)
 
     vecs[0][s0] = 1.0
     siphon(0, a_max)(0)
-    tasks = [group(g, lo, hi) for g, (lo, hi) in enumerate(zip(firsts, firsts[1:] + [a_max]))]
-    _run_in_groups(tasks, range(horizon), finish_row0 if several else lambda t: None)
+    _run_in_groups([group(g, lo, hi) for g, (lo, hi) in enumerate(ranges)], range(horizon), finish_row0)
     reduce(horizon)
     touched = masses[0]
     for mass in masses[1:]:  # in slot order

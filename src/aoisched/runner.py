@@ -15,7 +15,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -41,7 +41,6 @@ class ResultBundle:
     policy_results: tuple
     dp_solution: Optional[dpmod.DpSolution] = None
     dp_cycle: Optional[Cycle] = None
-    certificates: tuple = field(default=())
 
     @property
     def provenance(self) -> dict:
@@ -77,8 +76,6 @@ class ResultBundle:
             out["policies"][pr.label] = entry
         if self.dp_solution is not None:
             out["dp"] = _dp_dict(self.dp_solution, self.dp_cycle)
-        if self.certificates:
-            out["certificates"] = list(self.certificates)
         return out
 
 

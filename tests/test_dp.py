@@ -675,7 +675,7 @@ class TestSlabGroups:
     def test_uneven_last_slab_in_two_groups(self, monkeypatch):
         # slabs of 13 and 4 rows, one group each: the first group's last row
         # reads row 13 from its copy; the forward audit splits source rows
-        # 0 to 7 and 8 to 16
+        # the same way, 0 to 12 and 13 to 16
         monkeypatch.setattr(dpmod, "_groups", lambda box: 2)
         started = _started_threads(monkeypatch)
         box = TruncatedBox(17, 4)
@@ -711,6 +711,33 @@ class TestSlabGroups:
         finally:
             sys.setswitchinterval(interval)
         assert len(started) == 4 * 5
+
+    @pytest.mark.parametrize("a_max,slab_states,groups,bounds", [
+        (10, 1, 1, (0, 10)),
+        (10, 1, 2, (0, 5, 10)),
+        (10, 1, 3, (0, 3, 6, 10)),
+        (10, 1, 9, (0, 1, 2, 3, 4, 5, 6, 7, 8, 10)),
+        (17, dpmod.SLAB_STATES, 2, (0, 13, 17)),  # slabs of 13 and 4 rows
+    ])
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_both_passes_split_the_same_rows(self, a_max, slab_states, groups, bounds, monkeypatch):
+        # each pass hands _run_in_groups one task per row range of its box
+        run_in_groups = dpmod._run_in_groups
+        seen = []
+
+        def spy(tasks, stages, between):
+            caller = sys._getframe(1)
+            ranges = caller.f_locals["ranges"]
+            assert len(tasks) == len(ranges)
+            seen.append((caller.f_code.co_name, ranges))
+            run_in_groups(tasks, stages, between)
+
+        monkeypatch.setattr(dpmod, "SLAB_STATES", slab_states)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: groups)
+        monkeypatch.setattr(dpmod, "_run_in_groups", spy)
+        finite_horizon_dp(system_for("E2"), 20, a_max)
+        ranges = list(zip(bounds, bounds[1:]))
+        assert seen == [("_backward_pass", ranges), ("_forward_truncation_pass", ranges)]
 
     @pytest.mark.parametrize("a_max,cpus", [(15, None), (17, {0})])
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
@@ -836,7 +863,8 @@ class TestForwardIndex:
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
     def test_settled_box_rebuilds_the_index_rarely(self, monkeypatch):
         # E2's sources at a_max 12 rebuild the index 78 times in 500 stages;
-        # the audit calls flatnonzero once for the cap and once per rebuild
+        # the audit calls flatnonzero once for the cap and twice per rebuild,
+        # once for each part of the index
         spec = system_for("E2")
         box = TruncatedBox(12, 4)
         tables = _stage_tables(spec, 500, box)
@@ -844,16 +872,19 @@ class TestForwardIndex:
         flatnonzero = np.flatnonzero
         monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
         _forward_truncation_pass(box, tables, spec.probabilities, _stage_cost(spec, box), 0)
-        rebuilds = len(calls) - 1
+        rebuilds, odd = divmod(len(calls) - 1, 2)
+        assert not odd
         assert 0 < rebuilds <= 100
 
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
     def test_each_of_two_groups_rebuilds_its_index_rarely(self, monkeypatch):
-        # source rows 0 to 5 rebuild 77 times and rows 6 to 11 71 times; the
-        # second group's index comes in two parts, one flatnonzero call each
+        # source rows 0 to 5 rebuild 77 times and rows 6 to 11 71 times; each
+        # group's index comes in two parts, one flatnonzero call each. The
+        # box is one slab of the default size, so one-row slabs make two groups
         spec = system_for("E2")
         box = TruncatedBox(12, 4)
         tables = _stage_tables(spec, 500, box)
+        monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
         monkeypatch.setattr(dpmod, "_groups", lambda box: 2)
         calls = []
         flatnonzero = np.flatnonzero
@@ -862,7 +893,8 @@ class TestForwardIndex:
             lambda a: calls.append(threading.current_thread() is threading.main_thread()) or flatnonzero(a),
         )
         _forward_truncation_pass(box, tables, spec.probabilities, _stage_cost(spec, box), 0)
-        first = calls.count(True) - 1  # the calling thread also finds the cap
+        first, odd = divmod(calls.count(True) - 1, 2)  # the calling thread also finds the cap
+        assert not odd
         second, odd = divmod(calls.count(False), 2)
         assert not odd
         assert 0 < first <= 100 and 0 < second <= 100
@@ -880,19 +912,6 @@ class TestStoredTables:
         _assert_maximal_runs(tables)
         assert _assert_shared_by_content(tables) == stored
         assert len({id(a) for a in tables}) == stored
-
-    @pytest.mark.parametrize("name,a_max", [("D1", 20), ("A2", 12)])
-    def test_a_digest_collision_is_confirmed_by_content(self, name, a_max, monkeypatch):
-        # every table gets the same CRC: only the full compare keeps tables
-        # of different content apart
-        spec = system_for(name)
-        box = TruncatedBox(a_max, spec.n_sources)
-        sol = finite_horizon_dp(spec, 200, a_max)
-        tables = _stage_tables(spec, 200, box)
-        monkeypatch.setattr(dpmod.zlib, "crc32", lambda data: 0)
-        collided = finite_horizon_dp(spec, 200, a_max)
-        assert np.stack(_stage_tables(spec, 200, box)).tobytes() == np.stack(tables).tobytes()
-        assert collided.optimal_average_cost == sol.optimal_average_cost
 
 
 class TestInputChecks:
