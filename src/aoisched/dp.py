@@ -23,28 +23,28 @@ ever touches a clamped coordinate; that truncation report is the audit trail
 for the box size and carries the mass the upper bound follows.
 
 Both passes read successors as slices of the age box, not through gathered
-index arrays. The backward pass keeps its values in a buffer one entry
-longer on every axis, the extra entry repeating the cap, and picks actions
-by a running compare-select that keeps ties at the lowest source index. It
-walks each stage in ascending slabs of axis-0 rows of about `SLAB_STATES`
-states, each with its own cache-sized buffers: a slab writes only rows
-that no later slab reads, except row 0, which source 0's success term
-reads in every slab, so that term is saved before the first slab. A box of
-up to `SLAB_STATES` states (each bundled reliable box, E2's at a_max 15,
-and A2's to C2's at 30 and 60) is one slab and runs the same sequence.
-The forward pass moves all failure mass with one shifted slice and zeroes
-the cap face by face.
+index arrays, and both read one buffer and write the other: the backward
+pass reads the values of the stage after from one and writes the stage's
+own into the other, the forward audit likewise with the distributions of
+two slots. The backward pass keeps its values in buffers one entry longer
+on every axis, the extra entry repeating the cap, and picks actions by a
+running compare-select that keeps ties at the lowest source index. It
+walks each stage in slabs of axis-0 rows of about `SLAB_STATES` states,
+each with its own cache-sized buffers. A box of up to `SLAB_STATES`
+states (each bundled reliable box, E2's at a_max 15, and A2's to C2's at
+30 and 60) is one slab and runs the same sequence. The forward pass moves
+all failure mass with one shifted slice and zeroes the cap face by face.
 
 Both passes split each stage into the same contiguous groups of axis-0
 rows, one per CPU the process may use, that run at once on threads (see
-`_row_groups`). The backward pass runs each group's slabs, and copies
-before the stage the one row a group reads that the next group writes.
-The forward audit runs each group's source rows: a group writes the
-target rows one above its own and keeps apart the success mass its states
-send to row 0, which source-0 successes reach from every row; the calling
-thread adds those parts group by group, in ascending order. A box of one
-slab runs one group in each pass and starts no thread. The thread count
-follows the usable CPUs, has no setting, and does not change the bits.
+`_row_groups`). Since no group reads what another writes in the same
+stage, the backward pass runs each group's slabs in any order. The forward
+audit runs each group's source rows: a group writes the target rows one
+above its own and keeps apart the success mass its states send to row 0,
+which source-0 successes reach from every row; the calling thread adds
+those parts group by group, in ascending order. A box of one slab runs one
+group in each pass and starts no thread. The thread count follows the
+usable CPUs, has no setting, and does not change the bits.
 
 The greedy actions are stored by content: a stage refers to the stage
 after it when their tables are equal, and otherwise to an earlier stored
@@ -80,7 +80,7 @@ from typing import Optional
 import numpy as np
 
 from . import cost as costmod
-from .errors import CapacityError, DomainError, NonCyclicError
+from .errors import CapacityError, CostRangeError, DomainError, NonCyclicError
 from .policies import SystemSpec, validate_ages
 from .sim import _first_cycle, _reliable_path
 
@@ -191,16 +191,17 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     `finite_horizon_dp_auto` at E2's a_max 30: a_max 60 exceeds the
     default budget.
 
-    The backward pass's working buffers span one slab of axis-0 rows, not
-    the box (see `_backward_pass`), so they are charged per slab for each
-    of the `_groups` slab groups, with one row copy per group boundary, the
-    saved success row and the box-sized compare of a stage with the stored
-    table. The forward audit's cached indexes are charged at every below-cap
-    state, since the support they cover can be any set of them: its groups
-    index disjoint source rows, so their indexes, each group's row-0 part
-    included, together cover each state at most once whatever the group
-    count (see `_forward_truncation_pass`). That phase leads on every box
-    large enough to be refused.
+    The backward pass's second value buffer is charged in full. Its other
+    working buffers span one slab of axis-0 rows, not the box (see
+    `_backward_pass`), so they are charged per slab for each of the
+    `_groups` slab groups, with each group's success-term temporary and the
+    box-sized compare of a stage with the stored table. The forward audit's
+    cached indexes are charged at every below-cap state, since the support
+    they cover can be any set of them: its groups index disjoint source
+    rows, so their indexes, each group's row-0 part included, together
+    cover each state at most once whatever the group count (see
+    `_forward_truncation_pass`). That phase leads on every box large enough
+    to be refused.
     """
     m, n, a_max = box.state_count, box.n_sources, box.a_max
     below = (a_max - 1) ** n  # states that can carry mass in the forward pass
@@ -209,13 +210,12 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     held += 8 * (m + (a_max + 1) ** n)  # stage cost; values with a repeated top face
     held += 8 * horizon * (n * a_max + 1)  # cap-entry marginals, per-slot costs
     held += 200 * horizon + (1 << 18)  # realized trajectory; ufunc buffers, objects
-    # each group's best, q, failure copy and compare mask over one slab, and
-    # the row copy at each group boundary; the stage compare; the saved
-    # success row and the success terms
-    slab = _slab_rows(box) * m // a_max
+    # the buffer the stages alternate with; each group's best, q, failure
+    # copy and compare mask over one slab, and its success term of at most
+    # one row; the stage compare
+    row = m // a_max
     groups = _groups(box)
-    backward = groups * 25 * slab + (groups - 1) * 8 * (a_max + 1) ** (n - 1)
-    backward += m + 8 * (n + 1) * m // a_max
+    backward = 8 * (a_max + 1) ** n + groups * (25 * _slab_rows(box) * row + 8 * row) + m
     # distributions, failure factors, the cap mask and the two support
     # masks; cap indices and ages, per-source orders, the siphoned mass of
     # two slots and one in a source's age order; the cached indexes over at
@@ -313,13 +313,18 @@ def finite_horizon_dp(
 
 def _stage_cost(spec, box) -> np.ndarray:
     """Pre-action cost of every box state, shape box.shape: the sources'
-    cost rows broadcast along their axes and summed in source order."""
+    cost rows broadcast along their axes and summed in source order. A cost
+    that overflows inside the box raises CostRangeError naming its source."""
     n = box.n_sources
     total = np.zeros(box.shape)
     for i, s in enumerate(spec.sources):
         along = [1] * n
         along[i] = box.a_max
-        total += s.cost(np.arange(1, box.a_max + 1)).reshape(along)
+        try:
+            costs = s.cost(np.arange(1, box.a_max + 1))
+        except CostRangeError as e:
+            raise CostRangeError(f"source {i + 1}: {e}") from None
+        total += costs.reshape(along)
     return total
 
 
@@ -351,9 +356,10 @@ def _row_groups(box) -> list:
     run, in ascending order: the backward slabs split into `_groups`
     contiguous runs, so every group starts on a slab boundary (more groups
     than slabs leaves one slab a group). The backward pass writes a group's
-    rows; the forward audit reads them as source rows, and row 0, which
-    success mass reaches from every group, is added group by group after
-    the others finish (see `_forward_truncation_pass`)."""
+    rows from values of the stage after, which no group writes; the forward
+    audit reads them as source rows, and row 0, which success mass reaches
+    from every group, is added group by group after the others finish (see
+    `_forward_truncation_pass`)."""
     starts = range(0, box.a_max, _slab_rows(box))
     groups = _groups(box)
     firsts = sorted({starts[len(starts) * g // groups] for g in range(groups)})
@@ -424,36 +430,31 @@ def _backward_pass(box, probs, stage_cost, horizon):
     picked by a running compare-select in which a source replaces the best
     only where strictly cheaper, so ties go to the lowest source index.
 
-    A stage walks the box in slabs of `_slab_rows` axis-0 rows, in
-    ascending order, and runs that sequence on each slab with slab-sized
-    buffers, so a slab's working set stays in cache. Slab [r0, r1) reads
-    the failure rows r0 + 1 to r1, copied once into a contiguous buffer
-    when some source is lossy, and writes the values of rows r0 to r1 - 1,
-    so no later slab reads a row already written. Source 0's success term
-    reads row 0 in every slab; the first slab overwrites it, so that term,
-    p_0 times the row, is saved before the first slab. The top faces of a
-    group's rows are copied after its last slab. Every entry gets the same
-    operations as in one whole-box pass, so the bits do not depend on the
-    slab size, and a box of one slab runs the same sequence as any other.
+    There are two extended buffers: stage t reads the values of stage t + 1
+    from one and writes its own into the other, so no part of a stage reads
+    what another part writes. A stage walks the box in slabs of
+    `_slab_rows` axis-0 rows and runs that sequence on each slab with
+    slab-sized buffers, so a slab's working set stays in cache. Slab
+    [r0, r1) reads the failure rows r0 + 1 to r1, copied once into a
+    contiguous buffer when some source is lossy, and row 0 for source 0's
+    success, and writes the values of rows r0 to r1 - 1. Every entry gets
+    the same operations as in one whole-box pass, so the bits depend
+    neither on the slab size nor on the slab order, and a box of one slab
+    runs the same sequence as any other.
 
     The slabs are split into the `_row_groups` contiguous groups, one per
     usable CPU, run by `_run_in_groups`: the calling thread runs the first
     group and one worker thread each of the others, all within a stage.
-    Within a group the slabs keep their ascending order. Only a group's
-    last row reads a row that another group writes, the next group's first
-    row R, so that row of the extended buffer is copied before the stage
-    starts and the last row reads it from the copy, as a one-row slab of
-    its own. Each group has its own slab buffers, and copies the top faces
-    on axes 1 to N - 1 of the rows it writes; the last group then copies
-    the axis-0 face from its finished row a_max - 1. Only the next stage
-    reads the entries these copies write, and copied axis by axis each ends
-    holding the value of its clamped state, as after one whole-box copy.
-    The saved success row, the row copies and the table store below run on
-    the calling thread with the workers waiting. The thread count follows
-    the CPUs the process may use and has no setting; since every entry
-    still gets the same operations, the bits do not depend on it. A box of
-    one slab, or a host with one usable CPU, runs one group and starts no
-    thread.
+    Each group has its own slab buffers and its slab views for either
+    direction, and picks the direction by the stage's parity. After its
+    slabs it copies the top faces on axes 1 to N - 1 of the rows it wrote;
+    the last group then copies the axis-0 face from its finished row
+    a_max - 1. Copied axis by axis, each entry ends holding the value of
+    its clamped state, as after one whole-box copy. The table store below
+    runs on the calling thread with the workers waiting. The thread count
+    follows the CPUs the process may use and has no setting, and the bits
+    do not depend on it. A box of one slab, or a host with one usable CPU,
+    runs one group and starts no thread.
 
     Each stage's actions are built in one reused buffer. A stage equal to
     the stage after it refers to that stage's table. Otherwise it looks up
@@ -466,57 +467,45 @@ def _backward_pass(box, probs, stage_cost, horizon):
     n, a_max = box.n_sources, box.a_max
     every = slice(1, None)
     top, face = slice(a_max, a_max + 1), slice(a_max - 1, a_max)  # the repeated entry and its source
-    ext = np.zeros((a_max + 1,) * n)
-    row0 = ext[_axis_slices(n, 0, slice(0, 1), every)]  # source 0's success values
-    held = np.empty(row0.shape)  # p_0 times row 0, saved each stage
+    exts = (np.zeros((a_max + 1,) * n), np.zeros((a_max + 1,) * n))  # stage t writes exts[t % 2]
     lossy = any(p != 1.0 for p in probs)  # only a lossy source reads the failure values
     buf = np.empty(box.state_count, dtype=np.int8)
     act = buf.reshape(box.shape)
     rows = _slab_rows(box)
     ranges = _row_groups(box)
-    copies = []  # (row R of the extended buffer, its copy) at each group boundary
-    work = []  # each group's slabs: rows, views and buffers
+    work = []  # each group's slabs and top faces for even and for odd stages
     for lo, hi in ranges:
-        cut = hi if hi == a_max else hi - 1  # rows below it read no other group's row
-        spans = []  # each slab's rows [r0, r1) and the rows r0 + 1 to r1 it reads
-        for r0 in range(lo, cut, rows):
-            r1 = min(r0 + rows, cut)
-            spans.append((r0, r1, ext[r0 + 1 : r1 + 1]))
-        if cut < hi:
-            copies.append((ext[hi : hi + 1], np.empty((1,) + (a_max + 1,) * (n - 1))))
-            spans.append((cut, hi, copies[-1][1]))
         best = np.empty((rows,) + box.shape[1:])
         q = np.empty_like(best)
         cheaper = np.empty(best.shape, dtype=bool)
         fail_rows = np.empty_like(best) if lossy else None
-        slabs = []
-        for r0, r1, nxt in spans:
-            k, own = r1 - r0, slice(r0, r1)
-            succ = [held]
-            succ += [nxt[(slice(None),) + _axis_slices(n - 1, i, slice(0, 1), every)] for i in range(n - 1)]
-            slabs.append((
-                ext[(own,) + (slice(0, a_max),) * (n - 1)],  # the slab's values
-                nxt[(slice(None),) + (every,) * (n - 1)],  # the slab's failure values,
-                fail_rows[:k] if lossy else None,  # copied here once a stage
-                succ, stage_cost[own], act[own], best[:k], q[:k], cheaper[:k],
-            ))
-        # the top faces of the group's rows on axes 1 to N - 1; the last group
-        # then copies the axis-0 face from the finished row a_max - 1
-        pairs = zip(_faces(n, lo, hi, a_max, top), _faces(n, lo, hi, a_max, face))
-        faces = [(ext[dst], ext[src]) for dst, src in pairs]
-        work.append((slabs, faces))
+        sides = []
+        for ext, after in (exts, exts[::-1]):  # the buffer written, and the stage after's
+            slabs = []
+            for r0 in range(lo, hi, rows):
+                r1 = min(r0 + rows, hi)
+                k, own, nxt = r1 - r0, slice(r0, r1), after[r0 + 1 : r1 + 1]
+                succ = [after[_axis_slices(n, 0, slice(0, 1), every)]]
+                succ += [nxt[(slice(None),) + _axis_slices(n - 1, i, slice(0, 1), every)] for i in range(n - 1)]
+                slabs.append((
+                    ext[(own,) + (slice(0, a_max),) * (n - 1)],  # the slab's values
+                    nxt[(slice(None),) + (every,) * (n - 1)],  # the slab's failure values,
+                    fail_rows[:k] if lossy else None,  # copied here once a stage
+                    succ, stage_cost[own], act[own], best[:k], q[:k], cheaper[:k],
+                ))
+            # the top faces of the group's rows on axes 1 to N - 1; the last
+            # group then copies the axis-0 face from the finished row a_max - 1
+            pairs = zip(_faces(n, lo, hi, a_max, top), _faces(n, lo, hi, a_max, face))
+            sides.append((slabs, [(ext[dst], ext[src]) for dst, src in pairs]))
+        work.append(sides)
 
-    def run(slabs, faces):  # one group's stage: its slabs, then its rows' top faces
+    def run(sides):  # one group's stage: its slabs, then its rows' top faces
         def task(t):
-            _run_slabs(slabs, probs, held, lossy)
+            slabs, faces = sides[t % 2]
+            _run_slabs(slabs, probs, lossy)
             for dst, src in faces:
                 dst[...] = src
         return task
-
-    def prepare():  # every slab reads row 0, which the first overwrites
-        np.multiply(row0, probs[0], out=held)
-        for row, copy in copies:
-            np.copyto(copy, row)
 
     actions = [None] * horizon
     stored = None
@@ -530,17 +519,13 @@ def _backward_pass(box, probs, stage_cost, horizon):
             if stored is None:
                 stored = by_content[key] = np.frombuffer(key, np.int8)
         actions[t] = stored
-        if t:
-            prepare()
 
-    prepare()
-    _run_in_groups([run(slabs, faces) for slabs, faces in work], range(horizon - 1, -1, -1), store)
-    return ext[(slice(0, a_max),) * n], tuple(actions)
+    _run_in_groups([run(sides) for sides in work], range(horizon - 1, -1, -1), store)
+    return exts[0][(slice(0, a_max),) * n], tuple(actions)
 
 
-def _run_slabs(slabs, probs, held, lossy):
-    """One stage over one group's slabs, in ascending order (see
-    `_backward_pass`)."""
+def _run_slabs(slabs, probs, lossy):
+    """One stage over one group's slabs, in any order (see `_backward_pass`)."""
     for value, fail_src, fail, succ, cost_rows, act_s, best_s, q_s, cheaper_s in slabs:
         if lossy:
             np.copyto(fail, fail_src)
@@ -551,7 +536,8 @@ def _run_slabs(slabs, probs, held, lossy):
             else:
                 qi = best_s if i == 0 else q_s
                 np.multiply(fail, 1.0 - p, out=qi)
-                qi += held if i == 0 else p * succ[i]
+                # source 0's success term spans a row; q_s is free until source 1
+                qi += np.multiply(succ[i], p, out=q_s[:1] if i == 0 else None)
             if i == 0:
                 if qi is not best_s:
                     best_s[...] = qi

@@ -28,7 +28,7 @@ from aoisched.dp import (
     finite_horizon_dp,
     finite_horizon_dp_auto,
 )
-from aoisched.errors import CapacityError, DomainError, NonCyclicError
+from aoisched.errors import CapacityError, CostRangeError, DomainError, NonCyclicError
 from aoisched.policies import MaxAge, RoundRobin, Source, SystemSpec, Whittle
 from aoisched.sim import _first_cycle, simulate
 
@@ -78,6 +78,12 @@ class TestBasics:
             f"DP estimate {need:,} bytes exceeds the memory budget of {budget:,} bytes "
             f"for a_max {a_max} and {len(sources)} sources"
         )
+
+    def test_cost_overflow_in_the_box_names_its_source(self):
+        # 2^x passes the overflow limit at age 997, inside a box of a_max 1000
+        spec = SystemSpec((Source(cost.linear(1)), Source(cost.exponential(2))))
+        with pytest.raises(CostRangeError, match=r"^source 2: exponential cost exceeds 1e\+300 from age 997$"):
+            finite_horizon_dp(spec, 10, 1000)
 
     def test_box_membership_needs_one_integer_age_per_source(self):
         box = TruncatedBox(5, 2)
@@ -353,7 +359,7 @@ class TestMemoryEstimate:
         assert _traced_peak(spec, horizon, a_max) <= _estimate_bytes(box, horizon)
 
     # the backward pass in slab groups: each has its own slab buffers and
-    # each boundary a row copy; tracemalloc sees the worker threads' arrays
+    # success-term temporary; tracemalloc sees the worker threads' arrays
     @pytest.mark.parametrize("groups", [2, 3])
     @pytest.mark.parametrize("a_max,slab_states", [(17, dpmod.SLAB_STATES), (12, 1)])
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
@@ -599,8 +605,8 @@ class TestKernelMatchesReference:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_dp_case())
     def test_one_row_slabs_bit_identical(self, case):
-        # every box above fits one slab; one axis-0 row per slab runs the
-        # saved success row, the failure copies and the slab order
+        # every box above fits one slab; one axis-0 row per slab runs many
+        # slabs, each with its failure copy and source 0's success row
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dpmod, "SLAB_STATES", 1)
             assert dpmod._slab_rows(case[2]) == 1
@@ -655,9 +661,11 @@ def _started_threads(mp):
 
 
 class TestSlabGroups:
-    # one-row slabs put a group boundary between any two rows; more groups
-    # than slabs runs one group per slab; a reliable spec's p = 1 terms read
-    # the success faces as views, with no failure copy
+    # one-row slabs put a group boundary between any two rows, so a group's
+    # last row reads, from the other buffer, the row that the next group
+    # writes; more groups than slabs runs one group per slab; a reliable
+    # spec's p = 1 terms read the success faces as views, with no failure
+    # copy
     @pytest.mark.parametrize("groups", [1, 2, 3, 9])
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=st.one_of(_dp_case(), _dp_case(probs=st.just(1.0))))
@@ -674,14 +682,26 @@ class TestSlabGroups:
 
     def test_uneven_last_slab_in_two_groups(self, monkeypatch):
         # slabs of 13 and 4 rows, one group each: the first group's last row
-        # reads row 13 from its copy; the forward audit splits source rows
-        # the same way, 0 to 12 and 13 to 16
+        # reads row 13 of the stage after, which the second group writes into
+        # the other buffer; the forward audit splits source rows the same
+        # way, 0 to 12 and 13 to 16
         monkeypatch.setattr(dpmod, "_groups", lambda box: 2)
         started = _started_threads(monkeypatch)
         box = TruncatedBox(17, 4)
         assert dpmod._slab_rows(box) == 13
         _assert_matches_reference(system_for("E2"), 30, box, (1, 1, 1, 1))
         assert len(started) == 4
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_slabs_in_reverse_order_keep_the_bits(self, groups, monkeypatch):
+        # each group runs its one-row slabs from its top row down: no slab
+        # reads a row that another slab writes in the same stage, row 0
+        # included, so the order of the slabs does not change the bits
+        run = dpmod._run_slabs
+        monkeypatch.setattr(dpmod, "SLAB_STATES", 1)
+        monkeypatch.setattr(dpmod, "_groups", lambda box: groups)
+        monkeypatch.setattr(dpmod, "_run_slabs", lambda slabs, *args: run(slabs[::-1], *args))
+        _assert_matches_reference(system_for("E2"), 30, TruncatedBox(6, 4), (1, 1, 1, 1))
 
     @pytest.mark.parametrize("groups", [2, 3])
     def test_row_zero_takes_success_mass_from_every_group(self, groups, monkeypatch):
