@@ -42,9 +42,10 @@ stage, the backward pass runs each group's slabs in any order. The forward
 audit runs each group's source rows: a group writes the target rows one
 above its own and keeps apart the success mass its states send to row 0,
 which source-0 successes reach from every row; the calling thread adds
-those parts group by group, in ascending order. A box of one slab runs one
-group in each pass and starts no thread. The thread count follows the
-usable CPUs, has no setting, and does not change the bits.
+those parts group by group, in ascending order. A group also sums its
+rows' share of each slot's cost. A box of one slab runs one group in each
+pass and starts no thread. The thread count follows the usable CPUs, has
+no setting, and changes no bit; neither pass calls BLAS.
 
 The greedy actions are stored by content: a stage refers to the stage
 after it when their tables are equal, and otherwise to an earlier stored
@@ -200,8 +201,8 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     they cover can be any set of them: its groups index disjoint source
     rows, so their indexes, each group's row-0 part included, together
     cover each state at most once whatever the group count (see
-    `_forward_truncation_pass`). That phase leads on every box large enough
-    to be refused.
+    `_forward_truncation_pass`), as are its slot costs by row. That phase
+    leads on every box large enough to be refused.
     """
     m, n, a_max = box.state_count, box.n_sources, box.a_max
     below = (a_max - 1) ** n  # states that can carry mass in the forward pass
@@ -220,8 +221,9 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     # masks; cap indices and ages, per-source orders, the siphoned mass of
     # two slots and one in a source's age order; the cached indexes over at
     # most every below-cap state (state, action, success target and
-    # probability, gathered mass, or a rebuild's ages)
-    forward = 27 * m + 8 * (2 * n + 4) * cap + 33 * below
+    # probability, gathered mass, or a rebuild's ages); slot costs by row, and
+    # one slot's by line
+    forward = 27 * m + 8 * (2 * n + 4) * cap + 33 * below + 8 * a_max * (horizon + a_max)
     cycles = len(_weighted_round_robins(n))
     # age chains, two sources' worth at a swap, and a slot's product and
     # contiguous copy; one cost row
@@ -598,10 +600,13 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     slot's cap buffer. The cap sum and the per-source `reduceat` of a slot
     read the whole buffer, so they run in the last group during the next
     stage, while that stage fills the other slot's buffer; the report adds
-    the per-slot masses in slot order. `d @ cost` stays one whole-vector
-    call, on the calling thread, since its bits depend on how BLAS splits
-    it. The bits do not depend on the group count, and one group runs the
-    same sequence as several, with no thread.
+    the per-slot masses in slot order. Each group sums its rows' expected
+    cost: einsum sums each line (axes 2 to N - 1) and np.add.reduce each
+    row's a_max lines, into a table summed across rows after the pass.
+    einsum sums a lone line of over 8192 states in chunks but the lines of
+    a block whole, and a row has a_max lines (N = 1: one of one state). No
+    BLAS call is made, the bits do not depend on the group count, and one
+    group runs the same sequence as several, with no thread.
 
     `finite_horizon_dp` runs this pass for lossy and mixed specs only; a
     reliable spec's audit walks its one path instead (`_reliable_audit`),
@@ -633,12 +638,13 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     fail_at = np.empty(m - shift)  # 1 - p of the action at each state that can fail
     carrying = np.empty(m - shift, dtype=bool)
     indexed = np.zeros(m - shift, dtype=bool)  # the states the indexes were built from
-    cost = stage_cost.reshape(m)
+    cost_lines = stage_cost.reshape(a_max, min(row, a_max), -1)  # lines of axes 2 to N - 1
     vecs = (np.zeros(m), np.empty(m))  # the distribution at even and at odd slots
     caps = (np.empty(cap_idx.size), np.empty(cap_idx.size))  # its cap states, likewise
     ordered = np.empty(cap_idx.size)  # a slot's cap states in one source's age order
     masses = [0.0] * (horizon + 1)  # the mass siphoned at each slot
-    per_stage = np.empty(horizon)
+    line_costs = np.empty(cost_lines.shape[:2])  # a slot's expected cost, by line
+    row_costs = np.empty((horizon, a_max))  # each slot's, by axis-0 row
 
     def siphon(r0, r1):  # slot s's siphon of axis-0 rows [r0, r1)
         k = slice(*np.searchsorted(cap_idx, (r0 * row, r1 * row)))
@@ -686,13 +692,14 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
         lands = slice(fails.start + shift, fails.stop + shift)  # rows lo + 1 to hi, and below for the first
         own = slice(min(lo * row, m - shift), min(hi * row, m - shift))
         cut = siphon(lo + 1, min(hi + 1, a_max))  # row 0 waits for every group
+        own_lines = [vec.reshape(cost_lines.shape)[lo:hi] for vec in vecs]
         gathered = part = None
 
         def task(t):
             nonlocal gathered, part
             d, nxt = vecs[t % 2], vecs[1 - t % 2]
-            if g == 0:
-                per_stage[t] = float(d @ cost)
+            np.einsum("ijk,ijk->ij", own_lines[t % 2], cost_lines[lo:hi], out=line_costs[lo:hi])
+            np.add.reduce(line_costs[lo:hi], axis=1, out=row_costs[t, lo:hi])
             if hi == a_max:
                 reduce(t)
             a = actions[t]
@@ -736,7 +743,7 @@ def _forward_truncation_pass(box, actions, probs, stage_cost, s0):
     touched = masses[0]
     for mass in masses[1:]:  # in slot order
         touched += mass
-    return touched, per_stage, entering
+    return touched, row_costs.sum(axis=1), entering
 
 
 def _reliable_audit(box, actions, stage_cost, initial):
@@ -754,9 +761,9 @@ def _reliable_audit(box, actions, stage_cost, initial):
 
     These are the dense pass's bits. With p = 1 its failure slice writes
     exact zeros and the success scatter moves the single 1.0 to its target;
-    `d @ cost` of a one-hot vector is that state's cost, since every stage
-    cost is finite and +0.0 or positive; and the siphon's sum and reduceat
-    each see one 1.0.
+    since every stage cost is finite and +0.0 or positive, the row holding
+    the 1.0 sums to that state's cost, every other row to 0.0, and so does
+    their sum; and the siphon's sum and reduceat each see one 1.0.
 
     Returns the `horizon` (ages, action) pairs of the path on true ages,
     then the report, the per-slot costs and the marginals.

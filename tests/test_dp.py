@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -33,6 +35,8 @@ from aoisched.policies import MaxAge, RoundRobin, Source, SystemSpec, Whittle
 from aoisched.sim import _first_cycle, simulate
 
 from conftest import dp_box, overflow_at_four, references_for, system_for
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _stage_tables(spec, horizon, box):
@@ -479,9 +483,11 @@ def _reference_kernel(spec, horizon, box, initial):
     d = np.zeros(m)
     d[s0] = 1.0
     touched = siphon(d, 0)
-    per_stage = np.empty(horizon)
+    cost_lines = stage_cost.reshape(box.a_max, min(m // box.a_max, box.a_max), -1)
+    row_costs = np.empty((horizon, box.a_max))
     for t in range(horizon):
-        per_stage[t] = float(d @ stage_cost)
+        lines = np.einsum("ijk,ijk->ij", d.reshape(cost_lines.shape), cost_lines)
+        row_costs[t] = np.add.reduce(lines, axis=1)
         nxt = np.zeros(m)
         a = actions[t]
         for i in range(n):
@@ -496,7 +502,7 @@ def _reference_kernel(spec, horizon, box, initial):
                 np.add.at(nxt, fail_idx[sel], (1.0 - probs[i]) * w)
         touched += siphon(nxt, t + 1)
         d = nxt
-    return float(V[s0]), actions, stage_cost, touched, per_stage, entering
+    return float(V[s0]), actions, stage_cost, touched, row_costs.sum(axis=1), entering
 
 
 def _assert_maximal_runs(tables):
@@ -759,6 +765,25 @@ class TestSlabGroups:
         ranges = list(zip(bounds, bounds[1:]))
         assert seen == [("_backward_pass", ranges), ("_forward_truncation_pass", ranges)]
 
+    @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
+    def test_a_lone_long_row_keeps_the_bits(self, monkeypatch):
+        # rows of 21^3 = 9261 states, and mass at their far end by slot 20:
+        # einsum sums one such row alone in chunks but the rows of a block
+        # whole, so a group sums its rows' slot costs by line, 21 a row
+        spec = SystemSpec((
+            Source(cost.power(1, 2), 0.6),
+            Source(cost.logarithmic(10), 0.3),
+            Source(cost.linear(1), 0.5),
+            Source(cost.power(1, 2), 0.7),
+        ))
+        solves = []
+        for ranges in ([(0, 21)], [(0, 1), (1, 21)]):
+            monkeypatch.setattr(dpmod, "_row_groups", lambda box, ranges=ranges: ranges)
+            solves.append(finite_horizon_dp(spec, 20, 21))
+        whole, split = solves
+        assert split.stage_costs.tobytes() == whole.stage_costs.tobytes()
+        assert split.upper_bound.hex() == whole.upper_bound.hex()
+
     @pytest.mark.parametrize("a_max,cpus", [(15, None), (17, {0})])
     @pytest.mark.filterwarnings("ignore:truncation report:RuntimeWarning")
     def test_one_group_starts_no_thread(self, a_max, cpus, monkeypatch):
@@ -833,6 +858,33 @@ class TestSlabGroups:
         with pytest.raises(Boom, match=where):
             finite_horizon_dp(system_for("E2"), 20, a_max=6)
         assert set(threading.enumerate()) == before
+
+
+_BLAS_PROBE = """
+import warnings
+from conftest import system_for
+from aoisched.dp import finite_horizon_dp
+warnings.simplefilter("ignore", RuntimeWarning)
+sol = finite_horizon_dp(system_for("E2"), 20, 20)
+print(sol.upper_bound.hex(), sol.stage_costs.tobytes().hex())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    # E2 at a_max 20 is three slabs with mass at the cap; each BLAS thread
+    # count runs in a process of its own, as OpenBLAS reads it at start
+    assert dpmod._slab_rows(TruncatedBox(20, 4)) < 20
+    src = os.path.join(os.path.dirname(TESTS), "src")
+    path = os.pathsep.join(filter(None, [src, TESTS, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 class TestReliableWalk:
@@ -982,10 +1034,11 @@ class TestInputChecks:
 
 # recorded with the gather/argmin kernel before the slice-view rewrite, at
 # horizon 500: a_max, L, U and the truncation report as float.hex, and the
-# first 16 hex digits of the SHA-256 of the stage-1 action table
+# first 16 hex digits of the SHA-256 of the stage-1 action table; A2's U
+# moved in its last bit when the per-slot cost became a sum of row sums
 _TABLE_PINS = {
     "A1": (30, "0x1.5f95810624dd3p+4", "0x1.5f95810624dd3p+4", "0x0.0p+0", "d3ec02d5410876aa"),
-    "A2": (30, "0x1.20f6982a5ae75p+5", "0x1.20f69d469bc81p+5", "0x1.242f338af890fp-19", "5866a73efd9809d5"),
+    "A2": (30, "0x1.20f6982a5ae75p+5", "0x1.20f69d469bc80p+5", "0x1.242f338af890fp-19", "5866a73efd9809d5"),
     "B1": (30, "0x1.0f9db22d0e560p+3", "0x1.0f9db22d0e560p+3", "0x0.0p+0", "b31d0e0d50d9895c"),
     "B2": (30, "0x1.6efbadd683f54p+4", "0x1.6efc1e154144cp+4", "0x1.f3d6a5044770ap-22", "3e6adf4d169a6a11"),
     "C1": (30, "0x1.6ceb7c8f6a538p+2", "0x1.6ceb7c8f6a538p+2", "0x0.0p+0", "f13cadb680ae591f"),
