@@ -423,30 +423,64 @@ def decoupled_value_iteration(
 
 
 def _rvi_once(f, p, C, a_max, tol, tau):
+    """Damped relative value iteration on ages 1..a_max, clamped at a_max.
+
+    Each step forms, at every age h (h + 1 read as a_max at the cap),
+
+        q_pass = f(h) + V(h+1)
+        q_act  = f(h) + C + (1 - p) V(h+1) + p V(1)
+        V'     = (1 - tau) V + tau min(q_pass, q_act)
+
+    renormalises V' - V'(1), and stops once the span of V' - V is below
+    tol * tau, with the span's midpoint over tau as the average cost. These
+    float operations and their order, left to right as written, are the
+    contract: `_reference_rvi` in the tests is the loop that allocated every
+    term, and this one must give its policy, average cost, differential
+    costs, iteration count and error bit for bit. Each solve allocates its
+    buffers once: V lives in one entry more than the box, whose last entry
+    repeats V(a_max), so V(h+1) is the view `ext[1:]`, and every term is
+    written into its own buffer.
+    """
     ages = np.arange(1, a_max + 1)
     stage = costmod.evaluate(f, ages)
     # the span cannot settle below the float64 quantum of the largest values
     # on the box; widen the target to that floor when it exceeds tol
     float_floor = 32 * np.finfo(float).eps * float(np.max(stage))
     tol = max(tol, float_floor)
-    nxt = np.minimum(np.arange(1, a_max + 1), a_max - 1)  # 0-based successor
-    V = np.zeros(a_max)
-    span = math.inf
+    stage_c = stage + C
+    ext = np.zeros(a_max + 1)  # V, then V(a_max) again
+    V, Vn = ext[:-1], ext[1:]
+    q_pass, q_act, T, damped, delta = (np.empty(a_max) for _ in range(5))
+    fail, keep, target = 1.0 - p, 1.0 - tau, tol * tau
+    # a step is about ten calls on short arrays, so their dispatch is its
+    # cost: the ufuncs are local names and each output is the positional `out`
+    add, subtract, multiply, minimum = np.add, np.subtract, np.multiply, np.minimum
+    top, bottom = np.maximum.reduce, np.minimum.reduce
     for it in range(1, RVI_MAX_ITERS + 1):
-        Vn = V[nxt]
-        q_pass = stage + Vn
-        q_act = stage + C + (1.0 - p) * Vn + p * V[0]
-        T = np.minimum(q_pass, q_act)
-        damped = (1.0 - tau) * V + tau * T
-        delta = damped - V
-        span = float(delta.max() - delta.min())
-        V = damped - damped[0]
-        if span < tol * tau:
-            lam = float((delta.max() + delta.min()) / (2.0 * tau))
+        add(stage, Vn, q_pass)
+        multiply(fail, Vn, q_act)
+        add(stage_c, q_act, q_act)
+        add(q_act, p * V[0], q_act)
+        minimum(q_pass, q_act, out=T)  # a third positional operand is deprecated here
+        multiply(keep, V, damped)
+        multiply(tau, T, T)
+        add(damped, T, damped)
+        subtract(damped, V, delta)
+        subtract(damped, damped[0], V)
+        ext[-1] = V[-1]
+        # the span is at least the gap between any two entries of delta (the
+        # rounded difference is monotone), so a gap that reaches the target
+        # settles the stop test without the span's two reductions
+        if abs(delta[0] - delta[-1]) >= target:
+            continue
+        hi, lo = top(delta), bottom(delta)
+        if float(hi - lo) < target:
+            lam = float((hi + lo) / (2.0 * tau))
             slack = max(1e-8, 16.0 * tol)
             policy = _greedy_threshold(q_pass, q_act, lam, slack=slack)
             _check_monotone(V, slack=slack)
             return DecoupledSolution(policy, lam, V, a_max, it)
+    span = float(top(delta) - bottom(delta)) if RVI_MAX_ITERS > 0 else math.inf
     raise ConvergenceError(
         f"value iteration did not converge within {RVI_MAX_ITERS} iterations (span {span!r})"
     )

@@ -195,7 +195,7 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     The backward pass's second value buffer is charged in full. Its other
     working buffers span one slab of axis-0 rows, not the box (see
     `_backward_pass`), so they are charged per slab for each of the
-    `_groups` slab groups, with each group's success-term temporary and the
+    `_groups` slab groups, with the groups' success products and the
     box-sized compare of a stage with the stored table. The forward audit's
     cached indexes are charged at every below-cap state, since the support
     they cover can be any set of them: its groups index disjoint source
@@ -212,11 +212,12 @@ def _estimate_bytes(box: TruncatedBox, horizon: int) -> int:
     held += 8 * horizon * (n * a_max + 1)  # cap-entry marginals, per-slot costs
     held += 200 * horizon + (1 << 18)  # realized trajectory; ufunc buffers, objects
     # the buffer the stages alternate with; each group's best, q, failure
-    # copy and compare mask over one slab, and its success term of at most
-    # one row; the stage compare
+    # copy and compare mask over one slab, and its source-0 success product
+    # over one row; the other sources' success products, one row each over
+    # all groups; the stage compare
     row = m // a_max
     groups = _groups(box)
-    backward = 8 * (a_max + 1) ** n + groups * (25 * _slab_rows(box) * row + 8 * row) + m
+    backward = 8 * (a_max + 1) ** n + groups * (25 * _slab_rows(box) * row + 8 * row) + 8 * (n - 1) * row + m
     # distributions, failure factors, the cap mask and the two support
     # masks; cap indices and ages, per-source orders, the siphoned mass of
     # two slots and one in a source's age order; the cached indexes over at
@@ -438,8 +439,8 @@ def _backward_pass(box, probs, stage_cost, horizon):
     `_slab_rows` axis-0 rows and runs that sequence on each slab with
     slab-sized buffers, so a slab's working set stays in cache. Slab
     [r0, r1) reads the failure rows r0 + 1 to r1, copied once into a
-    contiguous buffer when some source is lossy, and row 0 for source 0's
-    success, and writes the values of rows r0 to r1 - 1. Every entry gets
+    contiguous buffer when some source is lossy, and the success products
+    below, and writes the values of rows r0 to r1 - 1. Every entry gets
     the same operations as in one whole-box pass, so the bits depend
     neither on the slab size nor on the slab order, and a box of one slab
     runs the same sequence as any other.
@@ -448,7 +449,10 @@ def _backward_pass(box, probs, stage_cost, horizon):
     usable CPU, run by `_run_in_groups`: the calling thread runs the first
     group and one worker thread each of the others, all within a stage.
     Each group has its own slab buffers and its slab views for either
-    direction, and picks the direction by the stage's parity. After its
+    direction, and picks the direction by the stage's parity. Before its
+    slabs it forms p_i S_i once for each lossy source i, over its rows'
+    successors (row 0 for source 0), in buffers of its own that both
+    directions share; each slab adds its slice of them. After its
     slabs it copies the top faces on axes 1 to N - 1 of the rows it wrote;
     the last group then copies the axis-0 face from its finished row
     a_max - 1. Copied axis by axis, each entry ends holding the value of
@@ -475,35 +479,46 @@ def _backward_pass(box, probs, stage_cost, horizon):
     act = buf.reshape(box.shape)
     rows = _slab_rows(box)
     ranges = _row_groups(box)
-    work = []  # each group's slabs and top faces for even and for odd stages
+    work = []  # each group's products, slabs and top faces for even and for odd stages
     for lo, hi in ranges:
         best = np.empty((rows,) + box.shape[1:])
         q = np.empty_like(best)
         cheaper = np.empty(best.shape, dtype=bool)
         fail_rows = np.empty_like(best) if lossy else None
+
+        def successors(after):  # S_i of the group's rows, row 0 for source 0
+            rest = [after[(slice(lo + 1, hi + 1),) + _axis_slices(n - 1, i, slice(0, 1), every)] for i in range(n - 1)]
+            return [after[_axis_slices(n, 0, slice(0, 1), every)]] + rest
+
+        # p_i S_i of each lossy source, formed here once a stage for every slab
+        prods = [None if p == 1.0 else np.empty(s.shape) for s, p in zip(successors(exts[0]), probs)]
         sides = []
         for ext, after in (exts, exts[::-1]):  # the buffer written, and the stage after's
+            succ = successors(after)
+            products = [(s, p, d) for s, p, d in zip(succ, probs, prods) if d is not None]
+            succ = [s if d is None else d for s, d in zip(succ, prods)]
             slabs = []
             for r0 in range(lo, hi, rows):
                 r1 = min(r0 + rows, hi)
                 k, own, nxt = r1 - r0, slice(r0, r1), after[r0 + 1 : r1 + 1]
-                succ = [after[_axis_slices(n, 0, slice(0, 1), every)]]
-                succ += [nxt[(slice(None),) + _axis_slices(n - 1, i, slice(0, 1), every)] for i in range(n - 1)]
                 slabs.append((
                     ext[(own,) + (slice(0, a_max),) * (n - 1)],  # the slab's values
                     nxt[(slice(None),) + (every,) * (n - 1)],  # the slab's failure values,
                     fail_rows[:k] if lossy else None,  # copied here once a stage
-                    succ, stage_cost[own], act[own], best[:k], q[:k], cheaper[:k],
+                    [succ[0]] + [s[r0 - lo : r1 - lo] for s in succ[1:]],
+                    stage_cost[own], act[own], best[:k], q[:k], cheaper[:k],
                 ))
             # the top faces of the group's rows on axes 1 to N - 1; the last
             # group then copies the axis-0 face from the finished row a_max - 1
             pairs = zip(_faces(n, lo, hi, a_max, top), _faces(n, lo, hi, a_max, face))
-            sides.append((slabs, [(ext[dst], ext[src]) for dst, src in pairs]))
+            sides.append((products, slabs, [(ext[dst], ext[src]) for dst, src in pairs]))
         work.append(sides)
 
-    def run(sides):  # one group's stage: its slabs, then its rows' top faces
+    def run(sides):  # one group's stage: its success products, its slabs, then its rows' top faces
         def task(t):
-            slabs, faces = sides[t % 2]
+            products, slabs, faces = sides[t % 2]
+            for src, p, dst in products:
+                np.multiply(src, p, out=dst)
             _run_slabs(slabs, probs, lossy)
             for dst, src in faces:
                 dst[...] = src
@@ -538,8 +553,7 @@ def _run_slabs(slabs, probs, lossy):
             else:
                 qi = best_s if i == 0 else q_s
                 np.multiply(fail, 1.0 - p, out=qi)
-                # source 0's success term spans a row; q_s is free until source 1
-                qi += np.multiply(succ[i], p, out=q_s[:1] if i == 0 else None)
+                qi += succ[i]  # p_i S_i, formed once a stage for the group
             if i == 0:
                 if qi is not best_s:
                     best_s[...] = qi

@@ -28,7 +28,7 @@ from aoisched.errors import (
     DomainError,
 )
 
-from conftest import _sandwich_holds, random_cost, random_cost_and_p
+from conftest import ALL_KINDS, _sandwich_holds, random_cost, random_cost_and_p
 
 
 class TestReliableIndex:
@@ -614,10 +614,108 @@ def test_the_reach_bound_refuses_only_charges_past_it(monkeypatch):
         assert max(built) == row
 
 
+# -- the RVI loop against the loop that allocated every term ------------------
+
+
+def _reference_rvi(f, p, C, a_max, tol, tau):
+    """The RVI loop that the fixed-buffer loop replaced, kept as its oracle:
+    a successor gather and a new array for every term of every step."""
+    ages = np.arange(1, a_max + 1)
+    stage = cost.evaluate(f, ages)
+    float_floor = 32 * np.finfo(float).eps * float(np.max(stage))
+    tol = max(tol, float_floor)
+    nxt = np.minimum(np.arange(1, a_max + 1), a_max - 1)  # 0-based successor
+    V = np.zeros(a_max)
+    span = math.inf
+    for it in range(1, decoupled.RVI_MAX_ITERS + 1):
+        Vn = V[nxt]
+        q_pass = stage + Vn
+        q_act = stage + C + (1.0 - p) * Vn + p * V[0]
+        T = np.minimum(q_pass, q_act)
+        damped = (1.0 - tau) * V + tau * T
+        delta = damped - V
+        span = float(delta.max() - delta.min())
+        V = damped - damped[0]
+        if span < tol * tau:
+            lam = float((delta.max() + delta.min()) / (2.0 * tau))
+            slack = max(1e-8, 16.0 * tol)
+            policy = decoupled._greedy_threshold(q_pass, q_act, lam, slack=slack)
+            decoupled._check_monotone(V, slack=slack)
+            return decoupled.DecoupledSolution(policy, lam, V, a_max, it)
+    raise ConvergenceError(
+        f"value iteration did not converge within {decoupled.RVI_MAX_ITERS} iterations (span {span!r})"
+    )
+
+
+def _rvi_outcome(solve, f, p, C, a_max):
+    """A solve's fields as bits, or the type and message of what it raised,
+    at decoupled_value_iteration's default tol."""
+    try:
+        sol = solve(f, p, C, a_max, 1e-9, decoupled.RVI_DAMPING)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        sol.policy,
+        sol.average_cost.hex(),
+        sol.differential_costs.tobytes(),
+        sol.a_max,
+        sol.iterations,
+    )
+
+
+def _assert_rvi_matches_reference(f, p, C, a_max):
+    got = _rvi_outcome(decoupled._rvi_once, f, p, C, a_max)
+    assert got == _rvi_outcome(_reference_rvi, f, p, C, a_max)
+    return got
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(ALL_KINDS),
+    reliable=st.booleans(),
+    p=st.floats(0.15, 1.0, exclude_min=True, exclude_max=True),
+    charge=st.sampled_from(["zero", "index", "inf"]),
+    h=st.integers(1, 400),
+    a_max=st.integers(2, 400),
+)
+@settings(max_examples=60, deadline=None)
+# adding C after (1 - p) V(h+1) moves a last bit here
+@example(seed=0, kind="linear", reliable=False, p=0.5, charge="index", h=1, a_max=3)
+def test_rvi_loop_is_bit_identical_to_the_reference(seed, kind, reliable, p, charge, h, a_max):
+    p = 1.0 if reliable else p
+    f = random_cost(np.random.default_rng(seed), kinds=(kind,), p_for_exponential=p)
+    a_max = min(a_max, cost.max_representable_age(f) - 1)
+    C = {"zero": 0.0, "index": float(whittle_index(f, p, min(h, a_max))), "inf": math.inf}[charge]
+    # a span that stalls above tol at the float quantum of large values runs
+    # out the budget in both loops; a smaller one keeps such draws quick and
+    # still compares the span they stop at
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoupled, "RVI_MAX_ITERS", 20_000)
+        _assert_rvi_matches_reference(f, p, C, a_max)
+
+
+@pytest.mark.parametrize(
+    "f, p, C, a_max, threshold",
+    [
+        pytest.param(cost.indicator(3, 1.0), 1.0, 5.0, 3, NEVER, id="never-on-a-plateau-box"),
+        # a_max None: the exponential's default_a_max box
+        pytest.param(cost.exponential(2.0), 0.9, 40.0, None, 4, id="exponential-2"),
+        pytest.param(cost.exponential(math.e), 0.85, 5.0, None, 1, id="exponential-e"),
+        pytest.param(cost.exponential(3.0), 1.0, 100.0, None, 3, id="exponential-3"),
+    ],
+)
+def test_rvi_loop_matches_the_reference_on_edge_boxes(f, p, C, a_max, threshold):
+    if a_max is None:
+        a_max = decoupled.default_a_max(DecoupledProblem(f, p, C))
+    assert _assert_rvi_matches_reference(f, p, C, a_max)[0].threshold == threshold
+
+
 def test_rvi_past_its_iteration_budget_names_the_span(monkeypatch):
     monkeypatch.setattr(decoupled, "RVI_MAX_ITERS", 2)
     with pytest.raises(ConvergenceError, match=r"within 2 iterations \(span \d"):
         decoupled_value_iteration(DecoupledProblem(cost.linear(1), 0.5, 3.0), a_max=20)
+    # the same message and span as the reference loop
+    assert _assert_rvi_matches_reference(cost.linear(1), 0.5, 3.0, 20)[0] is ConvergenceError
 
 
 @pytest.mark.parametrize("f", [cost.linear(1), cost.table([1.0, 2.0])], ids=["unbounded", "bounded"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy._core._multiarray_umath import __cpu_features__
 
 from aoisched import cost
 from aoisched import dp as dpmod
@@ -870,21 +871,50 @@ print(sol.upper_bound.hex(), sol.stage_costs.tobytes().hex())
 """
 
 
+def _run_probe(script, **env):
+    """The stdout of `script` run in a fresh interpreter with `env` added to
+    this one's, importing the library and conftest from this checkout."""
+    src = os.path.join(os.path.dirname(TESTS), "src")
+    path = os.pathsep.join(filter(None, [src, TESTS, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
 def test_bits_do_not_depend_on_blas_threads():
     # E2 at a_max 20 is three slabs with mass at the cap; each BLAS thread
     # count runs in a process of its own, as OpenBLAS reads it at start
     assert dpmod._slab_rows(TruncatedBox(20, 4)) < 20
-    src = os.path.join(os.path.dirname(TESTS), "src")
-    path = os.pathsep.join(filter(None, [src, TESTS, os.environ.get("PYTHONPATH")]))
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outs.append(proc.stdout)
+    outs = [_run_probe(_BLAS_PROBE, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert outs[0] == outs[1]
+
+
+_SIMD_PROBE = """
+import hashlib, warnings
+from conftest import system_for
+from aoisched.dp import finite_horizon_dp
+warnings.simplefilter("ignore", RuntimeWarning)
+for name, a_max in (("E2", 20), ("F2", 15), ("D2", 20), ("A2", 30)):
+    sol = finite_horizon_dp(system_for(name), 60, a_max)
+    digest = hashlib.sha256(sol.stage_costs.tobytes() + sol.stage1_actions.tobytes()).hexdigest()
+    print(name, sol.optimal_average_cost.hex(), sol.upper_bound.hex(), digest)
+"""
+# the AVX-512 kernel sets numpy may dispatch to on this host; with them
+# disabled it dispatches to its AVX2 kernels
+_AVX512 = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+
+
+@pytest.mark.skipif(not _AVX512, reason="numpy runs its AVX2 kernels here already")
+def test_bits_do_not_depend_on_avx512_kernels():
+    # each run in a process of its own, as numpy picks its kernels at import
+    default = _run_probe(_SIMD_PROBE)
+    assert default == _run_probe(_SIMD_PROBE, NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512))
 
 
 class TestReliableWalk:
